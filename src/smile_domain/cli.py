@@ -19,7 +19,7 @@ import numpy as np
 
 from . import extremal, ssvi, symmetric, vanishing
 from .certificates import DomainCertificate
-from .core import InvalidParamsError, SmileDomainError
+from .core import BOUNDARY_TOL, InvalidParamsError, SmileDomainError
 from .extremal import ExtremalParams
 from .oracle import GridSpec, durrleman_check, sigma_star
 from .ssvi import SsviParams
@@ -165,7 +165,7 @@ def _bound_and_shape(args) -> tuple[float, tuple[float, float, float, float]]:
             raise InvalidParamsError("provide --b or --theta/--phi")
         ar = abs(args.rho)
         root = math.sqrt((1.0 - args.rho) * (1.0 + args.rho))
-        if b * (1.0 + ar) >= 2.0 - 1e-10:
+        if b * (1.0 + ar) >= 2.0 - BOUNDARY_TOL:
             bound = root
         else:
             bound = ssvi.sigma_star_closed(ssvi.l_from_b(b, ar), ar)

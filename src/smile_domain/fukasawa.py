@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     BOUNDARY_TOL,
@@ -29,6 +28,7 @@ from .core import (
     NoRootError,
     n_funcs,
 )
+from .roots import brentq, first_sign_change
 
 __all__ = [
     "FukasawaInterval",
@@ -117,16 +117,13 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
     vals = l_minus_curve(grid, b, rho) - gamma
 
     # negative near the minimum, diverges to +infinity on the far left
-    idx = np.flatnonzero(np.diff(np.sign(vals)) != 0)
-    if idx.size == 0:
+    i = first_sign_change(vals)
+    if i is None:
         raise NoRootError(
             f"no sign change for gamma={gamma}, b={b}, rho={rho}"
         )
-    i = int(idx[0])
     lo, hi = grid[i + 1], grid[i]
-    return float(
-        brentq(lambda l: l_minus_curve(l, b, rho) - gamma, lo, hi, xtol=1e-14)
-    )
+    return brentq(lambda l: l_minus_curve(l, b, rho) - gamma, lo, hi, xtol=1e-14)
 
 
 def mu_lower_curve(l: float, gamma: float, b: float, rho: float) -> float:

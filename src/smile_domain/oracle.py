@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     BOUNDARY_TOL,
@@ -34,6 +33,7 @@ from .core import (
     sigma_floor,
 )
 from .fukasawa import mu_interval, mu_lower_curve, solve_l_minus
+from .roots import brentq, first_sign_change
 
 __all__ = [
     "G2Zeros",
@@ -128,13 +128,12 @@ def _right_zero(gamma: float, rho: float) -> float:
     grid = start + offs
     n, n1, n2 = n_funcs(grid, gamma, rho)
     vals = n2 - n1 * n1 / (2.0 * n)
-    idx = np.flatnonzero(np.diff(np.sign(vals)) != 0)
-    if idx.size == 0:
+    i = first_sign_change(vals)
+    if i is None:
         raise EvaluationDomainError(
             f"no g2 sign change found for gamma={gamma}, rho={rho}"
         )
-    i = int(idx[0])
-    return float(brentq(g2_at, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16))
+    return brentq(g2_at, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
 
 
 def g2_zeros(gamma: float, rho: float) -> G2Zeros:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .certificates import DomainCertificate, make_certificate
 from .core import (
@@ -38,6 +37,7 @@ from .core import (
     RogerLeeViolation,
     hgg2_prime,
 )
+from .roots import brentq, first_sign_change
 
 __all__ = [
     "SsviParams",
@@ -197,9 +197,7 @@ def m2(rho: float) -> float:
         return X_M2_RHO1
     if rho <= _rho_of_m2(X_M2_RHO0):
         return X_M2_RHO0
-    return float(
-        brentq(lambda x: _rho_of_m2(x) - rho, X_M2_RHO1, X_M2_RHO0, xtol=1e-15)
-    )
+    return brentq(lambda x: _rho_of_m2(x) - rho, X_M2_RHO1, X_M2_RHO0, xtol=1e-15)
 
 
 def _n_x(x, rho: float):
@@ -271,11 +269,10 @@ def l_bar_zero(rho: float) -> float:
     hi = 1.0 - 1e-14
     grid = np.linspace(lo, hi, 256)
     vals = _phi_num(grid, rho)
-    idx = np.flatnonzero(np.diff(np.sign(vals)) != 0)
-    if idx.size == 0:
+    i = first_sign_change(vals)
+    if i is None:
         raise EvaluationDomainError(f"no sweep endpoint bracket for rho={rho}")
-    i = int(idx[0])
-    x = float(brentq(lambda t: _phi_num(t, rho), grid[i], grid[i + 1], xtol=1e-15))
+    x = brentq(lambda t: _phi_num(t, rho), grid[i], grid[i + 1], xtol=1e-15)
     return x / math.sqrt((1.0 - x) * (1.0 + x))
 
 
@@ -317,7 +314,7 @@ def l_from_b(b: float, rho: float) -> float:
     flo = fn(lbar)
     if flo == 0.0:
         return lbar
-    return float(brentq(fn, lbar, hi, xtol=1e-13, rtol=8.9e-16))
+    return brentq(fn, lbar, hi, xtol=1e-13, rtol=8.9e-16)
 
 
 def certify(p: SsviParams) -> DomainCertificate:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .certificates import DomainCertificate, make_certificate
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     InvalidParamsError,
     RawSviParams,
 )
+from .roots import brentq, first_sign_change
 
 __all__ = [
     "SymmetricParams",
@@ -234,11 +234,11 @@ def z_star_zero(gamma: float) -> float:
     if _p_num(hi, gamma) <= 0.0:
         grid = np.linspace(lo, hi, 512)
         vals = _p_num(grid, gamma)
-        idx = np.flatnonzero(np.diff(np.sign(vals)) != 0)
-        if idx.size == 0:
+        i = first_sign_change(vals)
+        if i is None:
             raise EvaluationDomainError(f"no critical-point root for gamma={gamma}")
-        lo, hi = grid[idx[0]], grid[idx[0] + 1]
-    return float(brentq(lambda z: _p_num(z, gamma), lo, hi, xtol=1e-15))
+        lo, hi = grid[i], grid[i + 1]
+    return brentq(lambda z: _p_num(z, gamma), lo, hi, xtol=1e-15)
 
 
 def z_star_at_g_tilde(gamma: float) -> float:
@@ -313,7 +313,7 @@ def z_from_b(b: float, gamma: float) -> float:
         raise EvaluationDomainError(
             f"b={b} not bracketed on the critical-point sweep for gamma={gamma}"
         )
-    return float(brentq(fn, lo, hi, xtol=1e-15))
+    return brentq(fn, lo, hi, xtol=1e-15)
 
 
 def certify(p: SymmetricParams) -> DomainCertificate:
@@ -390,7 +390,7 @@ def z_inflection(gamma: float) -> float:
         g = gamma
         return 6.0 * g**3 * z**4 + 19.0 * g * g * z**3 + 21.0 * g * z * z + 9.0 * z + g
 
-    return float(brentq(p3, _EDGE, 1.0 - _EDGE, xtol=1e-15))
+    return brentq(p3, _EDGE, 1.0 - _EDGE, xtol=1e-15)
 
 
 def j1_slope(z: float, gamma: float, b: float) -> float:

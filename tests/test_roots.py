@@ -1,0 +1,167 @@
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.optimize
+
+from smile_domain import fukasawa, ssvi, symmetric
+from smile_domain.roots import RTOL, brentq, first_sign_change
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _same_root(f, a, b, **kw):
+    ours = brentq(f, a, b, **kw)
+    assert type(ours) is float
+    assert ours == scipy.optimize.brentq(f, a, b, **kw)
+    return ours
+
+
+def _grid_bracket(f, grid):
+    i = first_sign_change(f(grid))
+    assert i is not None
+    return grid[i], grid[i + 1]
+
+
+# ---------------------------------------------------------------------------
+# bit-identical to scipy.optimize.brentq
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("xtol", [2e-12, 1e-13, 1e-14, 1e-15])
+@pytest.mark.parametrize("bracket", [(0.0, 3.0), (3.0, 0.0), (-10.0, 10.0)])
+def test_matches_scipy_on_cubic(xtol, bracket):
+    root = _same_root(lambda x: x**3 - 2.0 * x - 5.0, *bracket, xtol=xtol)
+    assert root == pytest.approx(2.0945514815423265, abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "f", [lambda x: x, lambda x: x + x**3, math.sin, lambda x: math.atan(1e3 * x)]
+)
+def test_matches_scipy_on_root_at_zero(f):
+    assert abs(_same_root(f, -1.0, 2.0, xtol=1e-15)) < 1e-15
+
+
+def test_matches_scipy_where_steps_divide_by_zero():
+    # with xtol at the smallest subnormal the tolerance rounds to 0 near the
+    # root, so interpolation divides 0 by 0 and must fall back to bisection
+    _same_root(lambda x: x**3, -1.0, 2.0, xtol=5e-324, maxiter=2000)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.8, 0.95])
+def test_matches_scipy_on_ssvi_sweep_endpoint(rho):
+    def f(x):
+        return ssvi._phi_num(x, rho)
+
+    grid = np.linspace(max(ssvi.x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, 256)
+    lo, hi = _grid_bracket(f, grid)
+    _same_root(f, lo, hi, xtol=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [-0.9, -0.3, 0.0, 0.5, 2.0])
+def test_matches_scipy_on_symmetric_sextic(gamma):
+    def f(z):
+        return symmetric._p_num(z, gamma)
+
+    lo, hi = _grid_bracket(f, np.linspace(1e-12, symmetric.z2(gamma) - 1e-12, 512))
+    _same_root(f, lo, hi, xtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "gamma, b, rho",
+    [(0.5, 1.0, 0.0), (0.2, 0.5, -0.4), (1.5, 1.2, 0.3), (0.05, 0.3, 0.7)],
+)
+def test_matches_scipy_on_fukasawa_level_curve(gamma, b, rho):
+    def f(l):
+        return fukasawa.l_minus_curve(l, b, rho) - gamma
+
+    upper = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) - 1e-6
+    grid = upper - np.geomspace(1e-6, upper + 1e8, 128)
+    hi, lo = _grid_bracket(f, grid)
+    root = _same_root(f, lo, hi, xtol=1e-14)
+    assert root == fukasawa.solve_l_minus(gamma, b, rho)
+
+
+# ---------------------------------------------------------------------------
+# error contract
+# ---------------------------------------------------------------------------
+def test_same_signs_raise_value_error():
+    with pytest.raises(ValueError) as exc:
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    assert str(exc.value) == "f(a) and f(b) must have different signs"
+
+
+def test_nan_objective_raises_value_error():
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("kw", [{"xtol": 0.0}, {"xtol": -1e-12}, {"rtol": RTOL / 2}])
+def test_tolerances_out_of_range_raise_value_error(kw):
+    with pytest.raises(ValueError, match="too small"):
+        brentq(lambda x: x - 0.5, 0.0, 1.0, **kw)
+
+
+def test_exhausted_iterations_raise_runtime_error():
+    with pytest.raises(RuntimeError, match="after 3 iterations"):
+        brentq(lambda x: x**3 - 2.0 * x - 5.0, 0.0, 3.0, maxiter=3)
+
+
+def test_zero_at_an_endpoint_returns_it_without_iterating():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+
+    assert brentq(f, 1.0, 5.0) == 1.0
+    assert brentq(f, -3.0, 1.0) == 1.0
+    assert calls == [1.0, 5.0, -3.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# sign-change scan
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "vals, expected",
+    [
+        ([-2.0, -1.0, 1.0, -1.0], 1),
+        ([3.0, 2.0, 1.0], None),
+        ([-1.0, 0.0, 1.0], 0),
+        ([], None),
+    ],
+)
+def test_first_sign_change(vals, expected):
+    assert first_sign_change(np.array(vals)) == expected
+
+
+# ---------------------------------------------------------------------------
+# scipy stays off the import path
+# ---------------------------------------------------------------------------
+def test_cli_call_does_not_import_scipy():
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import smile_domain, smile_domain.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = smile_domain.cli.main(\n"
+        "        ['certify', 'ssvi', '--theta', '0.1', '--phi', '1', '--rho', '-0.3'])\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'code': code, 'scipy': scipy}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] in (0, 1)
+    assert out["scipy"] == []

@@ -335,13 +335,13 @@ def test_gj_vs_subdomain_crossover():
 def test_lt_heston_b_stable_for_small_vol_of_vol():
     from mpmath import mp, mpf, sqrt as msqrt
 
-    mp.dps = 50
-    for sv in (1e-4, 1e-8):
-        h = HestonLtParams(kappa=1.0, theta_bar=0.04, sigma_vol=sv, rho=0.3)
-        d = 2 * mpf(h.kappa) - mpf(h.rho) * mpf(sv)
-        e = mpf(sv) ** 2 * (1 - mpf(h.rho) ** 2)
-        exact = 2 * (msqrt(d * d + e) - d) / (mpf(sv) * (1 - mpf(h.rho) ** 2))
-        assert lt_heston_b(h) == pytest.approx(float(exact), rel=1e-12)
+    with mp.workdps(50):
+        for sv in (1e-4, 1e-8):
+            h = HestonLtParams(kappa=1.0, theta_bar=0.04, sigma_vol=sv, rho=0.3)
+            d = 2 * mpf(h.kappa) - mpf(h.rho) * mpf(sv)
+            e = mpf(sv) ** 2 * (1 - mpf(h.rho) ** 2)
+            exact = 2 * (msqrt(d * d + e) - d) / (mpf(sv) * (1 - mpf(h.rho) ** 2))
+            assert lt_heston_b(h) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_lt_heston_threshold_certifies():
