@@ -265,6 +265,11 @@ def hgg2(l, nsvi: NormalizedSvi):
     return h, g, g2
 
 
+def _wing_product(h, g, b: float):
+    """G1 = (h - b*g)*(h + b*g) from values of hgg2, as g1 forms it."""
+    return (h - b * g) * (h + b * g)
+
+
 def g1(l, nsvi: NormalizedSvi):
     """Wing positivity factors (G1, G1+, G1-) with G1 = G1+ * G1-."""
     h, g, _ = hgg2(l, nsvi)
@@ -301,18 +306,22 @@ def hgg2_prime(l, nsvi: NormalizedSvi):
 
 def sigma_floor(l, nsvi: NormalizedSvi):
     """Pointwise sigma requirement -b*g2/(2*G1); its supremum over the
-    wings is the minimal arbitrage-free sigma."""
-    G1, _, _ = g1(l, nsvi)
-    _, _, g2v = hgg2(l, nsvi)
-    return -nsvi.b * g2v / (2.0 * G1)
+    wings is the minimal arbitrage-free sigma.  Where G1 rounds to 0 the
+    value is infinite, for a scalar l as for an array."""
+    h, g, g2v = hgg2(l, nsvi)
+    num, den = -nsvi.b * g2v, 2.0 * _wing_product(h, g, nsvi.b)
+    if isinstance(den, float) and den != 0.0:  # scalar l, the common case
+        return num / den
+    with np.errstate(divide="ignore"):
+        val = np.divide(num, den)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def sigma_floor_dual(l, nsvi: NormalizedSvi):
     """Dual form -G1/g2 = b/(2*sigma_floor); the same critical point
     minimizes it, which is what the reparametrized families exploit."""
-    G1, _, _ = g1(l, nsvi)
-    _, _, g2v = hgg2(l, nsvi)
-    return -G1 / g2v
+    h, g, g2v = hgg2(l, nsvi)
+    return -_wing_product(h, g, nsvi.b) / g2v
 
 
 def invert(p: RawSviParams) -> RawSviParams:

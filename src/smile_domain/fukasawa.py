@@ -10,8 +10,8 @@ below the smile minimum; the mirrored root (rho -> -rho) gives the upper
 endpoint.  On the wing-slope boundaries b*(1 -+ rho) = 2 the corresponding
 root escapes to -infinity and the endpoint degenerates to the limit value
 -+ b*gamma/2.  The interval is non-empty iff gamma exceeds a threshold
-depending on (b, rho) only, computed here by bisecting the emptiness
-predicate (which is monotone in gamma).
+depending on (b, rho) only, computed here as the root of the interval's
+width, which increases in gamma.
 """
 
 from __future__ import annotations
@@ -163,33 +163,31 @@ def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
         return FukasawaInterval(lower, b * gamma / 2.0, "b_one_plus_rho_eq_2")
 
     lower = mu_lower_curve(solve_l_minus(gamma, b, rho), gamma, b, rho)
+    if rho == 0.0:  # the mirrored solve is this one: the interval is symmetric
+        return FukasawaInterval(lower, -lower)
     upper = -mu_lower_curve(solve_l_minus(gamma, b, -rho), gamma, b, -rho)
     return FukasawaInterval(lower, upper)
 
 
 def fukasawa_threshold(b: float, rho: float, tol: float = 1e-10) -> float:
-    """Smallest gamma making the mu-interval non-empty, by bisection.
+    """Smallest gamma making the mu-interval non-empty; lies in [-1, 0].
 
-    The non-emptiness predicate is monotone in gamma, which justifies the
-    bisection; the result lies in [-1, 0].
+    The interval's width upper - lower is continuous and increasing in
+    gamma, and its zero is the threshold, found by Brent's method to
+    within ``tol``.
     """
     floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
 
-    def nonempty(g: float) -> bool:
-        return not mu_interval(g, b, rho).is_empty
+    def width(g: float) -> float:
+        iv = mu_interval(g, b, rho)
+        return iv.upper - iv.lower
 
     lo = floor + 1e-12
-    if nonempty(lo):
+    if width(lo) > 0.0:
         return floor
     hi = 0.5
-    while not nonempty(hi):  # gamma > 0 is always admissible
+    while width(hi) <= 0.0:  # gamma > 0 is always admissible
         hi *= 2.0
         if hi > 64.0:
             raise NoRootError(f"interval never opens for b={b}, rho={rho}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if nonempty(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return brentq(width, lo, hi, xtol=tol)

@@ -2,7 +2,7 @@
 
 sigma* is the supremum of the pointwise requirement f = -b*g2/(2*G1) over
 the two wing intervals where g2 < 0.  Each admissible side is searched with
-a dense log-spaced scan followed by golden-section refinement; on the
+a dense log-spaced scan followed by Brent's bounded maximization; on the
 wing-slope boundaries b*(1 +- rho) = 2 the supremum may be attained only in
 the limit l -> +-infinity, so the closed-form limit of f is evaluated
 explicitly (a grid cannot witness it).  Every closed-form family domain in
@@ -27,13 +27,13 @@ from .core import (
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
-    g1,
     hgg2,
     n_funcs,
     sigma_floor,
+    _wing_product,
 )
 from .fukasawa import mu_interval, mu_lower_curve, solve_l_minus
-from .roots import brentq, first_sign_change
+from .roots import brentq, first_sign_change, maximize
 
 __all__ = [
     "G2Zeros",
@@ -155,29 +155,6 @@ def g2_zeros(gamma: float, rho: float) -> G2Zeros:
 # ---------------------------------------------------------------------------
 # Supremum search
 # ---------------------------------------------------------------------------
-def _golden_max(fn, lo: float, hi: float, reltol: float = 1e-10):
-    """Golden-section maximization of a unimodal-ish fn on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(256):
-        if b - a <= reltol * (abs(a) + abs(b) + 1e-12):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
 def _limit_at_plus_infinity(gamma: float, b: float, rho: float, mu: float) -> float:
     """Limit of f as l -> +infinity; finite and positive only on the wing
     boundary b*(1+rho) = 2 with the wing factor still positive."""
@@ -198,17 +175,18 @@ def _search_right(
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    arg, sup = _golden_max(lambda l: sigma_floor(l, nsvi), lo, hi)
+    arg, sup = maximize(lambda l: sigma_floor(l, nsvi), lo, hi)
 
     if abs(b * (1.0 + rho) - 2.0) <= BOUNDARY_TOL:
         lim = _limit_at_plus_infinity(gamma, b, rho, mu)
         # G1 ~ 1/(2*lim*l) in the far tail, so f there carries relative
-        # cancellation noise of order eps*l*lim; only an interior max that
-        # beats the limit beyond that noise is genuine
+        # cancellation noise of order eps*l*lim, and is infinite where G1
+        # rounds to 0; only an interior max that beats the limit beyond that
+        # noise is genuine
         noise_rel = 2e-15 * max(abs(arg), 1.0) * max(lim, 1.0) + 1e-12
-        if sup <= lim * (1.0 + noise_rel):
+        if math.isinf(sup) or sup <= lim * (1.0 + noise_rel):
             return math.inf, lim
-    return float(arg), float(sup)
+    return arg, sup
 
 
 def maximize_f_on_interval(nsvi: NormalizedSvi, side: str) -> tuple[float, float]:
@@ -325,9 +303,8 @@ def durrleman_check(p: RawSviParams, grid: GridSpec | None = None) -> DensityRep
         return DensityReport(min_value=1.0, argmin_l=0.0, n_points=1)
     nsvi = p.normalized()
     ls = grid.points()
-    G1, _, _ = g1(ls, nsvi)
-    _, _, g2v = hgg2(ls, nsvi)
-    vals = G1 + nsvi.b * g2v / (2.0 * nsvi.sigma)
+    h, g, g2v = hgg2(ls, nsvi)
+    vals = _wing_product(h, g, nsvi.b) + nsvi.b * g2v / (2.0 * nsvi.sigma)
     i = int(np.argmin(vals))
     return DensityReport(
         min_value=float(vals[i]), argmin_l=float(ls[i]), n_points=len(ls)

@@ -1,4 +1,4 @@
-"""Bracketed scalar root finding shared by the family modules and the oracle.
+"""Bracketed scalar solvers shared by the family modules and the oracle.
 
 ``brentq`` is Brent's method (Brent 1973, *Algorithms for Minimization
 Without Derivatives*, ch. 4) in the exact form of SciPy's
@@ -8,6 +8,11 @@ the same objective, bracket and tolerances.  Keeping it in-house keeps SciPy,
 whose import costs more than a whole certification, off the import path.
 
 ``first_sign_change`` is the grid scan that finds a bracket for it.
+
+``maximize`` is Brent's bounded method for the maximum of a function on an
+interval (Brent 1973, ch. 5): golden-section steps safeguarding parabolic
+interpolation, in the form of SciPy's ``fminbound`` but with a relative
+bracket-width stopping rule.
 """
 
 from __future__ import annotations
@@ -17,10 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["RTOL", "brentq", "first_sign_change"]
+__all__ = ["RTOL", "brentq", "first_sign_change", "maximize"]
 
 # smallest relative tolerance brentq accepts
 RTOL = 4.0 * float(np.finfo(float).eps)
+
+# golden-section fraction (3 - sqrt(5))/2 of the larger part of a bracket
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def _value(f: Callable[[float], float], x: float) -> float:
@@ -103,6 +111,74 @@ def brentq(
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def maximize(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    reltol: float = 1e-10,
+    maxiter: int = 256,
+) -> tuple[float, float]:
+    """(x, f(x)) at the largest value of ``f`` found on ``[lo, hi]``.
+
+    Brent's bounded method on ``-f``.  The bracket ``[a, b]`` around the
+    best point x shrinks until x lies within ``reltol*(|a| + |b| + 1e-12)/2``
+    of both ends, so the last bracket is at most ``reltol*(|a| + |b| +
+    1e-12)`` wide; ``maxiter`` caps the evaluations after the first.  ``f``
+    is called with Python floats inside ``[lo, hi]``; its value is
+    taken as a float.  On a function with several local maxima the one
+    found is a local maximum.
+    """
+    a, b = float(lo), float(hi)
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = -float(f(x))
+    d = e = 0.0
+    for _ in range(maxiter):
+        xm = 0.5 * (a + b)
+        tol1 = 0.25 * reltol * (abs(a) + abs(b) + 1e-12)
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # parabola through x, w, v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:  # too close to an end
+                    d = tol1 if xm >= x else -tol1
+                golden = False
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = _GOLDEN * e
+        if abs(d) < tol1:  # never step by less than the tolerance
+            d = tol1 if d >= 0.0 else -tol1
+        u = x + d
+        fu = -float(f(u))
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, -fx
 
 
 def first_sign_change(vals) -> int | None:

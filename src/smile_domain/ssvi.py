@@ -189,7 +189,7 @@ def _rho_of_m2(x):
 
 
 def m2(rho: float) -> float:
-    """Location x_m2(rho) of the curvature minimum, by bisection of the
+    """Location x_m2(rho) of the curvature minimum, by Brent's method on the
     monotone inverse map; endpoint evaluations clamp."""
     if not 0.0 <= rho <= 1.0:
         raise EvaluationDomainError(f"rho must lie in [0, 1], got {rho}")

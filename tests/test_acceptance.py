@@ -147,7 +147,7 @@ def test_criterion_05_symmetric_threshold_round_trip():
         for b in (0.1, 0.5, 1.0, 1.5, 1.9)
     )
     ok = worst_rt <= 1e-10 and worst_bis <= 1e-8
-    _report(5, ok, f"threshold round trip {worst_rt:.2e}, bisection gap {worst_bis:.2e}")
+    _report(5, ok, f"threshold round trip {worst_rt:.2e}, numerical threshold gap {worst_bis:.2e}")
 
 
 def test_criterion_06_symmetric_sigma_star_vs_oracle():

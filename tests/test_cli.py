@@ -116,6 +116,17 @@ def test_bound_json_ssvi(capsys):
     assert doc["relative_gap"] <= 1e-6
 
 
+def test_bound_extremal_oracle_near_unit_q(capsys):
+    code, out = _run(
+        capsys, "bound", "extremal", "--gamma", "0.17749082696424115",
+        "--q", "-0.9999999", "--oracle", "--json",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["oracle_side"] == "limit_at_infinity"
+    assert doc["relative_gap"] <= 1e-6
+
+
 def test_bound_vanishing(capsys):
     code, out = _run(capsys, "bound", "vanishing-up", "--b", "1", "--mu", "-2")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 
 from smile_domain import (
     EvaluationDomainError,
+    FukasawaInterval,
     InvalidParamsError,
     NoRootError,
     fukasawa_threshold,
@@ -15,6 +16,7 @@ from smile_domain import (
     mu_lower_curve,
     solve_l_minus,
 )
+from smile_domain import fukasawa
 from smile_domain.symmetric import fukasawa_threshold_closed
 
 
@@ -134,6 +136,17 @@ def test_interval_nonempty_for_positive_gamma():
         assert not mu_interval(gamma, b, rho).is_empty
 
 
+def test_interval_decorrelated_matches_two_sided_formula():
+    # at rho = 0 the mirrored solve is skipped; the result must not change
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        b = float(rng.uniform(0.0, 2.0 - 1e-6))
+        gamma = float(rng.uniform(-0.999, 3.0))
+        lower = mu_lower_curve(solve_l_minus(gamma, b, 0.0), gamma, b, 0.0)
+        upper = -mu_lower_curve(solve_l_minus(gamma, b, -0.0), gamma, b, -0.0)
+        assert mu_interval(gamma, b, 0.0) == FukasawaInterval(lower, upper)
+
+
 def test_interval_degenerate_tags():
     rho = 0.4
     iv = mu_interval(0.7, 2.0 / (1 + rho), rho)
@@ -163,6 +176,28 @@ def test_threshold_matches_closed_form_decorrelated(b):
     )
 
 
+def test_threshold_tight_to_closed_form_decorrelated():
+    worst = max(
+        abs(fukasawa_threshold(float(b), 0.0) - fukasawa_threshold_closed(float(b)))
+        for b in np.linspace(0.05, 1.95, 39)
+    )
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("b, rho", [(0.1, 0.0), (1.0, 0.0), (1.9, 0.0), (2.0, 0.0),
+                                    (0.9, -0.6), (1.2, 0.3), (0.5, 0.8)])
+def test_threshold_mu_interval_calls(monkeypatch, b, rho):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mu_interval(*args)
+
+    monkeypatch.setattr(fukasawa, "mu_interval", counted)
+    fukasawa_threshold(b, rho)
+    assert 0 < len(calls) <= 16
+
+
 def test_threshold_boundary_values():
     assert fukasawa_threshold(2.0, 0.0) == pytest.approx(0.0, abs=1e-9)
     assert fukasawa_threshold(0.0, 0.0) == pytest.approx(-1.0, abs=1e-9)
@@ -179,6 +214,6 @@ def test_threshold_in_range_for_correlated():
         b = 0.8 * 2.0 / (1 + abs(rho))
         t = fukasawa_threshold(b, rho)
         assert -1.0 <= t <= 0.0
-        # bracketing property of the bisection
+        # the threshold separates empty from non-empty intervals
         assert mu_interval(t + 1e-6, b, rho).is_empty is False
         assert mu_interval(t - 1e-6, b, rho).is_empty is True

@@ -163,6 +163,39 @@ def test_sigma_star_for_normalized_params():
     assert res.argsup_l == -math.inf
 
 
+# extremal shapes with |q| near 1: in the far tail G1 rounds to 0
+GAMMA_NEAR_UNIT_Q = 0.17749082696424115
+
+
+def test_sigma_star_extremal_near_unit_q():
+    q = -0.9999999
+    res = sigma_star(GAMMA_NEAR_UNIT_Q, 2.0, 0.0, q * GAMMA_NEAR_UNIT_Q)
+    assert res.side == "limit_at_infinity"
+    assert res.sigma_star == pytest.approx(
+        sigma_bound(GAMMA_NEAR_UNIT_Q, q), rel=1e-6
+    )
+
+
+def test_sigma_star_extremal_limit_of_rounded_shape():
+    # rounding mu = q*gamma moves gamma - |mu| by about 5e-5 relative here;
+    # the oracle returns the left-wing limit of the shape it is given
+    q = -0.9999999999999667
+    mu = q * GAMMA_NEAR_UNIT_Q
+    res = sigma_star(GAMMA_NEAR_UNIT_Q, 2.0, 0.0, mu)
+    assert res.side == "limit_at_infinity"
+    assert res.argsup_l == -math.inf
+    assert res.sigma_star == 1.0 / (GAMMA_NEAR_UNIT_Q - abs(mu))
+
+
+def test_sigma_floor_scalar_infinite_where_g1_rounds_to_zero():
+    gamma = GAMMA_NEAR_UNIT_Q
+    nsvi = NormalizedSvi(gamma=gamma, b=2.0, rho=0.0, mu=0.9999999 * gamma, sigma=1.0)
+    l = 93115849.91588135
+    with np.errstate(divide="ignore"):
+        arr = sigma_floor(np.array([l]), nsvi)
+    assert sigma_floor(l, nsvi) == arr[0] == math.inf
+
+
 # ---------------------------------------------------------------------------
 # density check
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from smile_domain import fukasawa, ssvi, symmetric
-from smile_domain.roots import RTOL, brentq, first_sign_change
+from smile_domain import NormalizedSvi, fukasawa, oracle, ssvi, symmetric
+from smile_domain.roots import RTOL, brentq, first_sign_change, maximize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -141,17 +141,119 @@ def test_first_sign_change(vals, expected):
 
 
 # ---------------------------------------------------------------------------
+# bounded maximization
+# ---------------------------------------------------------------------------
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_maximize_interior_parabola():
+    x, fx = maximize(lambda x: 2.0 - (x - 3.7) ** 2, 0.0, 10.0)
+    assert type(x) is float and type(fx) is float
+    # a smooth maximum is flat to rounding within about sqrt(eps)*|x|
+    assert x == pytest.approx(3.7, abs=1e-7)
+    assert fx == pytest.approx(2.0, rel=1e-15)
+
+
+def test_maximize_at_an_endpoint():
+    for f, lo, hi, end in [(lambda x: x, 0.0, 1.0, 1.0), (math.exp, 2.0, 5.0, 5.0),
+                           (lambda x: -x * x, 1.0, 4.0, 1.0)]:
+        g, calls = _counted(f)
+        x, fx = maximize(g, lo, hi)
+        assert abs(x - end) <= 1e-10 * (abs(lo) + abs(hi))
+        assert fx == f(x)
+        assert all(lo <= c <= hi for c in calls)
+
+
+def test_maximize_flat_function():
+    g, calls = _counted(lambda x: 1.0)
+    x, fx = maximize(g, 2.0, 5.0)
+    assert fx == 1.0 and 2.0 <= x <= 5.0
+    assert len(calls) < 100
+
+
+def test_maximize_stops_on_relative_bracket_width():
+    # a kink defeats the parabolic steps, so only the width rule stops it
+    c = 123.456
+    for reltol in (1e-4, 1e-7, 1e-10):
+        g, calls = _counted(lambda x: -abs(x - c))
+        x, _ = maximize(g, 100.0, 200.0, reltol=reltol)
+        # the final bracket lies between the nearest points evaluated
+        a = max([100.0] + [p for p in calls if p < x])
+        b = min([200.0] + [p for p in calls if p > x])
+        assert a <= c <= b
+        assert b - a <= reltol * (abs(a) + abs(b) + 1e-12) * (1.0 + 1e-6)
+    g, calls = _counted(lambda x: -abs(x - c))
+    maximize(g, 100.0, 200.0, maxiter=5)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (math.sin, 0.0, 3.0),
+        (lambda x: x * math.exp(-x), 0.0, 5.0),
+        (lambda x: -math.cosh(x - 0.3), -2.0, 4.0),
+        (lambda x: math.log(x) - x / 7.0, 1.0, 100.0),
+    ],
+)
+def test_maximize_agrees_with_scipy_bounded(f, lo, hi):
+    ref = scipy.optimize.minimize_scalar(
+        lambda x: -f(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+    )
+    x, fx = maximize(f, lo, hi)
+    assert x == pytest.approx(ref.x, rel=1e-7, abs=1e-7)
+    assert fx >= -ref.fun - 1e-15 * abs(ref.fun)
+
+
+def test_maximize_evaluations_on_the_oracle_objective(monkeypatch):
+    # the oracle's right-wing search refines a scan bracket of sigma_floor;
+    # golden section needs 44 evaluations to the same relative width
+    counts = []
+
+    def counting(f, lo, hi, **kw):
+        g, calls = _counted(f)
+        result = maximize(g, lo, hi, **kw)
+        counts.append(len(calls))
+        return result
+
+    monkeypatch.setattr(oracle, "maximize", counting)
+    for gamma, b, rho, mu in [(0.5, 1.0, 0.3, 0.1), (0.8, 1.0, 0.0, 0.4),
+                              (0.2, 0.6, -0.5, -0.3)]:
+        nsvi = NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=1.0)
+        oracle.maximize_f_on_interval(nsvi, "right")
+    assert len(counts) == 3
+    assert max(counts) <= 30
+
+
+# ---------------------------------------------------------------------------
 # scipy stays off the import path
 # ---------------------------------------------------------------------------
+# a certificate, then the oracle's root, maximum and density-check paths
+CLI_CALLS = [
+    ["certify", "ssvi", "--theta", "0.1", "--phi", "1", "--rho", "-0.3"],
+    ["bound", "symmetric", "--gamma", "0.3", "--b", "1.2", "--oracle", "--json"],
+    ["certify", "ssvi", "--theta", "0.1", "--phi", "1", "--rho", "0.5", "--oracle"],
+]
+
+
 def test_cli_call_does_not_import_scipy():
     script = (
         "import contextlib, io, json, sys\n"
         "import smile_domain, smile_domain.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = smile_domain.cli.main(\n"
-        "        ['certify', 'ssvi', '--theta', '0.1', '--phi', '1', '--rho', '-0.3'])\n"
-        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(json.dumps({'code': code, 'scipy': scipy}))\n"
+        "out = []\n"
+        f"for argv in {CLI_CALLS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = smile_domain.cli.main(argv)\n"
+        "    scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    out.append({'code': code, 'scipy': scipy})\n"
+        "print(json.dumps(out))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -163,5 +265,5 @@ def test_cli_call_does_not_import_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["code"] in (0, 1)
-    assert out["scipy"] == []
+    assert [r["code"] in (0, 1) for r in out] == [True] * len(CLI_CALLS)
+    assert [r["scipy"] for r in out] == [[]] * len(CLI_CALLS)
