@@ -265,11 +265,6 @@ def hgg2(l, nsvi: NormalizedSvi):
     return h, g, g2
 
 
-def _wing_product(h, g, b: float):
-    """G1 = (h - b*g)*(h + b*g) from values of hgg2, as g1 forms it."""
-    return (h - b * g) * (h + b * g)
-
-
 def g1(l, nsvi: NormalizedSvi):
     """Wing positivity factors (G1, G1+, G1-) with G1 = G1+ * G1-."""
     h, g, _ = hgg2(l, nsvi)
@@ -309,8 +304,11 @@ def sigma_floor(l, nsvi: NormalizedSvi):
     wings is the minimal arbitrage-free sigma.  Where G1 rounds to 0 the
     value is infinite, for a scalar l as for an array."""
     h, g, g2v = hgg2(l, nsvi)
-    num, den = -nsvi.b * g2v, 2.0 * _wing_product(h, g, nsvi.b)
-    if isinstance(den, float) and den != 0.0:  # scalar l, the common case
+    b = nsvi.b
+    num, den = -b * g2v, 2.0 * ((h - b * g) * (h + b * g))
+    if isinstance(den, float) and den != 0.0:
+        # scalar l, as the oracle's maximizer calls it: errstate plus
+        # np.divide cost about 4 us of a 26 us call (Xeon, numpy 2.4)
         return num / den
     with np.errstate(divide="ignore"):
         val = np.divide(num, den)
@@ -321,7 +319,8 @@ def sigma_floor_dual(l, nsvi: NormalizedSvi):
     """Dual form -G1/g2 = b/(2*sigma_floor); the same critical point
     minimizes it, which is what the reparametrized families exploit."""
     h, g, g2v = hgg2(l, nsvi)
-    return -_wing_product(h, g, nsvi.b) / g2v
+    b = nsvi.b
+    return -((h - b * g) * (h + b * g)) / g2v
 
 
 def invert(p: RawSviParams) -> RawSviParams:

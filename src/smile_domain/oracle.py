@@ -30,7 +30,6 @@ from .core import (
     hgg2,
     n_funcs,
     sigma_floor,
-    _wing_product,
 )
 from .fukasawa import mu_interval, mu_lower_curve, solve_l_minus
 from .roots import brentq, first_sign_change, maximize
@@ -304,7 +303,8 @@ def durrleman_check(p: RawSviParams, grid: GridSpec | None = None) -> DensityRep
     nsvi = p.normalized()
     ls = grid.points()
     h, g, g2v = hgg2(ls, nsvi)
-    vals = _wing_product(h, g, nsvi.b) + nsvi.b * g2v / (2.0 * nsvi.sigma)
+    b = nsvi.b
+    vals = (h - b * g) * (h + b * g) + b * g2v / (2.0 * nsvi.sigma)
     i = int(np.argmin(vals))
     return DensityReport(
         min_value=float(vals[i]), argmin_l=float(ls[i]), n_points=len(ls)

@@ -30,6 +30,9 @@ RTOL = 4.0 * float(np.finfo(float).eps)
 # golden-section fraction (3 - sqrt(5))/2 of the larger part of a bracket
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
+# evaluations maximize makes after its first one, at most
+_MAXITER = 256
+
 
 def _value(f: Callable[[float], float], x: float) -> float:
     fx = float(f(x))
@@ -118,23 +121,22 @@ def maximize(
     lo: float,
     hi: float,
     reltol: float = 1e-10,
-    maxiter: int = 256,
 ) -> tuple[float, float]:
     """(x, f(x)) at the largest value of ``f`` found on ``[lo, hi]``.
 
     Brent's bounded method on ``-f``.  The bracket ``[a, b]`` around the
     best point x shrinks until x lies within ``reltol*(|a| + |b| + 1e-12)/2``
     of both ends, so the last bracket is at most ``reltol*(|a| + |b| +
-    1e-12)`` wide; ``maxiter`` caps the evaluations after the first.  ``f``
-    is called with Python floats inside ``[lo, hi]``; its value is
-    taken as a float.  On a function with several local maxima the one
+    1e-12)`` wide; at most 256 evaluations follow the first.  ``f`` is
+    called with Python floats inside ``[lo, hi]``; its value is taken as a
+    float.  On a function with several local maxima the one
     found is a local maximum.
     """
     a, b = float(lo), float(hi)
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = -float(f(x))
     d = e = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         xm = 0.5 * (a + b)
         tol1 = 0.25 * reltol * (abs(a) + abs(b) + 1e-12)
         tol2 = 2.0 * tol1
@@ -159,9 +161,8 @@ def maximize(
         if golden:
             e = (a - x) if x >= xm else (b - x)
             d = _GOLDEN * e
-        if abs(d) < tol1:  # never step by less than the tolerance
-            d = tol1 if d >= 0.0 else -tol1
-        u = x + d
+        # never step by less than the tolerance; d itself is kept as it is
+        u = x + (max(abs(d), tol1) if d >= 0.0 else -max(abs(d), tol1))
         fu = -float(f(u))
         if fu <= fx:
             if u >= x:

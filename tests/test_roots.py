@@ -189,9 +189,14 @@ def test_maximize_stops_on_relative_bracket_width():
         b = min([200.0] + [p for p in calls if p > x])
         assert a <= c <= b
         assert b - a <= reltol * (abs(a) + abs(b) + 1e-12) * (1.0 + 1e-6)
-    g, calls = _counted(lambda x: -abs(x - c))
-    maximize(g, 100.0, 200.0, maxiter=5)
-    assert len(calls) == 6
+
+
+def test_maximize_caps_the_evaluations():
+    # a NaN end leaves the bracket width NaN, so the width rule never stops
+    # the search and only the evaluation cap does
+    g, calls = _counted(lambda x: 1.0)
+    maximize(g, 0.0, math.nan)
+    assert len(calls) == 257
 
 
 @pytest.mark.parametrize(
