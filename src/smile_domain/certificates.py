@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import RawSviParams
+from .core import BOUNDARY_TOL, RawSviParams
 
 __all__ = ["DomainCertificate", "make_certificate"]
 
@@ -65,13 +65,27 @@ def make_certificate(
     on_boundary: list[str],
     params_raw: RawSviParams,
     params_native: dict,
+    sigma_star: float,
     diagnostics: dict | None = None,
 ) -> DomainCertificate:
+    """Assemble a certificate from the family's own conditions and bounds.
+
+    The sigma rule is the same for every family and lives here: the
+    ``sigma_bound`` condition is ``sigma >= sigma_star - BOUNDARY_TOL``
+    (non-strict, so the boundary passes; an infinite ``sigma_star`` marks
+    arbitrage no sigma can repair), ``"sigma_bound"`` is flagged on-boundary
+    when sigma is within ``BOUNDARY_TOL`` of a finite ``sigma_star``, and
+    ``bounds["sigma_star"]`` records it.  sigma is ``params_raw.sigma``.
+    """
+    sigma = params_raw.sigma
+    conditions = {**conditions, "sigma_bound": sigma >= sigma_star - BOUNDARY_TOL}
+    if math.isfinite(sigma_star) and abs(sigma - sigma_star) <= BOUNDARY_TOL:
+        on_boundary = [*on_boundary, "sigma_bound"]
     return DomainCertificate(
         family=family,
         passed=all(conditions.values()),
         conditions=conditions,
-        bounds=bounds,
+        bounds={"sigma_star": sigma_star, **bounds},
         on_boundary=tuple(on_boundary),
         params_raw=params_raw,
         params_native=params_native,

@@ -14,12 +14,14 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import extremal, ssvi, symmetric, vanishing
 from .certificates import DomainCertificate
-from .core import BOUNDARY_TOL, InvalidParamsError, SmileDomainError
+from .core import InvalidParamsError, SmileDomainError
 from .extremal import ExtremalParams
 from .oracle import GridSpec, durrleman_check, sigma_star
 from .ssvi import SsviParams
@@ -27,8 +29,6 @@ from .symmetric import SymmetricParams
 from .vanishing import VanishingParams
 
 SCHEMA = "smile-domain/1"
-
-FAMILIES = ("vanishing-up", "vanishing-down", "extremal", "symmetric", "ssvi")
 
 
 def _emit(doc: dict) -> None:
@@ -82,8 +82,11 @@ def _symmetric_from_args(args) -> SymmetricParams:
 
 
 def _ssvi_from_args(args) -> SsviParams:
-    if args.theta is not None and args.phi is not None and args.rho is not None:
-        return SsviParams(theta=args.theta, phi=args.phi, rho=args.rho)
+    if args.phi is not None and args.rho is not None:
+        if args.theta is not None:
+            return SsviParams(theta=args.theta, phi=args.phi, rho=args.rho)
+        if args.b is not None:  # b = theta*phi/2
+            return SsviParams(theta=2.0 * args.b / args.phi, phi=args.phi, rho=args.rho)
     raw_opts = (args.a, args.b, args.rho, args.m, args.sigma)
     if all(v is not None for v in raw_opts):
         from .core import RawSviParams
@@ -92,31 +95,105 @@ def _ssvi_from_args(args) -> SsviParams:
             RawSviParams(a=args.a, b=args.b, rho=args.rho, m=args.m, sigma=args.sigma)
         )
     raise InvalidParamsError(
-        "provide --theta/--phi/--rho (native) or --a/--b/--rho/--m/--sigma (raw)"
+        "provide --theta (or --b)/--phi/--rho (native) or --a/--b/--rho/--m/--sigma (raw)"
     )
 
 
-def _certify_family(args) -> DomainCertificate:
-    family = args.family
-    if family == "vanishing-up":
-        return vanishing.certify(_vanishing_from_args(args, "upward"))
-    if family == "vanishing-down":
-        return vanishing.certify(_vanishing_from_args(args, "downward"))
-    if family == "extremal":
-        return extremal.certify(_extremal_from_args(args))
-    if family == "symmetric":
-        return symmetric.certify(_symmetric_from_args(args))
-    if family == "ssvi":
-        return ssvi.certify(_ssvi_from_args(args))
-    raise InvalidParamsError(f"unknown family {family!r}")
+# ---------------------------------------------------------------------------
+# The family table, with each family's sampler (a constructive
+# parametrization that scales its sigma* by the drawn scale >= 1)
+# ---------------------------------------------------------------------------
+def _ssvi_bounds(b: float, rho: float) -> dict[str, float]:
+    """Bounds of the SSVI slice with slope b and correlation rho; phi = 1
+    keeps its b equal to the given one bit for bit."""
+    return ssvi.certify(SsviParams(theta=2.0 * b, phi=1.0, rho=rho)).bounds
+
+
+def _sample_vanishing(args, rng, scale: float, direction: str) -> VanishingParams:
+    b = rng.uniform(*args.b_range)
+    x0 = vanishing.x_plus_star(b)
+    x = x0 + rng.uniform(*(args.u_range or (0.05, 0.95))) * (1.0 - x0)
+    mu_up = vanishing.mu_star(x, b)
+    mu = mu_up if direction == "upward" else -mu_up
+    sig = scale * vanishing.sigma_star_closed(x, b)
+    return VanishingParams(b=b, mu=mu, sigma=sig, direction=direction)
+
+
+def _sample_extremal(args, rng, scale: float) -> ExtremalParams:
+    gamma = rng.uniform(*args.gamma_range)
+    q = rng.uniform(*args.q_range)
+    return ExtremalParams(gamma=gamma, q=q, sigma=scale * extremal.sigma_bound(gamma, q))
+
+
+def _sample_symmetric(args, rng, scale: float) -> SymmetricParams:
+    gamma = symmetric.gamma_star(rng.uniform(*(args.u_range or (-0.9, 3.0))))
+    za, zb = symmetric.z_interval(gamma)
+    z = za + rng.uniform(*args.t_range) * (zb - za)
+    b = symmetric.b_star(z, gamma)
+    sig = scale * symmetric.sigma_star_closed(z, gamma)
+    return SymmetricParams(gamma=gamma, b=b, sigma=sig)
+
+
+def _sample_ssvi(args, rng, scale: float) -> SsviParams:
+    rho = rng.uniform(*args.rho_range)
+    b = rng.uniform(*args.t_range) * 2.0 / (1.0 + abs(rho))
+    sig = scale * _ssvi_bounds(b, rho)["sigma_star"]
+    phi = math.sqrt((1.0 - rho) * (1.0 + rho)) / sig
+    return SsviParams(theta=2.0 * b / phi, phi=phi, rho=rho)
+
+
+@dataclass(frozen=True, slots=True)
+class Family:
+    """What the commands need of one family: its option parser, its
+    certifier, the normalized shape (gamma, b, rho, mu) that
+    ``oracle.sigma_star`` takes, and its sampler."""
+
+    params: Callable[[argparse.Namespace], object]
+    certify: Callable[[object], DomainCertificate]
+    shape: Callable[[object], tuple[float, float, float, float]]
+    sample: Callable[[argparse.Namespace, np.random.Generator, float], object]
+
+
+def _ssvi_shape(p: SsviParams) -> tuple[float, float, float, float]:
+    ar = abs(p.rho)  # the strike-inverted slice when rho < 0
+    return (p.gamma, p.b, ar, -ar / p.gamma if ar > 0 else 0.0)
+
+
+def _vanishing(direction: str) -> Family:
+    return Family(
+        lambda args: _vanishing_from_args(args, direction),
+        vanishing.certify,
+        lambda p: (0.0, p.b, p.rho, p.mu),
+        lambda args, rng, scale: _sample_vanishing(args, rng, scale, direction),
+    )
+
+
+FAMILIES = {
+    "vanishing-up": _vanishing("upward"),
+    "vanishing-down": _vanishing("downward"),
+    "extremal": Family(
+        _extremal_from_args,
+        extremal.certify,
+        lambda p: (p.gamma, 2.0, 0.0, p.mu),
+        _sample_extremal,
+    ),
+    "symmetric": Family(
+        _symmetric_from_args,
+        symmetric.certify,
+        lambda p: (p.gamma, p.b, 0.0, 0.0),
+        _sample_symmetric,
+    ),
+    "ssvi": Family(_ssvi_from_args, ssvi.certify, _ssvi_shape, _sample_ssvi),
+}
 
 
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
 def cmd_certify(args) -> int:
+    fam = FAMILIES[args.family]
     try:
-        cert = _certify_family(args)
+        cert = fam.certify(fam.params(args))
         doc = cert.to_dict()
         doc["schema"] = SCHEMA
         if args.oracle:
@@ -134,51 +211,18 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
-def _bound_and_shape(args) -> tuple[float, tuple[float, float, float, float]]:
-    """Closed-form sigma* plus the normalized shape used by the oracle."""
-    family = args.family
-    probe_sigma = 1.0
-    if family in ("vanishing-up", "vanishing-down"):
-        _require(args, ["b", "mu"])
-        direction = "upward" if family == "vanishing-up" else "downward"
-        p = VanishingParams(b=args.b, mu=args.mu, sigma=probe_sigma, direction=direction)
-        cert = vanishing.certify(p)
-        rho = 1.0 if direction == "upward" else -1.0
-        return cert.bounds["sigma_star"], (0.0, args.b, rho, args.mu)
-    if family == "extremal":
-        _require(args, ["gamma", "q"])
-        bound = extremal.sigma_bound(args.gamma, args.q)
-        return bound, (args.gamma, 2.0, 0.0, args.q * args.gamma)
-    if family == "symmetric":
-        _require(args, ["gamma", "b"])
-        cert = symmetric.certify(
-            SymmetricParams(gamma=args.gamma, b=args.b, sigma=probe_sigma)
-        )
-        return cert.bounds["sigma_star"], (args.gamma, args.b, 0.0, 0.0)
-    if family == "ssvi":
-        _require(args, ["rho"])
-        if args.b is not None:
-            b = args.b
-        elif args.theta is not None and args.phi is not None:
-            b = args.theta * args.phi / 2.0
-        else:
-            raise InvalidParamsError("provide --b or --theta/--phi")
-        ar = abs(args.rho)
-        root = math.sqrt((1.0 - args.rho) * (1.0 + args.rho))
-        if b * (1.0 + ar) >= 2.0 - BOUNDARY_TOL:
-            bound = root
-        else:
-            bound = ssvi.sigma_star_closed(ssvi.l_from_b(b, ar), ar)
-        return bound, (root, b, ar, -ar / root if ar > 0 else 0.0)
-    raise InvalidParamsError(f"unknown family {family!r}")
-
-
 def cmd_bound(args) -> int:
+    fam = FAMILIES[args.family]
+    # sigma* depends on the shape only, so a scale left out is 1
+    for name in ("sigma", "phi"):
+        if getattr(args, name) is None:
+            setattr(args, name, 1.0)
     try:
-        bound, shape = _bound_and_shape(args)
+        p = fam.params(args)
+        bound = fam.certify(p).bounds["sigma_star"]
         doc = {"schema": SCHEMA, "family": args.family, "sigma_star": bound}
         if args.oracle:
-            res = sigma_star(*shape)
+            res = sigma_star(*fam.shape(p))
             gap = abs(res.sigma_star - bound) / max(abs(bound), 1e-300)
             doc["sigma_star_oracle"] = res.sigma_star
             doc["oracle_side"] = res.side
@@ -199,71 +243,22 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
-def _sample_params(args, rng) -> list:
-    lo_hi = lambda pair: (float(pair[0]), float(pair[1]))  # noqa: E731
-    out = []
-    for _ in range(args.count):
-        scale = rng.uniform(*lo_hi(args.scale_range))
-        if args.family in ("vanishing-up", "vanishing-down"):
-            direction = "upward" if args.family == "vanishing-up" else "downward"
-            b = rng.uniform(*lo_hi(args.b_range))
-            u = rng.uniform(*lo_hi(args.u_range))
-            x0 = vanishing.x_plus_star(b)
-            x = x0 + u * (1.0 - x0)
-            mu_up = vanishing.mu_star(x, b)
-            sig = scale * vanishing.sigma_star_closed(x, b)
-            mu = mu_up if direction == "upward" else -mu_up
-            out.append(VanishingParams(b=b, mu=mu, sigma=sig, direction=direction))
-        elif args.family == "extremal":
-            gamma = rng.uniform(*lo_hi(args.gamma_range))
-            q = rng.uniform(*lo_hi(args.q_range))
-            sig = scale * extremal.sigma_bound(gamma, q)
-            out.append(ExtremalParams(gamma=gamma, q=q, sigma=sig))
-        elif args.family == "symmetric":
-            u = rng.uniform(*lo_hi(args.u_range))
-            gamma = symmetric.gamma_star(u)
-            za, zb = symmetric.z_interval(gamma)
-            t = rng.uniform(*lo_hi(args.t_range))
-            z = za + t * (zb - za)
-            b = symmetric.b_star(z, gamma)
-            sig = scale * symmetric.sigma_star_closed(z, gamma)
-            out.append(SymmetricParams(gamma=gamma, b=b, sigma=sig))
-        elif args.family == "ssvi":
-            rho = rng.uniform(*lo_hi(args.rho_range))
-            t = rng.uniform(*lo_hi(args.t_range))
-            b = t * 2.0 / (1.0 + abs(rho))
-            ar = abs(rho)
-            sig = scale * ssvi.sigma_star_closed(ssvi.l_from_b(b, ar), ar)
-            phi = math.sqrt((1.0 - rho) * (1.0 + rho)) / sig
-            out.append(SsviParams(theta=2.0 * b / phi, phi=phi, rho=rho))
-        else:
-            raise InvalidParamsError(f"unknown family {args.family!r}")
-    return out
-
-
 def cmd_sample(args) -> int:
+    fam = FAMILIES[args.family]
     rng = np.random.default_rng(args.seed)
+    samples = []
     try:
-        params = _sample_params(args, rng)
+        for _ in range(args.count):
+            p = fam.sample(args, rng, rng.uniform(*args.scale_range))
+            cert = fam.certify(p)
+            if not cert.passed:
+                print(f"sample failed certification: {p}", file=sys.stderr)
+                return 1
+            d = cert.to_dict()
+            samples.append({"raw": d["params"]["raw"], "native": d["params"]["native"]})
     except (SmileDomainError, ValueError) as exc:
         _emit(_error_doc("invalid_params", str(exc)))
         return 2
-
-    certifiers = {
-        "vanishing-up": vanishing.certify,
-        "vanishing-down": vanishing.certify,
-        "extremal": extremal.certify,
-        "symmetric": symmetric.certify,
-        "ssvi": ssvi.certify,
-    }
-    samples = []
-    for p in params:
-        cert = certifiers[args.family](p)
-        if not cert.passed:
-            print(f"sample failed certification: {p}", file=sys.stderr)
-            return 1
-        d = cert.to_dict()
-        samples.append({"raw": d["params"]["raw"], "native": d["params"]["native"]})
     _emit(
         {
             "schema": SCHEMA,
@@ -341,10 +336,8 @@ def _rows_ssvi_n_curves():
 
 
 def _ssvi_bound_rows(rho: float, b: float):
-    gj = ssvi.gj_sigma_bound(b, rho)
-    sub = ssvi.subdomain_bound(b, rho)
-    star = ssvi.sigma_star_closed(ssvi.l_from_b(b, abs(rho)), abs(rho))
-    return [gj, sub, star]
+    bounds = _ssvi_bounds(b, rho)
+    return [bounds["gj_sigma"], bounds["subdomain_sigma"], bounds["sigma_star"]]
 
 
 def _rows_ssvi_gj_vs_b():
@@ -452,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sample" and args.u_range is None:
-        args.u_range = (-0.9, 3.0) if args.family == "symmetric" else (0.05, 0.95)
     return args.func(args)
 
 

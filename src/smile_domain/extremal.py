@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .certificates import DomainCertificate, make_certificate
-from .core import BOUNDARY_TOL, InvalidParamsError, RawSviParams
+from .core import InvalidParamsError, RawSviParams
 
 __all__ = ["ExtremalParams", "sigma_bound", "certify"]
 
@@ -57,23 +57,16 @@ def sigma_bound(gamma: float, q: float) -> float:
 def certify(p: ExtremalParams) -> DomainCertificate:
     """Certify an extremal decorrelated smile; the sigma inequality is
     non-strict, so the boundary passes."""
-    sstar = sigma_bound(p.gamma, p.q)
-    sigma_ok = p.sigma >= sstar - BOUNDARY_TOL
-    on_boundary = ["sigma_bound"] if abs(p.sigma - sstar) <= BOUNDARY_TOL else []
     return make_certificate(
         family="extremal",
         conditions={
             "roger_lee": True,  # b = 2, rho = 0 sits exactly on the bound
             "fukasawa": True,  # |q| < 1 is the admissible interval
-            "sigma_bound": sigma_ok,
         },
-        bounds={
-            "sigma_star": sstar,
-            "mu_lower": -p.gamma,
-            "mu_upper": p.gamma,
-        },
-        on_boundary=on_boundary,
+        bounds={"mu_lower": -p.gamma, "mu_upper": p.gamma},
+        on_boundary=[],
         params_raw=p.to_raw(),
         params_native={"gamma": p.gamma, "q": p.q, "sigma": p.sigma},
+        sigma_star=sigma_bound(p.gamma, p.q),
         diagnostics={"argsup": math.inf if p.q >= 0.0 else -math.inf},
     )

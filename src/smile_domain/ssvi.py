@@ -341,19 +341,13 @@ def certify(p: SsviParams) -> DomainCertificate:
         if math.isfinite(l):
             diagnostics["b_star_residual"] = b_star(l, ar) - p.b
 
-    sigma_ok = roger_lee and p.sigma >= sstar - BOUNDARY_TOL
-    if math.isfinite(sstar) and abs(p.sigma - sstar) <= BOUNDARY_TOL:
-        on_boundary.append("sigma_bound")
-
     return make_certificate(
         family="ssvi",
         conditions={
             "roger_lee": roger_lee,
             "fukasawa": True,  # automatic for SSVI shapes
-            "sigma_bound": sigma_ok,
         },
         bounds={
-            "sigma_star": sstar,
             "b_max": 2.0 / (1.0 + ar),
             "gj_sigma": gj_sigma_bound(p.b, p.rho),
             "subdomain_sigma": subdomain_bound(p.b, p.rho)
@@ -363,6 +357,7 @@ def certify(p: SsviParams) -> DomainCertificate:
         on_boundary=on_boundary,
         params_raw=p.to_raw(),
         params_native={"theta": p.theta, "phi": p.phi, "rho": p.rho},
+        sigma_star=sstar,
         diagnostics=diagnostics,
     )
 

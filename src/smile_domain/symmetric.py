@@ -343,25 +343,20 @@ def certify(p: SymmetricParams) -> DomainCertificate:
             diagnostics["z"] = z
             diagnostics["b_star_residual"] = b_star(z, p.gamma) - p.b
 
-    sigma_ok = fukasawa_ok and p.sigma >= sstar - BOUNDARY_TOL
-    if math.isfinite(sstar) and abs(p.sigma - sstar) <= BOUNDARY_TOL:
-        on_boundary.append("sigma_bound")
-
     return make_certificate(
         family="symmetric",
         conditions={
             "roger_lee": True,  # b <= 2 enforced by the type invariant
             "fukasawa": fukasawa_ok,
-            "sigma_bound": sigma_ok,
         },
         bounds={
-            "sigma_star": sstar,
             "gamma_threshold": threshold,
             "b_max": g_tilde(p.gamma),
         },
         on_boundary=on_boundary,
         params_raw=p.to_raw(),
         params_native={"gamma": p.gamma, "b": p.b, "sigma": p.sigma},
+        sigma_star=sstar,
         diagnostics=diagnostics,
     )
 

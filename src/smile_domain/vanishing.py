@@ -216,20 +216,14 @@ def certify(p: VanishingParams) -> DomainCertificate:
         diagnostics["x"] = x
         diagnostics["mu_star_residual"] = mu_star(x, p.b) - mu_up
 
-    sigma_ok = fukasawa_ok and p.sigma >= sstar - BOUNDARY_TOL
-    if math.isfinite(sstar) and abs(p.sigma - sstar) <= BOUNDARY_TOL:
-        on_boundary.append("sigma_bound")
-
     mu_bound = mu_cap if p.direction == "upward" else -mu_cap
     return make_certificate(
         family=f"vanishing-{'up' if p.direction == 'upward' else 'down'}",
         conditions={
             "roger_lee": True,  # enforced by the type invariant b <= 1
             "fukasawa": fukasawa_ok,
-            "sigma_bound": sigma_ok,
         },
         bounds={
-            "sigma_star": sstar,
             "mu_bound": mu_bound,
             "subdomain_sigma": subdomain_bound(p.b)
             if 0.0 < p.b < 1.0
@@ -243,5 +237,6 @@ def certify(p: VanishingParams) -> DomainCertificate:
             "sigma": p.sigma,
             "direction": p.direction,
         },
+        sigma_star=sstar,
         diagnostics=diagnostics,
     )
