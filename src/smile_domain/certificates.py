@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 from .core import BOUNDARY_TOL, RawSviParams
 
-__all__ = ["DomainCertificate", "make_certificate"]
+__all__ = ["DomainCertificate", "json_value", "make_certificate"]
+
+
+def json_value(v):
+    """v as strict JSON takes it: infinities become "inf" and "-inf"."""
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return v
 
 
 @dataclass(frozen=True)
@@ -30,19 +37,13 @@ class DomainCertificate:
 
     def to_dict(self) -> dict:
         """JSON-ready representation (infinities become strings)."""
-
-        def scrub(v):
-            if isinstance(v, float) and math.isinf(v):
-                return "inf" if v > 0 else "-inf"
-            return v
-
         raw = self.params_raw
         return {
             "family": self.family,
             "passed": self.passed,
             "verdict": "arbitrage_free" if self.passed else "arbitrage",
             "conditions": dict(self.conditions),
-            "bounds": {k: scrub(v) for k, v in self.bounds.items()},
+            "bounds": {k: json_value(v) for k, v in self.bounds.items()},
             "on_boundary": list(self.on_boundary),
             "params": {
                 "raw": {
@@ -52,9 +53,9 @@ class DomainCertificate:
                     "m": raw.m,
                     "sigma": raw.sigma,
                 },
-                "native": {k: scrub(v) for k, v in self.params_native.items()},
+                "native": {k: json_value(v) for k, v in self.params_native.items()},
             },
-            "diagnostics": {k: scrub(v) for k, v in self.diagnostics.items()},
+            "diagnostics": {k: json_value(v) for k, v in self.diagnostics.items()},
         }
 
 

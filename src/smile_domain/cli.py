@@ -20,10 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extremal, ssvi, symmetric, vanishing
-from .certificates import DomainCertificate
-from .core import InvalidParamsError, SmileDomainError
+from .certificates import DomainCertificate, json_value
+from .core import (
+    FukasawaViolation,
+    InvalidParamsError,
+    RogerLeeViolation,
+    SmileDomainError,
+)
 from .extremal import ExtremalParams
-from .oracle import GridSpec, durrleman_check, sigma_star
+from .oracle import durrleman_check, sigma_star
 from .ssvi import SsviParams
 from .symmetric import SymmetricParams
 from .vanishing import VanishingParams
@@ -197,7 +202,7 @@ def cmd_certify(args) -> int:
         doc = cert.to_dict()
         doc["schema"] = SCHEMA
         if args.oracle:
-            report = durrleman_check(cert.params_raw, GridSpec.from_env())
+            report = durrleman_check(cert.params_raw)
             doc["diagnostics"]["oracle_min"] = report.min_value
             doc["diagnostics"]["oracle_argmin_l"] = report.argmin_l
             doc["diagnostics"]["oracle_grid_points"] = report.n_points
@@ -219,24 +224,29 @@ def cmd_bound(args) -> int:
             setattr(args, name, 1.0)
     try:
         p = fam.params(args)
-        bound = fam.certify(p).bounds["sigma_star"]
-        doc = {"schema": SCHEMA, "family": args.family, "sigma_star": bound}
+        closed = fam.certify(p).bounds["sigma_star"]
+        doc = {"sigma_star": closed}
         if args.oracle:
-            res = sigma_star(*fam.shape(p))
-            gap = abs(res.sigma_star - bound) / max(abs(bound), 1e-300)
-            doc["sigma_star_oracle"] = res.sigma_star
-            doc["oracle_side"] = res.side
-            doc["relative_gap"] = gap
+            try:
+                res = sigma_star(*fam.shape(p))
+                other, doc["oracle_side"] = res.sigma_star, res.side
+            except (FukasawaViolation, RogerLeeViolation):  # arbitrage: no sigma*
+                other, doc["oracle_side"] = math.inf, None
+            doc["sigma_star_oracle"] = other
+            if math.isinf(closed) or math.isinf(other):  # agree on arbitrage or not
+                doc["relative_gap"] = 0.0 if closed == other else math.inf
+            else:
+                doc["relative_gap"] = abs(other - closed) / max(abs(closed), 1e-300)
     except (SmileDomainError, ValueError) as exc:
         _emit(_error_doc("invalid_params", str(exc)))
         return 2
     if args.json:
-        _emit(doc)
+        doc = {k: json_value(v) for k, v in doc.items()}
+        _emit({"schema": SCHEMA, "family": args.family, **doc})
     else:
-        print(f"sigma_star = {bound!r}")
-        if args.oracle:
-            print(f"sigma_star_oracle = {doc['sigma_star_oracle']!r}")
-            print(f"relative_gap = {doc['relative_gap']!r}")
+        for key in ("sigma_star", "sigma_star_oracle", "relative_gap"):
+            if key in doc:
+                print(f"{key} = {doc[key]!r}")
     return 0
 
 

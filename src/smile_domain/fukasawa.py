@@ -42,6 +42,7 @@ __all__ = [
 _SCAN_POINTS = 128
 _SCAN_FAR = 1.0e8
 _SCAN_NEAR = 1.0e-6
+_THRESHOLD_XTOL = 1e-10
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,9 +60,6 @@ class FukasawaInterval:
     def contains(self, mu: float) -> bool:
         """Strict membership; boundary points are excluded."""
         return self.lower < mu < self.upper
-
-    def on_boundary(self, mu: float, tol: float = BOUNDARY_TOL) -> bool:
-        return min(abs(mu - self.lower), abs(mu - self.upper)) <= tol
 
 
 def l_minus_curve(l, b: float, rho: float):
@@ -169,12 +167,12 @@ def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
     return FukasawaInterval(lower, upper)
 
 
-def fukasawa_threshold(b: float, rho: float, tol: float = 1e-10) -> float:
+def fukasawa_threshold(b: float, rho: float) -> float:
     """Smallest gamma making the mu-interval non-empty; lies in [-1, 0].
 
     The interval's width upper - lower is continuous and increasing in
     gamma, and its zero is the threshold, found by Brent's method to
-    within ``tol``.
+    within ``_THRESHOLD_XTOL``.
     """
     floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
 
@@ -190,4 +188,4 @@ def fukasawa_threshold(b: float, rho: float, tol: float = 1e-10) -> float:
         hi *= 2.0
         if hi > 64.0:
             raise NoRootError(f"interval never opens for b={b}, rho={rho}")
-    return brentq(width, lo, hi, xtol=tol)
+    return brentq(width, lo, hi, xtol=_THRESHOLD_XTOL)

@@ -15,7 +15,6 @@ of G1 + b*g2/(2*sigma) directly on a wide grid.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +45,6 @@ __all__ = [
     "durrleman_check",
 ]
 
-GRID_ENV_VAR = "SMILE_DOMAIN_GRID"
-
-
 # ---------------------------------------------------------------------------
 # Result containers
 # ---------------------------------------------------------------------------
@@ -76,23 +72,6 @@ class GridSpec:
     l_core: float = 50.0
     n_tail: int = 500
     l_tail: float = 1.0e6
-
-    @classmethod
-    def from_env(cls) -> "GridSpec":
-        """Default grid, with the core density overridable via the
-        SMILE_DOMAIN_GRID environment variable (an integer point count)."""
-        raw = os.environ.get(GRID_ENV_VAR)
-        if not raw:
-            return cls()
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{GRID_ENV_VAR} must be an integer, got {raw!r}"
-            ) from exc
-        if n < 101:
-            raise ValueError(f"{GRID_ENV_VAR} must be >= 101, got {n}")
-        return cls(n_core=n)
 
     def points(self) -> np.ndarray:
         core = np.linspace(-self.l_core, self.l_core, self.n_core)

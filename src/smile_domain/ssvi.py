@@ -36,6 +36,7 @@ from .core import (
     RawSviParams,
     RogerLeeViolation,
     hgg2_prime,
+    sigma_floor,
 )
 from .roots import brentq, first_sign_change
 
@@ -51,6 +52,7 @@ __all__ = [
     "b_star",
     "l_bar_zero",
     "sigma_star_closed",
+    "critical_residual",
     "l_from_b",
     "certify",
     "gj_sufficient",
@@ -71,6 +73,7 @@ X_M2_RHO0 = math.sqrt(math.sqrt(7.0) / 18.0 + 7.0 / 9.0)
 
 _L_MAX = 1.0e8
 _EDGE = 1e-12
+_FROM_RAW_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +127,19 @@ class SsviParams:
         )
 
     @classmethod
-    def from_raw(cls, p: RawSviParams, tol: float = 1e-9) -> "SsviParams":
+    def from_raw(cls, p: RawSviParams) -> "SsviParams":
         """Recover (theta, phi, rho) from raw SVI, verifying the SSVI shape
-        constraints a = b*sigma*sqrt(1-rho^2) and m = -rho*sigma/sqrt(1-rho^2)."""
+        constraints a = b*sigma*sqrt(1-rho^2) and m = -rho*sigma/sqrt(1-rho^2)
+        to within ``_FROM_RAW_TOL`` relative to max(1, |a|, |m|)."""
         if p.sigma <= 0.0 or p.b <= 0.0 or not abs(p.rho) < 1.0:
             raise InvalidParamsError("raw parameters cannot come from an SSVI")
         root = math.sqrt((1.0 - p.rho) * (1.0 + p.rho))
         phi = root / p.sigma
         theta = 2.0 * p.b / phi
         scale = max(1.0, abs(p.a), abs(p.m))
-        if abs(p.a - p.b * p.sigma * root) > tol * scale:
+        if abs(p.a - p.b * p.sigma * root) > _FROM_RAW_TOL * scale:
             raise InvalidParamsError(f"a={p.a} incompatible with an SSVI slice")
-        if abs(p.m + p.rho * p.sigma / root) > tol * scale:
+        if abs(p.m + p.rho * p.sigma / root) > _FROM_RAW_TOL * scale:
             raise InvalidParamsError(f"m={p.m} incompatible with an SSVI slice")
         return cls(theta=theta, phi=phi, rho=p.rho)
 
@@ -289,6 +293,14 @@ def sigma_star_closed(l: float, rho: float) -> float:
     return -bv * g2v / den
 
 
+def critical_residual(l: float, b: float, rho: float) -> float:
+    """Critical-point equation h*p - b^2*g*q in l: zero at the critical
+    point of the sigma requirement at level b, and finite at the sweep
+    endpoint l_bar(0, rho)."""
+    h, g, _, p, q = _pq(l, rho)
+    return h * p - b * b * g * q
+
+
 def l_from_b(b: float, rho: float) -> float:
     """Invert b_star by bracket growth plus root finding on the
     critical-point equation h*p = b^2*g*q (finite at the sweep endpoint).
@@ -302,19 +314,16 @@ def l_from_b(b: float, rho: float) -> float:
     if math.isinf(lbar):
         return math.inf
 
-    def fn(l: float) -> float:
-        h, g, _, p, q = _pq(l, rho)
-        return h * p - b * b * g * q
-
     hi = max(10.0, 2.0 * lbar)
     while b_star(hi, rho) <= b:
         hi *= 2.0
         if hi > _L_MAX:
             return math.inf
-    flo = fn(lbar)
-    if flo == 0.0:
+    if critical_residual(lbar, b, rho) == 0.0:
         return lbar
-    return brentq(fn, lbar, hi, xtol=1e-13, rtol=8.9e-16)
+    return brentq(
+        lambda l: critical_residual(l, b, rho), lbar, hi, xtol=1e-13, rtol=8.9e-16
+    )
 
 
 def certify(p: SsviParams) -> DomainCertificate:
@@ -335,11 +344,16 @@ def certify(p: SsviParams) -> DomainCertificate:
         sstar = root
         diagnostics["argsup"] = math.inf
     else:
+        # the requirement is stationary at the critical point, so its value
+        # at the given b takes the root's error to second order
         l = l_from_b(p.b, ar)
-        sstar = sigma_star_closed(l, ar)
         diagnostics["l"] = l
-        if math.isfinite(l):
-            diagnostics["b_star_residual"] = b_star(l, ar) - p.b
+        if math.isinf(l):  # b this close to the slope bound: its limit
+            sstar = root
+        else:
+            shape = NormalizedSvi(gamma=root, b=p.b, rho=ar, mu=-ar / root, sigma=1.0)
+            sstar = sigma_floor(l, shape)
+            diagnostics["critical_residual"] = critical_residual(l, p.b, ar)
 
     return make_certificate(
         family="ssvi",

@@ -26,7 +26,9 @@ from .core import (
     BOUNDARY_TOL,
     EvaluationDomainError,
     InvalidParamsError,
+    NormalizedSvi,
     RawSviParams,
+    sigma_floor,
 )
 from .roots import brentq, first_sign_change
 
@@ -46,6 +48,7 @@ __all__ = [
     "z_star_zero",
     "z_star_at_g_tilde",
     "z_interval",
+    "critical_residual",
     "z_from_b",
     "certify",
     "m_curve_diag",
@@ -286,6 +289,15 @@ def sigma_star_closed(z: float, gamma: float, b: float | None = None) -> float:
     return num / den
 
 
+def critical_residual(z: float, b: float, gamma: float) -> float:
+    """Critical-point equation 8*eta*p - b^2*(gamma*z + 1)*q in z: zero at
+    the critical point of the sigma requirement at level b, and finite at
+    both ends of the sweep."""
+    return 8.0 * eta(z, gamma) * _p_num(z, gamma) - b * b * (
+        gamma * z + 1.0
+    ) * _q_num(z, gamma)
+
+
 def z_from_b(b: float, gamma: float) -> float:
     """Invert b_star over the critical-point sweep.
 
@@ -300,9 +312,7 @@ def z_from_b(b: float, gamma: float) -> float:
         return Z_HAT  # endpoints collide only at the exceptional level
 
     def fn(z: float) -> float:
-        return 8.0 * eta(z, gamma) * _p_num(z, gamma) - b * b * (
-            gamma * z + 1.0
-        ) * _q_num(z, gamma)
+        return critical_residual(z, b, gamma)
 
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
@@ -338,10 +348,13 @@ def certify(p: SymmetricParams) -> DomainCertificate:
             sstar = sigma_star_closed(Z_HAT, p.gamma, b=p.b)
             diagnostics["z"] = Z_HAT
         else:
+            # the requirement is stationary at the critical point, so its
+            # value at the given b takes the root's error to second order
             z = z_from_b(p.b, p.gamma)
-            sstar = sigma_star_closed(z, p.gamma)
+            shape = NormalizedSvi(gamma=p.gamma, b=p.b, rho=0.0, mu=0.0, sigma=1.0)
+            sstar = sigma_floor(math.sqrt((1.0 - z) * (1.0 + z)) / z, shape)
             diagnostics["z"] = z
-            diagnostics["b_star_residual"] = b_star(z, p.gamma) - p.b
+            diagnostics["critical_residual"] = critical_residual(z, p.b, p.gamma)
 
     return make_certificate(
         family="symmetric",

@@ -8,8 +8,11 @@ For 0 < b < 1, in the coordinate x = l/sqrt(l^2+1), the critical-point
 equation of the sigma requirement is quadratic in mu.  Solving it yields a
 closed-form mu*(x) on x in ((2+b)/(4-b), 1), strictly decreasing from the
 admissible mu bound sqrt(3(1-b)) down to -infinity, and with it the exact
-threshold sigma*(x).  Certification inverts mu -> x by bisection and
-compares sigma against sigma*(x).
+threshold sigma*(x).  Certification inverts mu -> x with Brent's method
+and compares sigma against the sigma requirement of the given smile at
+that critical point.  The requirement is stationary there, so the root's
+error enters sigma* only at second order; sigma*(x) itself would carry
+it at first order through mu*(x).
 
 For b = 1 the wing factor degenerates and the requirement is attained only
 in the k -> +infinity limit, where it equals -1/mu.
@@ -26,8 +29,11 @@ from .core import (
     BOUNDARY_TOL,
     EvaluationDomainError,
     InvalidParamsError,
+    NormalizedSvi,
     RawSviParams,
+    sigma_floor,
 )
+from .roots import brentq
 
 __all__ = [
     "VanishingParams",
@@ -127,11 +133,9 @@ def mu_star(x: float, b: float) -> float:
     return num / den
 
 
-def sigma_star_closed(x: float, b: float, direction: Direction = "upward") -> float:
-    """Exact sigma threshold along the domain boundary, at mu = mu*(x)
-    (direction-adjusted).  The value is direction-independent."""
-    if direction not in ("upward", "downward"):
-        raise InvalidParamsError(f"unknown direction {direction!r}")
+def sigma_star_closed(x: float, b: float) -> float:
+    """Exact sigma threshold along the domain boundary, at mu = mu*(x); the
+    downward family has the same value at -mu*(x)."""
     ms = mu_star(x, b)
     root = math.sqrt((1.0 - x) * (1.0 + x))
     num = -4.0 * b * root * (1.0 - x - 2.0 * x**2)
@@ -144,34 +148,19 @@ def sigma_star_closed(x: float, b: float, direction: Direction = "upward") -> fl
 
 
 def x_from_mu(mu: float, b: float) -> float:
-    """Invert mu*: bisection on the strictly decreasing mu*, then a Newton
-    polish.  Clamps to the interval edges for mu beyond their images."""
+    """Invert mu*: the critical point x of the sigma requirement at mu.
+
+    Brent's method on mu*(x) - mu, which is strictly decreasing, over
+    [x_plus_star(b), 1] shrunk by 1e-12 at both ends; a mu beyond the
+    image of an end clamps to that end.
+    """
     lo = x_plus_star(b) + _EDGE
     hi = 1.0 - _EDGE
     if mu >= mu_star(lo, b):
         return lo
     if mu <= mu_star(hi, b):
         return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mu_star(mid, b) > mu:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(2):
-        h = 1e-7 * (1.0 - x)
-        d = (mu_star(min(x + h, 1.0 - _EDGE), b) - mu_star(x - h, b)) / (2.0 * h)
-        if d == 0.0:
-            break
-        step = (mu_star(x, b) - mu) / d
-        x_new = x - step
-        if not lo <= x_new <= hi:
-            break
-        x = x_new
-    return x
+    return brentq(lambda x: mu_star(x, b) - mu, lo, hi, xtol=1e-15)
 
 
 def subdomain_bound(b: float) -> float:
@@ -211,8 +200,11 @@ def certify(p: VanishingParams) -> DomainCertificate:
         sstar = -1.0 / mu_up
         diagnostics["argsup"] = math.inf
     else:
+        # the requirement is stationary at the critical point, so its value
+        # at the given mu takes the root's error to second order
         x = x_from_mu(mu_up, p.b)
-        sstar = sigma_star_closed(x, p.b)
+        shape = NormalizedSvi(gamma=0.0, b=p.b, rho=1.0, mu=mu_up, sigma=1.0)
+        sstar = sigma_floor(x / math.sqrt((1.0 - x) * (1.0 + x)), shape)
         diagnostics["x"] = x
         diagnostics["mu_star_residual"] = mu_star(x, p.b) - mu_up
 

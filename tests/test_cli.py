@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,15 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _strict(out: str) -> dict:
+    """The one JSON line on stdout; Infinity and NaN are refused."""
+    return json.loads(out, parse_constant=_no_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +119,7 @@ def test_bound_json_ssvi(capsys):
         capsys, "bound", "ssvi", "--b", "1.25", "--rho", "0.6", "--json",
         "--oracle",
     )
-    doc = json.loads(out)
+    doc = _strict(out)
     assert code == 0
     assert doc["sigma_star"] == pytest.approx(0.8, rel=1e-9)
     assert doc["oracle_side"] == "limit_at_infinity"
@@ -121,7 +131,7 @@ def test_bound_extremal_oracle_near_unit_q(capsys):
         capsys, "bound", "extremal", "--gamma", "0.17749082696424115",
         "--q", "-0.9999999", "--oracle", "--json",
     )
-    doc = json.loads(out)
+    doc = _strict(out)
     assert code == 0
     assert doc["oracle_side"] == "limit_at_infinity"
     assert doc["relative_gap"] <= 1e-6
@@ -131,6 +141,68 @@ def test_bound_vanishing(capsys):
     code, out = _run(capsys, "bound", "vanishing-up", "--b", "1", "--mu", "-2")
     assert code == 0
     assert out.strip() == "sigma_star = 0.5"
+
+
+BOUND_VS_CERTIFY = {
+    "vanishing-up": (["--b", "0.4", "--mu", "-0.3"], ["--sigma", "1.7"]),
+    "vanishing-down": (["--b", "0.6", "--mu", "0.2"], ["--sigma", "0.9"]),
+    "extremal": (["--gamma", "1.3", "--q", "-0.4"], ["--sigma", "2.5"]),
+    "symmetric": (["--gamma", "-0.3", "--b", "0.7"], ["--sigma", "1.1"]),
+    "ssvi": (["--theta", "0.8", "--phi", "1.5", "--rho", "-0.35"], []),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BOUND_VS_CERTIFY))
+def test_bound_equals_certify_sigma_star(capsys, family):
+    shape, scale = BOUND_VS_CERTIFY[family]
+    code, out = _run(capsys, "bound", family, *shape, "--json")
+    assert code == 0
+    bound = _strict(out)["sigma_star"]
+    _, out = _run(capsys, "certify", family, *shape, *scale)
+    assert bound == _strict(out)["bounds"]["sigma_star"]
+    assert math.isfinite(bound) and bound > 0.0
+
+
+def test_bound_ssvi_beyond_slope_bound_is_arbitrage(capsys):
+    # b*(1 + |rho|) = 2.4 > 2: no sigma repairs the slice
+    code, out = _run(capsys, "bound", "ssvi", "--b", "1.5", "--rho", "0.6", "--json")
+    assert code == 0
+    assert _strict(out)["sigma_star"] == "inf"
+    code, out = _run(
+        capsys, "certify", "ssvi", "--b", "1.5", "--phi", "1", "--rho", "0.6"
+    )
+    assert code == 1
+    assert _strict(out)["conditions"]["roger_lee"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("vanishing-up", "--b", "0.5", "--mu", "2"),
+        ("symmetric", "--gamma", "-0.99", "--b", "1.5"),
+        ("ssvi", "--b", "1.5", "--rho", "0.6"),
+    ],
+)
+def test_bound_oracle_agrees_on_arbitrage(capsys, argv):
+    code, out = _run(capsys, "bound", *argv, "--oracle", "--json")
+    doc = _strict(out)
+    assert code == 0
+    assert doc["sigma_star"] == "inf"
+    assert doc["sigma_star_oracle"] == "inf"
+    assert doc["relative_gap"] == 0.0
+    code, out = _run(capsys, "bound", *argv, "--oracle")
+    assert out.splitlines() == [
+        "sigma_star = inf", "sigma_star_oracle = inf", "relative_gap = 0.0"
+    ]
+
+
+def test_bound_ssvi_small_b_agrees_with_oracle(capsys):
+    code, out = _run(
+        capsys, "bound", "ssvi", "--b", "1e-8", "--rho", "0.5", "--oracle", "--json"
+    )
+    doc = _strict(out)
+    assert code == 0
+    assert doc["relative_gap"] <= 1e-9
 
 
 # ---------------------------------------------------------------------------

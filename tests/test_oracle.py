@@ -21,7 +21,9 @@ from smile_domain import (
     sigma_floor,
     sigma_floor_dual,
 )
+from smile_domain import ssvi, symmetric, vanishing
 from smile_domain.extremal import ExtremalParams, sigma_bound
+from smile_domain.ssvi import SsviParams
 from smile_domain.symmetric import SymmetricParams, z2
 from smile_domain.vanishing import VanishingParams
 
@@ -232,16 +234,6 @@ def test_durrleman_black_scholes_case():
     assert rep.min_value == 1.0
 
 
-def test_grid_spec_from_env(monkeypatch):
-    monkeypatch.delenv("SMILE_DOMAIN_GRID", raising=False)
-    assert GridSpec.from_env().n_core == 4001
-    monkeypatch.setenv("SMILE_DOMAIN_GRID", "1001")
-    assert GridSpec.from_env().n_core == 1001
-    monkeypatch.setenv("SMILE_DOMAIN_GRID", "junk")
-    with pytest.raises(ValueError):
-        GridSpec.from_env()
-
-
 def test_grid_points_shape():
     g = GridSpec(n_core=101, l_core=10.0, n_tail=20, l_tail=1e4)
     pts = g.points()
@@ -323,3 +315,28 @@ def test_oracle_vs_closed_form_random_draws():
         worst = max(worst, abs(got - closed) / closed)
 
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "params, shape",
+    [
+        # SSVI at b = 1e-8, rho = 0.5: the sweep endpoint, where b*(l) raises
+        (
+            SsviParams(theta=2e-8, phi=1.0, rho=0.5),
+            (math.sqrt(0.75), 1e-8, 0.5, -0.5 / math.sqrt(0.75)),
+        ),
+        # symmetric near gamma = -1: the root z is ill-conditioned there
+        (SymmetricParams(gamma=-0.99999, b=0.001, sigma=1.0), (-0.99999, 0.001, 0.0, 0.0)),
+        # vanishing near b = 1: the root x is ill-conditioned there
+        (VanishingParams(b=0.999999, mu=0.0, sigma=1.0), (0.0, 0.999999, 1.0, 0.0)),
+    ],
+)
+def test_certifiers_evaluate_at_the_given_parameter_near_edges(params, shape):
+    certify = {
+        SsviParams: ssvi.certify,
+        SymmetricParams: symmetric.certify,
+        VanishingParams: vanishing.certify,
+    }[type(params)]
+    closed = certify(params).bounds["sigma_star"]
+    got = sigma_star(*shape).sigma_star
+    assert abs(closed - got) <= 1e-9 * got

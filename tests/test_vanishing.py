@@ -123,12 +123,6 @@ def test_sigma_star_closed_matches_oracle_grid():
             assert closed > 0.0
 
 
-def test_sigma_star_direction_independent():
-    assert sigma_star_closed(0.8, 0.5, "downward") == sigma_star_closed(
-        0.8, 0.5, "upward"
-    )
-
-
 def test_sigma_star_dominated_by_subdomain_at_mu_zero():
     for b in (0.2, 0.5, 0.8):
         x = x_from_mu(0.0, b)
@@ -229,3 +223,36 @@ def test_certificate_records_diagnostics():
     assert 0.0 < cert.diagnostics["x"] < 1.0
     assert abs(cert.diagnostics["mu_star_residual"]) < 1e-9
     assert cert.conditions["roger_lee"]
+
+
+def test_x_from_mu_takes_few_mu_star_evaluations(monkeypatch):
+    import smile_domain.vanishing as van
+
+    calls = []
+
+    def counted(x, b):
+        calls.append(x)
+        return mu_star(x, b)
+
+    monkeypatch.setattr(van, "mu_star", counted)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        b = rng.uniform(0.02, 0.98)
+        mu_up = fukasawa_bound(b) - rng.uniform(1e-3, 4.0)
+        calls.clear()
+        x = x_from_mu(mu_up, b)
+        assert len(calls) <= 30, (b, mu_up, len(calls))
+        assert abs(mu_star(x, b) - mu_up) <= 1e-9 * max(1.0, abs(mu_up))
+
+
+@pytest.mark.parametrize("b", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("eps", [1e-13, 1e-12, 1e-10, 1e-8])
+def test_certify_mu_next_to_the_cap(b, eps):
+    # x_from_mu evaluates mu* only inside its bracket, so a mu this close to
+    # the wing bound gets a verdict instead of an EvaluationDomainError
+    cert = certify(VanishingParams(b=b, mu=fukasawa_bound(b) - eps, sigma=1.0))
+    assert cert.conditions["fukasawa"]
+    sstar = cert.bounds["sigma_star"]
+    assert math.isfinite(sstar) and sstar > 0.0
+    up = certify(VanishingParams(b=b, mu=fukasawa_bound(b) - eps, sigma=2.0 * sstar))
+    assert up.passed
