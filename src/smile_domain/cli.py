@@ -3,7 +3,8 @@ arbitrage-free smiles, emit boundary/comparison tables as CSV, and run the
 critical-point uniqueness scan.
 
 stdout carries data (JSON or CSV), stderr carries logs.  Exit codes for
-``certify``: 0 = arbitrage-free, 1 = arbitrage, 2 = invalid input.
+``certify``: 0 = arbitrage-free, 1 = arbitrage, 2 = invalid input; ``bound``
+exits 0, with an infinite sigma* on arbitrage, or 2 on invalid input.
 Identical invocations (including --seed) produce byte-identical output.
 """
 
@@ -161,7 +162,7 @@ class Family:
 
 def _ssvi_shape(p: SsviParams) -> tuple[float, float, float, float]:
     ar = abs(p.rho)  # the strike-inverted slice when rho < 0
-    return (p.gamma, p.b, ar, -ar / p.gamma if ar > 0 else 0.0)
+    return (p.gamma, p.b, ar, -ar / p.gamma)
 
 
 def _vanishing(direction: str) -> Family:

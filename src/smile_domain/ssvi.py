@@ -52,7 +52,6 @@ __all__ = [
     "b_star",
     "l_bar_zero",
     "sigma_star_closed",
-    "critical_residual",
     "l_from_b",
     "certify",
     "gj_sufficient",
@@ -293,7 +292,7 @@ def sigma_star_closed(l: float, rho: float) -> float:
     return -bv * g2v / den
 
 
-def critical_residual(l: float, b: float, rho: float) -> float:
+def _critical_residual(l: float, b: float, rho: float) -> float:
     """Critical-point equation h*p - b^2*g*q in l: zero at the critical
     point of the sigma requirement at level b, and finite at the sweep
     endpoint l_bar(0, rho)."""
@@ -319,10 +318,10 @@ def l_from_b(b: float, rho: float) -> float:
         hi *= 2.0
         if hi > _L_MAX:
             return math.inf
-    if critical_residual(lbar, b, rho) == 0.0:
+    if _critical_residual(lbar, b, rho) == 0.0:
         return lbar
     return brentq(
-        lambda l: critical_residual(l, b, rho), lbar, hi, xtol=1e-13, rtol=8.9e-16
+        lambda l: _critical_residual(l, b, rho), lbar, hi, xtol=1e-13, rtol=8.9e-16
     )
 
 
@@ -353,7 +352,7 @@ def certify(p: SsviParams) -> DomainCertificate:
         else:
             shape = NormalizedSvi(gamma=root, b=p.b, rho=ar, mu=-ar / root, sigma=1.0)
             sstar = sigma_floor(l, shape)
-            diagnostics["critical_residual"] = critical_residual(l, p.b, ar)
+            diagnostics["critical_residual"] = _critical_residual(l, p.b, ar)
 
     return make_certificate(
         family="ssvi",

@@ -48,7 +48,6 @@ __all__ = [
     "z_star_zero",
     "z_star_at_g_tilde",
     "z_interval",
-    "critical_residual",
     "z_from_b",
     "certify",
     "m_curve_diag",
@@ -289,7 +288,7 @@ def sigma_star_closed(z: float, gamma: float, b: float | None = None) -> float:
     return num / den
 
 
-def critical_residual(z: float, b: float, gamma: float) -> float:
+def _critical_residual(z: float, b: float, gamma: float) -> float:
     """Critical-point equation 8*eta*p - b^2*(gamma*z + 1)*q in z: zero at
     the critical point of the sigma requirement at level b, and finite at
     both ends of the sweep."""
@@ -312,7 +311,7 @@ def z_from_b(b: float, gamma: float) -> float:
         return Z_HAT  # endpoints collide only at the exceptional level
 
     def fn(z: float) -> float:
-        return critical_residual(z, b, gamma)
+        return _critical_residual(z, b, gamma)
 
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
@@ -354,7 +353,7 @@ def certify(p: SymmetricParams) -> DomainCertificate:
             shape = NormalizedSvi(gamma=p.gamma, b=p.b, rho=0.0, mu=0.0, sigma=1.0)
             sstar = sigma_floor(math.sqrt((1.0 - z) * (1.0 + z)) / z, shape)
             diagnostics["z"] = z
-            diagnostics["critical_residual"] = critical_residual(z, p.b, p.gamma)
+            diagnostics["critical_residual"] = _critical_residual(z, p.b, p.gamma)
 
     return make_certificate(
         family="symmetric",

@@ -241,6 +241,8 @@ def test_certify_figure_instance():
     assert cert.passed == (rep.min_value >= -1e-8)
     assert cert.passed
     assert cert.diagnostics["uniqueness"] == "numerically sustained"
+    # residual of the critical-point equation the solver zeroes
+    assert abs(cert.diagnostics["critical_residual"]) < 1e-12
 
 
 def test_certify_boundary_pass():

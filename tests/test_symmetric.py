@@ -272,6 +272,16 @@ def test_certify_near_exceptional_level():
     assert cert.diagnostics["z"] == Z_HAT
 
 
+@pytest.mark.parametrize("gamma, b", [(1.0, 1e-8), (0.3, 1e-7)])
+def test_certify_at_small_b_matches_oracle(gamma, b):
+    # near the b -> 0 end of the sweep b*(z) raises or is ill-conditioned;
+    # the requirement at the given b and the critical-point residual are not
+    cert = certify(SymmetricParams(gamma=gamma, b=b, sigma=1.0))
+    assert abs(cert.diagnostics["critical_residual"]) < 1e-12
+    closed = cert.bounds["sigma_star"]
+    assert closed == pytest.approx(sigma_star(gamma, b, 0.0, 0.0).sigma_star, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
