@@ -318,25 +318,29 @@ def test_oracle_vs_closed_form_random_draws():
 
 
 @pytest.mark.parametrize(
-    "params, shape",
+    "certify, params, shape",
     [
         # SSVI at b = 1e-8, rho = 0.5: the sweep endpoint, where b*(l) raises
         (
+            ssvi.certify,
             SsviParams(theta=2e-8, phi=1.0, rho=0.5),
             (math.sqrt(0.75), 1e-8, 0.5, -0.5 / math.sqrt(0.75)),
         ),
         # symmetric near gamma = -1: the root z is ill-conditioned there
-        (SymmetricParams(gamma=-0.99999, b=0.001, sigma=1.0), (-0.99999, 0.001, 0.0, 0.0)),
+        (
+            symmetric.certify,
+            SymmetricParams(gamma=-0.99999, b=0.001, sigma=1.0),
+            (-0.99999, 0.001, 0.0, 0.0),
+        ),
         # vanishing near b = 1: the root x is ill-conditioned there
-        (VanishingParams(b=0.999999, mu=0.0, sigma=1.0), (0.0, 0.999999, 1.0, 0.0)),
+        (
+            vanishing.certify,
+            VanishingParams(b=0.999999, mu=0.0, sigma=1.0),
+            (0.0, 0.999999, 1.0, 0.0),
+        ),
     ],
 )
-def test_certifiers_evaluate_at_the_given_parameter_near_edges(params, shape):
-    certify = {
-        SsviParams: ssvi.certify,
-        SymmetricParams: symmetric.certify,
-        VanishingParams: vanishing.certify,
-    }[type(params)]
+def test_certifiers_evaluate_at_the_given_parameter_near_edges(certify, params, shape):
     closed = certify(params).bounds["sigma_star"]
     got = sigma_star(*shape).sigma_star
     assert abs(closed - got) <= 1e-9 * got
