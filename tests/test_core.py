@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from smile_domain import (
     EvalPoint,
@@ -231,6 +231,7 @@ def test_invert_examples():
 )
 def test_f_invariant_under_inversion(l, gamma, rho, mu):
     # f(l; gamma, rho, mu) = f(-l; gamma, -rho, -mu) exactly
+    assume(gamma > -math.sqrt((1.0 - rho) * (1.0 + rho)))  # a valid smile level
     b = 0.8 * 2.0 / (1 + abs(rho))
     nsvi = _nsvi(gamma, b, rho, mu)
     mirrored = _nsvi(gamma, b, -rho, -mu)
