@@ -28,7 +28,7 @@ from .core import (
     NoRootError,
     n_funcs,
 )
-from .roots import brentq, first_sign_change
+from .roots import brentq, grid_root
 
 __all__ = [
     "FukasawaInterval",
@@ -110,18 +110,14 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
         upper = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) - _SCAN_NEAR
     else:  # rho = -1: the smile minimum sits at +infinity
         upper = _SCAN_FAR
-    offsets = np.geomspace(_SCAN_NEAR, upper + _SCAN_FAR, _SCAN_POINTS)
-    grid = upper - offsets
-    vals = l_minus_curve(grid, b, rho) - gamma
-
+    grid = upper - np.geomspace(_SCAN_NEAR, upper + _SCAN_FAR, _SCAN_POINTS)
     # negative near the minimum, diverges to +infinity on the far left
-    i = first_sign_change(vals)
-    if i is None:
+    l = grid_root(lambda t: l_minus_curve(t, b, rho) - gamma, grid, xtol=1e-14)
+    if l is None:
         raise NoRootError(
             f"no sign change for gamma={gamma}, b={b}, rho={rho}"
         )
-    lo, hi = grid[i + 1], grid[i]
-    return brentq(lambda l: l_minus_curve(l, b, rho) - gamma, lo, hi, xtol=1e-14)
+    return l
 
 
 def mu_lower_curve(l: float, gamma: float, b: float, rho: float) -> float:

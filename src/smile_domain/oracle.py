@@ -31,7 +31,7 @@ from .core import (
     sigma_floor,
 )
 from .fukasawa import mu_interval, mu_lower_curve, solve_l_minus
-from .roots import brentq, first_sign_change, maximize
+from .roots import grid_root, maximize
 
 __all__ = [
     "G2Zeros",
@@ -98,20 +98,16 @@ def _right_zero(gamma: float, rho: float) -> float:
     else:  # rho = 1: g2 > 0 on the whole left half-line
         start = 0.0
 
-    def g2_at(l: float) -> float:
+    def g2(l):
         n, n1, n2 = n_funcs(l, gamma, rho)
         return n2 - n1 * n1 / (2.0 * n)
 
-    offs = np.geomspace(1e-9, 1e7, 400)
-    grid = start + offs
-    n, n1, n2 = n_funcs(grid, gamma, rho)
-    vals = n2 - n1 * n1 / (2.0 * n)
-    i = first_sign_change(vals)
-    if i is None:
+    l2 = grid_root(g2, start + np.geomspace(1e-9, 1e7, 400), xtol=1e-15, rtol=8.9e-16)
+    if l2 is None:
         raise EvaluationDomainError(
             f"no g2 sign change found for gamma={gamma}, rho={rho}"
         )
-    return brentq(g2_at, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+    return l2
 
 
 def g2_zeros(gamma: float, rho: float) -> G2Zeros:

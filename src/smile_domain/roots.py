@@ -7,7 +7,9 @@ same interpolate/extrapolate/bisect rules, so it returns the same float for
 the same objective, bracket and tolerances.  Keeping it in-house keeps SciPy,
 whose import costs more than a whole certification, off the import path.
 
-``first_sign_change`` is the grid scan that finds a bracket for it.
+``grid_root`` is ``brentq`` on the first bracket that a grid scan finds:
+every one-dimensional root of the family modules and the oracle is one
+``grid_root`` or one ``brentq`` call.
 
 ``maximize`` is Brent's bounded method for the maximum of a function on an
 interval (Brent 1973, ch. 5): golden-section steps safeguarding parabolic
@@ -22,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["RTOL", "brentq", "first_sign_change", "maximize"]
+__all__ = ["RTOL", "brentq", "grid_root", "maximize"]
 
 # smallest relative tolerance brentq accepts
 RTOL = 4.0 * float(np.finfo(float).eps)
@@ -182,8 +184,20 @@ def maximize(
     return x, -fx
 
 
-def first_sign_change(vals) -> int | None:
-    """Index i of the first sign change between vals[i] and vals[i + 1],
-    or None when the signs never change."""
-    idx = np.flatnonzero(np.diff(np.sign(vals)) != 0)
-    return int(idx[0]) if idx.size else None
+def grid_root(
+    f: Callable, grid, xtol: float, rtol: float = RTOL
+) -> float | None:
+    """``brentq`` root of ``f`` between the first two neighbours of ``grid``
+    where its sign changes, or None when the signs never change.
+
+    ``f`` is evaluated once on the whole grid (it must take an array), then
+    with floats by ``brentq`` on that pair in increasing order, so the grid
+    may run either way.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    idx = np.flatnonzero(np.diff(np.sign(f(grid))) != 0)
+    if not idx.size:
+        return None
+    i = int(idx[0])
+    lo, hi = sorted((float(grid[i]), float(grid[i + 1])))
+    return brentq(f, lo, hi, xtol=xtol, rtol=rtol)

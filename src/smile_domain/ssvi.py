@@ -38,7 +38,7 @@ from .core import (
     hgg2_prime,
     sigma_floor,
 )
-from .roots import brentq, first_sign_change
+from .roots import brentq, grid_root
 
 __all__ = [
     "SsviParams",
@@ -270,12 +270,9 @@ def l_bar_zero(rho: float) -> float:
         return math.inf
     lo = max(x_of_rho(rho), rho) + _EDGE
     hi = 1.0 - 1e-14
-    grid = np.linspace(lo, hi, 256)
-    vals = _phi_num(grid, rho)
-    i = first_sign_change(vals)
-    if i is None:
+    x = grid_root(lambda t: _phi_num(t, rho), np.linspace(lo, hi, 256), xtol=1e-15)
+    if x is None:
         raise EvaluationDomainError(f"no sweep endpoint bracket for rho={rho}")
-    x = brentq(lambda t: _phi_num(t, rho), grid[i], grid[i + 1], xtol=1e-15)
     return x / math.sqrt((1.0 - x) * (1.0 + x))
 
 
@@ -313,16 +310,16 @@ def l_from_b(b: float, rho: float) -> float:
     if math.isinf(lbar):
         return math.inf
 
+    def fn(l: float) -> float:
+        return _critical_residual(l, b, rho)
+
+    # the residual is g*q*(b_star(l)^2 - b^2) with g*q > 0 right of lbar
     hi = max(10.0, 2.0 * lbar)
-    while b_star(hi, rho) <= b:
+    while fn(hi) <= 0.0:
         hi *= 2.0
         if hi > _L_MAX:
             return math.inf
-    if _critical_residual(lbar, b, rho) == 0.0:
-        return lbar
-    return brentq(
-        lambda l: _critical_residual(l, b, rho), lbar, hi, xtol=1e-13, rtol=8.9e-16
-    )
+    return brentq(fn, lbar, hi, xtol=1e-13, rtol=8.9e-16)
 
 
 def certify(p: SsviParams) -> DomainCertificate:

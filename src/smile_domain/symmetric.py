@@ -30,7 +30,7 @@ from .core import (
     RawSviParams,
     sigma_floor,
 )
-from .roots import brentq, first_sign_change
+from .roots import brentq, grid_root
 
 __all__ = [
     "SymmetricParams",
@@ -230,17 +230,17 @@ def gamma_star(u: float) -> float:
 def z_star_zero(gamma: float) -> float:
     """Critical point of the sigma requirement in the b -> 0 limit: the
     only root of the sextic _p_num in (0, z2(gamma))."""
-    zz = z2(gamma)
-    lo, hi = _EDGE, zz - _EDGE
+    def fn(z):
+        return _p_num(z, gamma)
+
+    lo, hi = _EDGE, z2(gamma) - _EDGE
     # p_num(0) = -1 < 0 and p_num > 0 at z2
-    if _p_num(hi, gamma) <= 0.0:
-        grid = np.linspace(lo, hi, 512)
-        vals = _p_num(grid, gamma)
-        i = first_sign_change(vals)
-        if i is None:
-            raise EvaluationDomainError(f"no critical-point root for gamma={gamma}")
-        lo, hi = grid[i], grid[i + 1]
-    return brentq(lambda z: _p_num(z, gamma), lo, hi, xtol=1e-15)
+    if fn(hi) > 0.0:
+        return brentq(fn, lo, hi, xtol=1e-15)
+    z = grid_root(fn, np.linspace(lo, hi, 512), xtol=1e-15)
+    if z is None:
+        raise EvaluationDomainError(f"no critical-point root for gamma={gamma}")
+    return z
 
 
 def z_star_at_g_tilde(gamma: float) -> float:
@@ -313,16 +313,12 @@ def z_from_b(b: float, gamma: float) -> float:
     def fn(z: float) -> float:
         return _critical_residual(z, b, gamma)
 
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    try:
+        return brentq(fn, lo, hi, xtol=1e-15)
+    except ValueError as exc:  # a polynomial on (0, 1): the ends share a sign
         raise EvaluationDomainError(
             f"b={b} not bracketed on the critical-point sweep for gamma={gamma}"
-        )
-    return brentq(fn, lo, hi, xtol=1e-15)
+        ) from exc
 
 
 def certify(p: SymmetricParams) -> DomainCertificate:

@@ -12,7 +12,7 @@ import pytest
 import scipy.optimize
 
 from smile_domain import NormalizedSvi, fukasawa, oracle, ssvi, symmetric
-from smile_domain.roots import RTOL, brentq, first_sign_change, maximize
+from smile_domain.roots import RTOL, brentq, grid_root, maximize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -25,8 +25,8 @@ def _same_root(f, a, b, **kw):
 
 
 def _grid_bracket(f, grid):
-    i = first_sign_change(f(grid))
-    assert i is not None
+    vals = np.sign(f(grid))
+    i = int(np.flatnonzero(vals[:-1] != vals[1:])[0])
     return grid[i], grid[i + 1]
 
 
@@ -125,7 +125,7 @@ def test_zero_at_an_endpoint_returns_it_without_iterating():
 
 
 # ---------------------------------------------------------------------------
-# sign-change scan
+# grid scan plus brentq
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "vals, expected",
@@ -137,7 +137,60 @@ def test_zero_at_an_endpoint_returns_it_without_iterating():
     ],
 )
 def test_first_sign_change(vals, expected):
-    assert first_sign_change(np.array(vals)) == expected
+    # grid_root solves on the first pair of neighbours whose signs differ
+    grid = np.arange(float(len(vals)))
+
+    def f(x):
+        return np.interp(x, grid, vals) if vals else x  # empty grid: no values
+
+    root = grid_root(f, grid, xtol=1e-15)
+    if expected is None:
+        assert root is None
+    else:
+        assert root == brentq(f, grid[expected], grid[expected + 1], xtol=1e-15)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
+def test_grid_root_matches_scipy_on_the_ordered_pair(rho, reverse):
+    def f(x):
+        return ssvi._phi_num(x, rho)
+
+    grid = np.linspace(max(ssvi.x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, 256)
+    lo, hi = _grid_bracket(f, grid)
+    root = grid_root(f, grid[::-1] if reverse else grid, xtol=1e-15, rtol=8.9e-16)
+    assert type(root) is float
+    assert root == scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+
+
+def test_grid_root_matches_scipy_on_a_descending_grid():
+    gamma, b, rho = 0.2, 0.5, -0.4
+
+    def f(l):
+        return fukasawa.l_minus_curve(l, b, rho) - gamma
+
+    upper = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) - 1e-6
+    grid = upper - np.geomspace(1e-6, upper + 1e8, 128)
+    hi, lo = _grid_bracket(f, grid)
+    root = grid_root(f, grid, xtol=1e-14)
+    assert root == scipy.optimize.brentq(f, lo, hi, xtol=1e-14)
+    assert root == fukasawa.solve_l_minus(gamma, b, rho)
+
+
+def test_grid_root_evaluates_the_grid_once():
+    arrays = []
+
+    def f(x):
+        if np.ndim(x):
+            arrays.append(len(x))
+        return np.cos(x)
+
+    root = grid_root(f, np.linspace(0.0, 3.0, 50), xtol=1e-15)
+    assert root == pytest.approx(math.pi / 2, abs=1e-15)
+    assert arrays == [50]
+    arrays.clear()
+    assert grid_root(f, np.linspace(0.0, 1.0, 20), xtol=1e-15) is None
+    assert arrays == [20]
 
 
 # ---------------------------------------------------------------------------

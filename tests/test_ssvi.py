@@ -179,6 +179,19 @@ def test_l_from_b_round_trip():
             assert b_star(l, rho) == pytest.approx(b, rel=1e-10)
 
 
+def test_certify_does_not_call_b_star(monkeypatch):
+    from smile_domain import ssvi
+
+    calls = []
+    monkeypatch.setattr(ssvi, "b_star", lambda *a: calls.append(a) or b_star(*a))
+    for rho in (-0.6, 0.0, 0.5, 0.9):
+        for t in (1e-6, 0.2, 0.5, 0.9, 0.999999):
+            b = t * 2.0 / (1.0 + abs(rho))
+            cert = certify(SsviParams(theta=2.0 * b, phi=1.0, rho=rho))
+            assert math.isfinite(cert.bounds["sigma_star"])
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # sigma*
 # ---------------------------------------------------------------------------
