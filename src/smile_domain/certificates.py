@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import BOUNDARY_TOL, RawSviParams
+from .core import BOUNDARY_TOL, EvaluationDomainError, RawSviParams
 
 __all__ = ["DomainCertificate", "json_value", "make_certificate"]
 
@@ -77,7 +77,13 @@ def make_certificate(
     arbitrage no sigma can repair), ``"sigma_bound"`` is flagged on-boundary
     when sigma is within ``BOUNDARY_TOL`` of a finite ``sigma_star``, and
     ``bounds["sigma_star"]`` records it.  sigma is ``params_raw.sigma``.
+
+    Raises EvaluationDomainError for a ``sigma_star`` that is not positive
+    (NaN included): the requirement -b*g2/(2*G1) is positive wherever it
+    binds, so such a value is a failed evaluation, not a verdict.
     """
+    if not sigma_star > 0.0:
+        raise EvaluationDomainError(f"{family} sigma* = {sigma_star} is not positive")
     sigma = params_raw.sigma
     conditions = {**conditions, "sigma_bound": sigma >= sigma_star - BOUNDARY_TOL}
     if math.isfinite(sigma_star) and abs(sigma - sigma_star) <= BOUNDARY_TOL:

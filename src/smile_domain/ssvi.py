@@ -319,7 +319,16 @@ def l_from_b(b: float, rho: float) -> float:
         hi *= 2.0
         if hi > _L_MAX:
             return math.inf
-    return brentq(fn, lbar, hi, xtol=1e-13, rtol=8.9e-16)
+    try:
+        return brentq(fn, lbar, hi, xtol=1e-13, rtol=8.9e-16)
+    except ValueError:
+        # at the b -> 0 end the residual is -b^2*g*q analytically; the
+        # opposite sign means that term is below the rounding of h*p, so
+        # the end is the critical point to working precision
+        h, g, _, p, q = _pq(lbar, rho)
+        if (h * p - b * b * g * q) * (g * q) > 0.0:
+            return lbar
+        raise
 
 
 def certify(p: SsviParams) -> DomainCertificate:

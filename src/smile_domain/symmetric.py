@@ -316,6 +316,11 @@ def z_from_b(b: float, gamma: float) -> float:
     try:
         return brentq(fn, lo, hi, xtol=1e-15)
     except ValueError as exc:  # a polynomial on (0, 1): the ends share a sign
+        # at the b -> 0 end the residual is -b^2*(gamma*z + 1)*q analytically;
+        # the opposite sign means that term is below the rounding of 8*eta*p,
+        # so the end is the critical point to working precision
+        if fn(za) * (gamma * za + 1.0) * _q_num(za, gamma) > 0.0:
+            return za
         raise EvaluationDomainError(
             f"b={b} not bracketed on the critical-point sweep for gamma={gamma}"
         ) from exc

@@ -192,6 +192,52 @@ def test_certify_does_not_call_b_star(monkeypatch):
     assert calls == []
 
 
+def _pq_outside_brentq(monkeypatch) -> list[float]:
+    """Points l of the _pq calls made outside brentq."""
+    from smile_domain import ssvi
+
+    inside, calls = [], []
+    solve, pq = ssvi.brentq, ssvi._pq
+
+    def traced_brentq(*args, **kw):
+        inside.append(True)
+        try:
+            return solve(*args, **kw)
+        finally:
+            inside.pop()
+
+    def traced_pq(l, rho):
+        if not inside:
+            calls.append(l)
+        return pq(l, rho)
+
+    monkeypatch.setattr(ssvi, "brentq", traced_brentq)
+    monkeypatch.setattr(ssvi, "_pq", traced_pq)
+    return calls
+
+
+def test_l_from_b_evaluates_l_bar_only_in_brentq(monkeypatch):
+    calls = _pq_outside_brentq(monkeypatch)
+    for rho in (0.0, 0.5, 0.9):
+        lbar = l_bar_zero(rho)
+        for t in (1e-4, 0.5, 0.99):
+            l_from_b(t * 2.0 / (1.0 + rho), rho)
+            assert lbar not in calls
+            # outside brentq only the grown bracket ends are evaluated
+            assert calls and all(l >= 10.0 for l in calls)
+            calls.clear()
+
+
+def test_b_to_0_end_resolves_what_the_residual_cannot(monkeypatch):
+    # b^2*g*q is below the rounding of h*p at l_bar, so the residual has one
+    # sign over the bracket: l_bar is the critical point, checked with one
+    # _pq evaluation there
+    calls = _pq_outside_brentq(monkeypatch)
+    lbar = l_bar_zero(0.15)
+    assert l_from_b(1e-13, 0.15) == lbar
+    assert calls.count(lbar) == 1
+
+
 # ---------------------------------------------------------------------------
 # sigma*
 # ---------------------------------------------------------------------------

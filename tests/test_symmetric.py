@@ -282,6 +282,64 @@ def test_certify_at_small_b_matches_oracle(gamma, b):
     assert closed == pytest.approx(sigma_star(gamma, b, 0.0, 0.0).sigma_star, rel=1e-9)
 
 
+def _residuals_outside_brentq(monkeypatch) -> list[tuple]:
+    """Arguments of the critical-residual calls made outside brentq."""
+    from smile_domain import symmetric
+
+    inside, calls = [], []
+    solve, residual = symmetric.brentq, symmetric._critical_residual
+
+    def traced_brentq(*args, **kw):
+        inside.append(True)
+        try:
+            return solve(*args, **kw)
+        finally:
+            inside.pop()
+
+    def traced_residual(*args):
+        if not inside:
+            calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(symmetric, "brentq", traced_brentq)
+    monkeypatch.setattr(symmetric, "_critical_residual", traced_residual)
+    return calls
+
+
+def test_z_from_b_evaluates_the_residual_only_in_brentq(monkeypatch):
+    calls = _residuals_outside_brentq(monkeypatch)
+    for gamma, b in [(0.5, 1.0), (-0.5, 0.3), (2.0, 1e-3)]:
+        z_from_b(b, gamma)
+    assert calls == []
+
+
+def test_b_to_0_end_resolves_what_the_residual_cannot(monkeypatch):
+    # b^2*(gamma*z + 1)*q is below the rounding of 8*eta*p at the b -> 0
+    # end, so the residual has one sign over the whole sweep: the end is the
+    # critical point, checked with one residual evaluation
+    gamma, b = 1.0154720311257261, 1.9656689883028117e-08
+    calls = _residuals_outside_brentq(monkeypatch)
+    z = z_from_b(b, gamma)
+    assert z == z_star_zero(gamma)
+    assert calls == [(z, b, gamma)]
+    closed = certify(SymmetricParams(gamma=gamma, b=b, sigma=1.0)).bounds["sigma_star"]
+    assert closed == pytest.approx(sigma_star(gamma, b, 0.0, 0.0).sigma_star, rel=1e-9)
+
+
+def test_b_to_0_end_is_not_taken_against_the_sign_rule():
+    # here the residual's sign at the b -> 0 end is the analytic one, and
+    # that end lies 1.3e-3 below the oracle: the input must still raise
+    p = SymmetricParams(gamma=-0.9999930748914068, b=0.08375221294554457, sigma=1.0)
+    with pytest.raises(EvaluationDomainError, match="not bracketed"):
+        certify(p)
+
+
+def test_certify_never_reports_a_nonpositive_sigma_star():
+    p = SymmetricParams(gamma=-0.9999999997168405, b=1.6580550654572107e-4, sigma=3.9)
+    with pytest.raises(EvaluationDomainError, match="not positive"):
+        certify(p)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
