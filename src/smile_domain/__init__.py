@@ -10,7 +10,6 @@ against.
 from .certificates import DomainCertificate, make_certificate
 from .core import (
     BOUNDARY_TOL,
-    EvalPoint,
     EvaluationDomainError,
     FukasawaViolation,
     InvalidParamsError,
@@ -39,13 +38,11 @@ from .fukasawa import (
 from .oracle import (
     DensityReport,
     G2Zeros,
-    GridSpec,
     SigmaStarResult,
     durrleman_check,
     g2_zeros,
     maximize_f_on_interval,
     sigma_star,
-    sigma_star_for,
 )
 from . import extremal, ssvi, symmetric, vanishing
 from .extremal import ExtremalParams
@@ -59,13 +56,11 @@ __all__ = [
     "BOUNDARY_TOL",
     "DomainCertificate",
     "DensityReport",
-    "EvalPoint",
     "EvaluationDomainError",
     "ExtremalParams",
     "FukasawaInterval",
     "FukasawaViolation",
     "G2Zeros",
-    "GridSpec",
     "HestonLtParams",
     "InvalidParamsError",
     "NoRootError",
@@ -95,7 +90,6 @@ __all__ = [
     "sigma_floor",
     "sigma_floor_dual",
     "sigma_star",
-    "sigma_star_for",
     "solve_l_minus",
     "ssvi",
     "symmetric",

@@ -30,7 +30,6 @@ __all__ = [
     "NoRootError",
     "RawSviParams",
     "NormalizedSvi",
-    "EvalPoint",
     "total_variance",
     "n_funcs",
     "hgg2",
@@ -173,40 +172,6 @@ class NormalizedSvi:
         if abs(self.rho) >= 1.0:
             raise EvaluationDomainError("l_star undefined for |rho| = 1")
         return -self.rho / math.sqrt((1.0 - self.rho) * (1.0 + self.rho))
-
-
-@dataclass(frozen=True, slots=True)
-class EvalPoint:
-    """Normalized evaluation point with cached wing coordinates.
-
-    x = l/sqrt(l^2+1) in (-1, 1) and z = 1/sqrt(l^2+1) in (0, 1]; both are
-    computed from l directly (never by chained division) so they stay
-    consistent to machine precision for |l| up to overflow.
-    """
-
-    l: float
-    x: float
-    z: float
-
-    @classmethod
-    def from_l(cls, l: float) -> "EvalPoint":
-        s = math.hypot(l, 1.0)
-        return cls(l=float(l), x=l / s, z=1.0 / s)
-
-    @classmethod
-    def from_x(cls, x: float) -> "EvalPoint":
-        if not -1.0 < x < 1.0:
-            raise EvaluationDomainError(f"x must lie in (-1, 1), got {x}")
-        root = math.sqrt((1.0 - x) * (1.0 + x))
-        return cls(l=x / root, x=float(x), z=root)
-
-    @classmethod
-    def from_z(cls, z: float) -> "EvalPoint":
-        """Point with l >= 0; z in (0, 1]."""
-        if not 0.0 < z <= 1.0:
-            raise EvaluationDomainError(f"z must lie in (0, 1], got {z}")
-        root = math.sqrt((1.0 - z) * (1.0 + z))
-        return cls(l=root / z, x=root, z=float(z))
 
 
 # ---------------------------------------------------------------------------

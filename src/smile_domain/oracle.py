@@ -36,12 +36,10 @@ from .roots import grid_root, maximize
 __all__ = [
     "G2Zeros",
     "SigmaStarResult",
-    "GridSpec",
     "DensityReport",
     "g2_zeros",
     "maximize_f_on_interval",
     "sigma_star",
-    "sigma_star_for",
     "durrleman_check",
 ]
 
@@ -61,22 +59,6 @@ class SigmaStarResult:
     sigma_star: float
     argsup_l: float  # +-inf when the supremum is a limit
     side: str  # "left" | "right" | "limit_at_infinity"
-
-
-@dataclass(frozen=True, slots=True)
-class GridSpec:
-    """Evaluation grid for the density check: a uniform core plus
-    log-spaced tails on both sides."""
-
-    n_core: int = 4001
-    l_core: float = 50.0
-    n_tail: int = 500
-    l_tail: float = 1.0e6
-
-    def points(self) -> np.ndarray:
-        core = np.linspace(-self.l_core, self.l_core, self.n_core)
-        tail = np.geomspace(self.l_core, self.l_tail, self.n_tail + 1)[1:]
-        return np.concatenate([-tail[::-1], core, tail])
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,27 +238,28 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
     return SigmaStarResult(best_sup, best_arg, best_side)
 
 
-def sigma_star_for(nsvi: NormalizedSvi) -> SigmaStarResult:
-    """sigma_star for a normalized parameter set (its sigma is ignored)."""
-    return sigma_star(nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu)
-
-
 # ---------------------------------------------------------------------------
 # Independent density check
 # ---------------------------------------------------------------------------
-def durrleman_check(p: RawSviParams, grid: GridSpec | None = None) -> DensityReport:
-    """Minimum of the density functional G1 + b*g2/(2*sigma) on a wide grid.
+_TAIL = np.geomspace(50.0, 1.0e6, 501)[1:]
+_DENSITY_GRID = np.concatenate([-_TAIL[::-1], np.linspace(-50.0, 50.0, 4001), _TAIL])
+_DENSITY_GRID.flags.writeable = False
+
+
+def durrleman_check(p: RawSviParams) -> DensityReport:
+    """Minimum of the density functional G1 + b*g2/(2*sigma) on a fixed
+    grid: 4001 uniform points on [-50, 50] and 500 log-spaced points on
+    each tail out to 1e6.
 
     Nonnegativity of this functional is equivalent to absence of butterfly
     arbitrage; this check is deliberately independent of the supremum search
     so the two can validate each other.
     """
-    grid = grid or GridSpec()
     if p.b <= 0.0:
         # flat smile: the functional is identically 1
         return DensityReport(min_value=1.0, argmin_l=0.0, n_points=1)
     nsvi = p.normalized()
-    ls = grid.points()
+    ls = _DENSITY_GRID
     h, g, g2v = hgg2(ls, nsvi)
     b = nsvi.b
     vals = (h - b * g) * (h + b * g) + b * g2v / (2.0 * nsvi.sigma)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from smile_domain import (
-    EvalPoint,
     EvaluationDomainError,
     InvalidParamsError,
     NormalizedSvi,
@@ -246,33 +245,3 @@ def test_dual_objective_reciprocity():
         f = sigma_floor(l, nsvi)
         dual = sigma_floor_dual(l, nsvi)
         assert f * dual == pytest.approx(nsvi.b / 2.0, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# evaluation points
-# ---------------------------------------------------------------------------
-def test_eval_point_consistency():
-    for l in (-1e8, -3.0, -0.5, 0.0, 0.5, 3.0, 1e8):
-        pt = EvalPoint.from_l(l)
-        assert -1.0 < pt.x < 1.0 or abs(l) >= 1e8
-        assert 0.0 < pt.z <= 1.0
-        assert pt.x == pytest.approx(pt.l * pt.z, abs=1e-14)
-
-
-def test_eval_point_monotone_maps():
-    ls = np.linspace(-20, 20, 201)
-    xs = [EvalPoint.from_l(float(l)).x for l in ls]
-    assert np.all(np.diff(xs) > 0)
-    zs = [EvalPoint.from_l(float(l)).z for l in ls if l > 0]
-    assert np.all(np.diff(zs) < 0)
-
-
-def test_eval_point_inverse_maps():
-    pt = EvalPoint.from_x(0.8)
-    assert EvalPoint.from_l(pt.l).x == pytest.approx(0.8, rel=1e-14)
-    pt = EvalPoint.from_z(0.3)
-    assert EvalPoint.from_l(pt.l).z == pytest.approx(0.3, rel=1e-14)
-    with pytest.raises(EvaluationDomainError):
-        EvalPoint.from_x(1.0)
-    with pytest.raises(EvaluationDomainError):
-        EvalPoint.from_z(0.0)

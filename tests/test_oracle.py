@@ -7,7 +7,6 @@ import pytest
 
 from smile_domain import (
     FukasawaViolation,
-    GridSpec,
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
@@ -17,7 +16,6 @@ from smile_domain import (
     invert,
     maximize_f_on_interval,
     sigma_star,
-    sigma_star_for,
     sigma_floor,
     sigma_floor_dual,
 )
@@ -158,13 +156,6 @@ def test_maximize_side_dispatch():
         maximize_f_on_interval(nsvi, "middle")
 
 
-def test_sigma_star_for_normalized_params():
-    p = ExtremalParams(gamma=2.0, q=-0.5, sigma=1.0)
-    res = sigma_star_for(p.to_raw().normalized())
-    assert res.sigma_star == pytest.approx(sigma_bound(2.0, -0.5), rel=1e-9)
-    assert res.argsup_l == -math.inf
-
-
 # extremal shapes with |q| near 1: in the far tail G1 rounds to 0
 GAMMA_NEAR_UNIT_Q = 0.17749082696424115
 
@@ -232,14 +223,6 @@ def test_durrleman_flags_sub_boundary():
 def test_durrleman_black_scholes_case():
     rep = durrleman_check(RawSviParams(a=0.2, b=0.0, rho=0.0, m=0.0, sigma=1.0))
     assert rep.min_value == 1.0
-
-
-def test_grid_points_shape():
-    g = GridSpec(n_core=101, l_core=10.0, n_tail=20, l_tail=1e4)
-    pts = g.points()
-    assert len(pts) == 101 + 2 * 20
-    assert pts[0] == -1e4 and pts[-1] == 1e4
-    assert np.all(np.diff(pts) > 0)
 
 
 # ---------------------------------------------------------------------------
