@@ -3,8 +3,9 @@ arbitrage-free smiles, emit boundary/comparison tables as CSV, and run the
 critical-point uniqueness scan.
 
 stdout carries data (JSON or CSV), stderr carries logs.  Exit codes for
-``certify``: 0 = arbitrage-free, 1 = arbitrage, 2 = invalid input; ``bound``
-exits 0, with an infinite sigma* on arbitrage, or 2 on invalid input.
+``certify``: 0 = arbitrage-free, 1 = arbitrage, 2 = invalid input, 3 = a
+solver or closed form failed on a valid input; ``bound`` exits 0, with an
+infinite sigma* on arbitrage, or 2 and 3 as ``certify`` does.
 Identical invocations (including --seed) produce byte-identical output.
 """
 
@@ -43,6 +44,20 @@ def _emit(doc: dict) -> None:
 
 def _error_doc(kind: str, message: str) -> dict:
     return {"schema": SCHEMA, "error": {"type": kind, "message": message}}
+
+
+# what a solver or a closed form raises when it fails on a valid input
+_SOLVER_ERRORS = (SmileDomainError, ValueError, RuntimeError, ArithmeticError)
+
+
+def _failure(exc: Exception) -> int:
+    """Emit the error document of exc; exit code 2 for an invalid input,
+    3 for a solver failure on a valid one."""
+    if isinstance(exc, InvalidParamsError):
+        _emit(_error_doc("invalid_params", str(exc)))
+        return 2
+    _emit(_error_doc("solver_failure", str(exc)))
+    return 3
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +208,22 @@ FAMILIES = {
 }
 
 
+def _params(fam: Family, args):
+    """The family's parameters; an option that cannot be read (a raw
+    coordinate divided by a zero scale, say) is an invalid input."""
+    try:
+        return fam.params(args)
+    except (ValueError, ArithmeticError) as exc:
+        raise InvalidParamsError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
 def cmd_certify(args) -> int:
     fam = FAMILIES[args.family]
     try:
-        cert = fam.certify(fam.params(args))
+        cert = fam.certify(_params(fam, args))
         doc = cert.to_dict()
         doc["schema"] = SCHEMA
         if args.oracle:
@@ -207,9 +231,8 @@ def cmd_certify(args) -> int:
             doc["diagnostics"]["oracle_min"] = report.min_value
             doc["diagnostics"]["oracle_argmin_l"] = report.argmin_l
             doc["diagnostics"]["oracle_grid_points"] = report.n_points
-    except (SmileDomainError, ValueError) as exc:
-        _emit(_error_doc("invalid_params", str(exc)))
-        return 2
+    except _SOLVER_ERRORS as exc:
+        return _failure(exc)
     _emit(doc)
     return 0 if cert.passed else 1
 
@@ -224,7 +247,7 @@ def cmd_bound(args) -> int:
         if getattr(args, name) is None:
             setattr(args, name, 1.0)
     try:
-        p = fam.params(args)
+        p = _params(fam, args)
         closed = fam.certify(p).bounds["sigma_star"]
         doc = {"sigma_star": closed}
         if args.oracle:
@@ -238,9 +261,8 @@ def cmd_bound(args) -> int:
                 doc["relative_gap"] = 0.0 if closed == other else math.inf
             else:
                 doc["relative_gap"] = abs(other - closed) / max(abs(closed), 1e-300)
-    except (SmileDomainError, ValueError) as exc:
-        _emit(_error_doc("invalid_params", str(exc)))
-        return 2
+    except _SOLVER_ERRORS as exc:
+        return _failure(exc)
     if args.json:
         doc = {k: json_value(v) for k, v in doc.items()}
         _emit({"schema": SCHEMA, "family": args.family, **doc})
@@ -321,20 +343,9 @@ def _rows_gamma_admissibility():
     for u in us:
         u = float(u)
         gp = symmetric.gamma_star(u)
-        rp = gp * symmetric.z2(gp) / u
-        inner = (
-            6.0 * u**3
-            + 15.0 * u * u
-            + 14.0 * u
-            + 6.0
-            - (1.0 + u) ** 2 * math.sqrt(3.0 * (12.0 * u * u + 12.0 * u + 11.0))
-        )
-        rm = ""
-        if u < 0.0 and inner >= 0.0:
-            gm = -abs(u) * math.sqrt(inner)
-            if gm > -1.0:
-                rm = gm * symmetric.z2(gm) / u
-        yield [u, rp, rm]
+        gm = symmetric.gamma_star(u, branch=-1)  # NaN where it does not exist
+        rm = gm * symmetric.z2(gm) / u if u < 0.0 and gm > -1.0 else ""
+        yield [u, gp * symmetric.z2(gp) / u, rm]
 
 
 def _rows_ssvi_n_curves():

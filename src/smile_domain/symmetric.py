@@ -208,12 +208,15 @@ def _q_num(z, gamma: float):
 # ---------------------------------------------------------------------------
 # Reparametrization: u -> gamma and z -> b
 # ---------------------------------------------------------------------------
-def gamma_star(u: float) -> float:
+def gamma_star(u: float, branch: int = 1) -> float:
     """Level gamma whose b -> 0 critical point sits at z = u/gamma.
 
-    Signed square root of the admissible branch of the quadratic (in
-    gamma^2) critical-point equation; gamma*(u) has the sign of u and spans
-    (-1, inf) as u runs over (-1, inf).
+    The critical-point equation is a quadratic in gamma^2 with roots
+    u^2*(6u^3 + 15u^2 + 14u + 6 +- (1+u)^2*sqrt(3*(12u^2 + 12u + 11))), and
+    gamma is u times the square root of one of them.  ``branch=1`` takes the
+    admissible root: gamma*(u) has the sign of u and spans (-1, inf) as u
+    runs over (-1, inf).  ``branch=-1`` takes the other root, and is NaN
+    where that root is negative.
     """
     if u <= -1.0:
         raise EvaluationDomainError(f"u must be > -1, got {u}")
@@ -222,9 +225,9 @@ def gamma_star(u: float) -> float:
         + 15.0 * u * u
         + 14.0 * u
         + 6.0
-        + (1.0 + u) ** 2 * math.sqrt(3.0 * (12.0 * u * u + 12.0 * u + 11.0))
+        + branch * (1.0 + u) ** 2 * math.sqrt(3.0 * (12.0 * u * u + 12.0 * u + 11.0))
     )
-    return u * math.sqrt(inner)
+    return u * math.sqrt(inner) if inner >= 0.0 else math.nan
 
 
 def z_star_zero(gamma: float) -> float:

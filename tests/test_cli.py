@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from smile_domain import EvaluationDomainError, cli
 from smile_domain.cli import main
 
 
@@ -203,6 +205,50 @@ def test_bound_ssvi_small_b_agrees_with_oracle(capsys):
     doc = _strict(out)
     assert code == 0
     assert doc["relative_gap"] <= 1e-9
+
+
+def test_bound_ssvi_b_to_0_end_agrees_with_oracle(capsys):
+    # b^2 is below the rounding of the critical-point residual at the
+    # b -> 0 end, which was exit 2 with "f(a) and f(b) must have different signs"
+    code, out = _run(
+        capsys, "bound", "ssvi", "--b", "1e-13", "--rho", "-0.15", "--oracle", "--json"
+    )
+    doc = _strict(out)
+    assert code == 0
+    assert doc["relative_gap"] <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# failures on valid inputs
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("command", ["certify", "bound"])
+@pytest.mark.parametrize(
+    "error", [EvaluationDomainError("not bracketed"), RuntimeError("no convergence"),
+              ZeroDivisionError("float division by zero"), ValueError("NaN")]
+)
+def test_solver_failure_exit_three(capsys, monkeypatch, command, error):
+    def fail(p):
+        raise error
+
+    fam = dataclasses.replace(cli.FAMILIES["symmetric"], certify=fail)
+    monkeypatch.setitem(cli.FAMILIES, "symmetric", fam)
+    code, out = _run(
+        capsys, command, "symmetric", "--gamma", "0.5", "--b", "1", "--sigma", "1"
+    )
+    doc = _strict(out)
+    assert code == 3
+    assert doc["error"] == {"type": "solver_failure", "message": str(error)}
+
+
+@pytest.mark.parametrize("command", ["certify", "bound"])
+@pytest.mark.parametrize(
+    "argv",
+    [("--gamma", "-1.5", "--b", "1", "--sigma", "1"), ("--a", "1", "--b", "1", "--sigma", "0")],
+)
+def test_invalid_input_still_exits_two(capsys, command, argv):
+    code, out = _run(capsys, command, "symmetric", *argv)
+    assert code == 2
+    assert _strict(out)["error"]["type"] == "invalid_params"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from smile_domain.symmetric import (
     GAMMA_HAT,
     Z_HAT,
     SymmetricParams,
+    _p_num,
     b_star,
     certify,
     eta,
@@ -114,6 +115,18 @@ def test_gamma_star_inverts_z_star_zero():
     for u in (-0.7, -0.2, 0.5, 1.5):
         g = gamma_star(u)
         assert z_star_zero(g) == pytest.approx(u / g, rel=1e-9)
+
+
+def test_gamma_star_branches_are_the_two_roots():
+    # both roots of the quadratic in gamma^2 zero the b -> 0 sextic at
+    # z = u/gamma; the second is NaN where its gamma^2 is negative
+    for u in (-0.98, -0.7, -0.4, -0.1):
+        for branch in (1, -1):
+            g = gamma_star(u, branch)
+            assert -1.0 < g < 0.0
+            assert abs(_p_num(u / g, g)) < 1e-12
+    assert gamma_star(-0.4, -1) > gamma_star(-0.4)
+    assert math.isnan(gamma_star(2.0, -1))
 
 
 def test_z_star_zero_is_unique_root():
