@@ -209,11 +209,11 @@ FAMILIES = {
 
 
 def _params(fam: Family, args):
-    """The family's parameters; an option that cannot be read (a raw
-    coordinate divided by a zero scale, say) is an invalid input."""
+    """The family's parameters; a raw coordinate divided by a zero scale is
+    an invalid input, not a solver failure."""
     try:
         return fam.params(args)
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         raise InvalidParamsError(str(exc)) from exc
 
 
