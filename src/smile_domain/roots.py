@@ -184,9 +184,7 @@ def maximize(
     return x, -fx
 
 
-def grid_root(
-    f: Callable, grid, xtol: float, rtol: float = RTOL
-) -> float | None:
+def grid_root(f: Callable, grid, xtol: float, rtol: float = RTOL) -> float | None:
     """``brentq`` root of ``f`` between the first two neighbours of ``grid``
     where its sign changes, or None when the signs never change.
 
