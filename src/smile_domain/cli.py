@@ -175,11 +175,6 @@ class Family:
     sample: Callable[[argparse.Namespace, np.random.Generator, float], object]
 
 
-def _ssvi_shape(p: SsviParams) -> tuple[float, float, float, float]:
-    ar = abs(p.rho)  # the strike-inverted slice when rho < 0
-    return (p.gamma, p.b, ar, -ar / p.gamma)
-
-
 def _vanishing(direction: str) -> Family:
     return Family(
         lambda args: _vanishing_from_args(args, direction),
@@ -204,7 +199,12 @@ FAMILIES = {
         lambda p: (p.gamma, p.b, 0.0, 0.0),
         _sample_symmetric,
     ),
-    "ssvi": Family(_ssvi_from_args, ssvi.certify, _ssvi_shape, _sample_ssvi),
+    "ssvi": Family(
+        _ssvi_from_args,
+        ssvi.certify,
+        lambda p: (p.gamma, p.b, p.rho, p.mu),
+        _sample_ssvi,
+    ),
 }
 
 

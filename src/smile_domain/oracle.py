@@ -111,20 +111,11 @@ def g2_zeros(gamma: float, rho: float) -> G2Zeros:
 # ---------------------------------------------------------------------------
 # Supremum search
 # ---------------------------------------------------------------------------
-def _limit_at_plus_infinity(gamma: float, b: float, rho: float, mu: float) -> float:
-    """Limit of f as l -> +infinity; finite and positive only on the wing
-    boundary b*(1+rho) = 2 with the wing factor still positive."""
-    denom = gamma / (1.0 + rho) - mu
-    if denom <= 0.0:
-        return math.inf
-    return 1.0 / denom
-
-
-def _search_right(
-    gamma: float, b: float, rho: float, mu: float, l2: float
-) -> tuple[float, float]:
-    """(argsup, sup) of f on (l2, infinity); argsup = +inf for a limit sup."""
+def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, float]:
+    """(argsup, sup) of f on the right wing (l2, infinity) of the given
+    shape; argsup = +inf for a supremum attained only in the limit."""
     nsvi = NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=1.0)
+    l2 = _right_zero(gamma, rho)
     offs = np.geomspace(1e-8 * max(1.0, abs(l2)), 1e8, 512)
     grid = l2 + offs
     vals = np.asarray(sigma_floor(grid, nsvi))
@@ -134,7 +125,10 @@ def _search_right(
     arg, sup = maximize(lambda l: sigma_floor(l, nsvi), lo, hi)
 
     if abs(b * (1.0 + rho) - 2.0) <= BOUNDARY_TOL:
-        lim = _limit_at_plus_infinity(gamma, b, rho, mu)
+        # on the wing boundary b*(1+rho) = 2, f tends to 1/(gamma/(1+rho) - mu)
+        # as l -> +infinity, finite while that wing factor is positive
+        denom = gamma / (1.0 + rho) - mu
+        lim = 1.0 / denom if denom > 0.0 else math.inf
         # G1 ~ 1/(2*lim*l) in the far tail, so f there carries relative
         # cancellation noise of order eps*l*lim, and is infinite where G1
         # rounds to 0; only an interior max that beats the limit beyond that
@@ -148,23 +142,19 @@ def _search_right(
 def maximize_f_on_interval(nsvi: NormalizedSvi, side: str) -> tuple[float, float]:
     """(argsup, sup) of f = -b*g2/(2*G1) on one wing interval.
 
-    side "right" searches l > l2, side "left" searches l < l1 through the
-    exact inversion symmetry f(l; rho, mu) = f(-l; -rho, -mu).  An argsup of
-    +-inf signals a supremum attained only in the limit, which happens
-    exactly on the wing-slope boundary of that side.
+    side "right" searches l > l2, side "left" searches l < l1 as the right
+    wing of the strike-inverted shape, through the exact symmetry
+    f(l; rho, mu) = f(-l; -rho, -mu).  An argsup of +-inf signals a supremum
+    attained only in the limit, which happens exactly on the wing-slope
+    boundary of that side.
     """
+    g, b, rho, mu = nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu
+    if side == "right":
+        return _wing_sup(g, b, rho, mu)
     if side == "left":
-        mirrored = NormalizedSvi(
-            gamma=nsvi.gamma, b=nsvi.b, rho=-nsvi.rho, mu=-nsvi.mu, sigma=nsvi.sigma
-        )
-        arg, sup = maximize_f_on_interval(mirrored, "right")
+        arg, sup = _wing_sup(g, b, -rho, -mu)
         return -arg, sup
-    if side != "right":
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    l2 = g2_zeros(nsvi.gamma, nsvi.rho).l2
-    if l2 is None:
-        raise EvaluationDomainError("g2 has no right zero for rho = -1")
-    return _search_right(nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu, l2)
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _check_fukasawa_extreme_rho(gamma: float, b: float, mu: float) -> None:
@@ -186,8 +176,9 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
     FukasawaViolation otherwise).  Side-selection shortcuts: a decorrelated
     smile only needs the side matching the sign of mu; a smile with
     gamma = sqrt(1-rho^2) and mu at the minimum only needs the side matching
-    the sign of rho; |rho| = 1 is one-sided by construction.  Everything
-    else searches both sides and keeps the larger supremum.
+    the sign of rho; |rho| = 1 is one-sided by construction, and rho = -1
+    is checked as the mirror of rho = 1.  Everything else searches both
+    sides and keeps the larger supremum.
     """
     if b <= 0.0:
         raise EvaluationDomainError("sigma_star requires b > 0")
@@ -196,36 +187,27 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
             f"wing slope b*(1+|rho|)={b * (1.0 + abs(rho))} exceeds 2"
         )
 
-    if rho <= -1.0:
-        res = sigma_star(gamma, b, 1.0, -mu)
-        side = "limit_at_infinity" if math.isinf(res.argsup_l) else "left"
-        return SigmaStarResult(res.sigma_star, -res.argsup_l, side)
-    if rho >= 1.0:
-        _check_fukasawa_extreme_rho(gamma, b, mu)
-        nsvi = NormalizedSvi(gamma=gamma, b=b, rho=1.0, mu=mu, sigma=1.0)
-        arg, sup = maximize_f_on_interval(nsvi, "right")
-        side = "limit_at_infinity" if math.isinf(arg) else "right"
-        return SigmaStarResult(sup, arg, side)
-
-    interval = mu_interval(gamma, b, rho)
-    if interval.is_empty or not interval.contains(mu):
-        raise FukasawaViolation(
-            f"mu={mu} outside admissible interval "
-            f"({interval.lower}, {interval.upper})"
-        )
+    sides: list[str]
+    if abs(rho) >= 1.0:
+        _check_fukasawa_extreme_rho(gamma, b, mu if rho > 0.0 else -mu)
+        sides = ["right"] if rho > 0.0 else ["left"]
+    else:
+        interval = mu_interval(gamma, b, rho)
+        if interval.is_empty or not interval.contains(mu):
+            raise FukasawaViolation(
+                f"mu={mu} outside admissible interval "
+                f"({interval.lower}, {interval.upper})"
+            )
+        root = math.sqrt((1.0 - rho) * (1.0 + rho))
+        ssvi_like = abs(gamma - root) <= 1e-12 and abs(mu + rho / root) <= 1e-9
+        if ssvi_like:
+            sides = ["right"] if rho >= 0.0 else ["left"]
+        elif abs(rho) <= BOUNDARY_TOL:
+            sides = ["right"] if mu >= 0.0 else ["left"]
+        else:
+            sides = ["right", "left"]
 
     nsvi = NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=1.0)
-    root = math.sqrt((1.0 - rho) * (1.0 + rho))
-    ssvi_like = abs(gamma - root) <= 1e-12 and abs(mu + rho / root) <= 1e-9
-
-    sides: list[str]
-    if ssvi_like:
-        sides = ["right"] if rho >= 0.0 else ["left"]
-    elif abs(rho) <= BOUNDARY_TOL:
-        sides = ["right"] if mu >= 0.0 else ["left"]
-    else:
-        sides = ["right", "left"]
-
     best_sup = -math.inf
     best_arg = math.nan
     best_side = ""
