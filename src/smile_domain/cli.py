@@ -5,7 +5,9 @@ critical-point uniqueness scan.
 stdout carries data (JSON or CSV), stderr carries logs.  Exit codes for
 ``certify``: 0 = arbitrage-free, 1 = arbitrage, 2 = invalid input, 3 = a
 solver or closed form failed on a valid input; ``bound`` exits 0, with an
-infinite sigma* on arbitrage, or 2 and 3 as ``certify`` does.
+infinite sigma* on arbitrage, or 2 and 3 as ``certify`` does; ``sample``
+exits 0, 1 when a sample fails its certificate, or 2 and 3 as ``certify``
+does, and a range outside its sampler's domain is an invalid input.
 Identical invocations (including --seed) produce byte-identical output.
 """
 
@@ -130,10 +132,20 @@ def _ssvi_bounds(b: float, rho: float) -> dict[str, float]:
     return ssvi.certify(SsviParams(theta=2.0 * b, phi=1.0, rho=rho)).bounds
 
 
+def _draw(rng, pair, name: str, lo: float, hi: float = math.inf, closed: bool = False) -> float:
+    """A uniform draw from the range option --name; InvalidParamsError
+    unless both of its ends lie in the sampler's domain (lo, hi), or
+    (lo, hi] when closed."""
+    if not all(lo < v < hi or (closed and v == hi) for v in pair):
+        domain = f"({lo}, {hi}{']' if closed else ')'}"
+        raise InvalidParamsError(f"--{name} {pair[0]!r} {pair[1]!r} must lie in {domain}")
+    return rng.uniform(*pair)
+
+
 def _sample_vanishing(args, rng, scale: float, direction: str) -> VanishingParams:
-    b = rng.uniform(*args.b_range)
+    b = _draw(rng, args.b_range, "b-range", 0.0, 1.0)
     x0 = vanishing.x_plus_star(b)
-    x = x0 + rng.uniform(*(args.u_range or (0.05, 0.95))) * (1.0 - x0)
+    x = x0 + _draw(rng, args.u_range or (0.05, 0.95), "u-range", 0.0, 1.0) * (1.0 - x0)
     mu_up = vanishing.mu_star(x, b)
     mu = mu_up if direction == "upward" else -mu_up
     sig = scale * vanishing.sigma_star_closed(x, b)
@@ -147,9 +159,9 @@ def _sample_extremal(args, rng, scale: float) -> ExtremalParams:
 
 
 def _sample_symmetric(args, rng, scale: float) -> SymmetricParams:
-    gamma = symmetric.gamma_star(rng.uniform(*(args.u_range or (-0.9, 3.0))))
+    gamma = symmetric.gamma_star(_draw(rng, args.u_range or (-0.9, 3.0), "u-range", -1.0))
     za, zb = symmetric.z_interval(gamma)
-    z = za + rng.uniform(*args.t_range) * (zb - za)
+    z = za + _draw(rng, args.t_range, "t-range", 0.0, 1.0) * (zb - za)
     b = symmetric.b_star(z, gamma)
     sig = scale * symmetric.sigma_star_closed(z, gamma)
     return SymmetricParams(gamma=gamma, b=b, sigma=sig)
@@ -157,7 +169,7 @@ def _sample_symmetric(args, rng, scale: float) -> SymmetricParams:
 
 def _sample_ssvi(args, rng, scale: float) -> SsviParams:
     rho = rng.uniform(*args.rho_range)
-    b = rng.uniform(*args.t_range) * 2.0 / (1.0 + abs(rho))
+    b = _draw(rng, args.t_range, "t-range", 0.0, 1.0, closed=True) * 2.0 / (1.0 + abs(rho))
     sig = scale * _ssvi_bounds(b, rho)["sigma_star"]
     phi = math.sqrt((1.0 - rho) * (1.0 + rho)) / sig
     return SsviParams(theta=2.0 * b / phi, phi=phi, rho=rho)
@@ -289,9 +301,8 @@ def cmd_sample(args) -> int:
                 return 1
             d = cert.to_dict()
             samples.append({"raw": d["params"]["raw"], "native": d["params"]["native"]})
-    except (SmileDomainError, ValueError) as exc:
-        _emit(_error_doc("invalid_params", str(exc)))
-        return 2
+    except _SOLVER_ERRORS as exc:
+        return _failure(exc)
     _emit(
         {
             "schema": SCHEMA,

@@ -218,6 +218,21 @@ def test_bound_ssvi_b_to_0_end_agrees_with_oracle(capsys):
     assert doc["relative_gap"] <= 1e-9
 
 
+def test_bound_ssvi_oracle_names_the_wing_of_the_given_slice(capsys):
+    # the slice with rho < 0 is the strike inversion of the one with -rho
+    docs = {}
+    for rho in ("0.5", "-0.5"):
+        code, out = _run(
+            capsys, "bound", "ssvi", "--b", "0.9", "--rho", rho, "--oracle", "--json"
+        )
+        assert code == 0
+        docs[rho] = _strict(out)
+    for key in ("sigma_star_oracle", "relative_gap"):
+        assert docs["-0.5"][key] == docs["0.5"][key]
+    assert docs["0.5"]["oracle_side"] == "right"
+    assert docs["-0.5"]["oracle_side"] == "left"
+
+
 # ---------------------------------------------------------------------------
 # failures on valid inputs
 # ---------------------------------------------------------------------------
@@ -289,6 +304,42 @@ def test_sample_deterministic(capsys):
     assert out1 == out2
     _, out3 = _run(capsys, "sample", "ssvi", "--count", "5", "--seed", "4")
     assert out1 != out3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("vanishing-up", "--b-range", "0.5", "1.2"),
+        ("vanishing-down", "--u-range", "0", "0.5"),
+        ("symmetric", "--u-range", "-1.5", "0"),
+        ("symmetric", "--t-range", "0.5", "1.5"),
+        ("ssvi", "--t-range", "0.5", "1.5"),  # was a ZeroDivisionError traceback
+        ("ssvi", "--t-range", "0", "0.5"),
+    ],
+)
+def test_sample_range_outside_the_domain_exits_two(capsys, argv):
+    code, out = _run(capsys, "sample", *argv, "--count", "3")
+    doc = _strict(out)
+    assert code == 2
+    assert doc["error"]["type"] == "invalid_params"
+    assert argv[1] in doc["error"]["message"]
+
+
+def test_sample_ssvi_at_the_slope_bound(capsys):
+    # t = 1 is the wing-slope bound b*(1+|rho|) = 2, the closed end of the domain
+    code, out = _run(capsys, "sample", "ssvi", "--count", "3", "--t-range", "1", "1")
+    assert code == 0
+    assert len(_strict(out)["samples"]) == 3
+
+
+def test_sample_closed_form_failure_exits_three(capsys):
+    # u only has to exceed -1; gamma -> -1 cancels in symmetric.sigma_star_closed
+    code, out = _run(
+        capsys, "sample", "symmetric", "--count", "3", "--u-range", "-0.99999", "-0.99998"
+    )
+    doc = _strict(out)
+    assert code == 3
+    assert doc["error"]["type"] == "solver_failure"
 
 
 # ---------------------------------------------------------------------------
