@@ -454,12 +454,9 @@ def lt_heston_threshold(h: HestonLtParams) -> float:
             f"long-maturity smile violates the slope bound: b*(1+|rho|)="
             f"{b * (1.0 + ar)}"
         )
-    one_m_rho2 = (1.0 - h.rho) * (1.0 + h.rho)
-    num = -8.0 * b * h.sigma_vol * j2_x(m2(ar), ar)
-    den = h.kappa * h.theta_bar * math.sqrt(one_m_rho2) * (
-        4.0 - b * b * (1.0 + ar) ** 2
+    return subdomain_bound(b, h.rho) * h.sigma_vol / (
+        h.kappa * h.theta_bar * math.sqrt((1.0 - h.rho) * (1.0 + h.rho))
     )
-    return num / den
 
 
 # ---------------------------------------------------------------------------
