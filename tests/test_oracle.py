@@ -19,10 +19,10 @@ from smile_domain import (
     sigma_floor,
     sigma_floor_dual,
 )
-from smile_domain import ssvi, symmetric, vanishing
+from smile_domain import oracle, ssvi, symmetric, vanishing
 from smile_domain.extremal import ExtremalParams, sigma_bound
 from smile_domain.ssvi import SsviParams
-from smile_domain.symmetric import SymmetricParams, z2
+from smile_domain.symmetric import SymmetricParams
 from smile_domain.vanishing import VanishingParams
 
 
@@ -154,6 +154,50 @@ def test_maximize_side_dispatch():
     assert sup_r > sup_l  # supremum sits on the side matching sign(mu)
     with pytest.raises(ValueError):
         maximize_f_on_interval(nsvi, "middle")
+
+
+_SSVI_UP = SsviParams(theta=1.8, phi=1.0, rho=0.5)
+_SSVI_DOWN = SsviParams(theta=1.8, phi=1.0, rho=-0.5)
+
+
+@pytest.mark.parametrize(
+    "shape, zeros",
+    [
+        ((0.3, 1.2, 0.0, 0.0), 1),
+        ((1.0, 2.0, 0.0, 0.5), 1),
+        ((_SSVI_UP.gamma, _SSVI_UP.b, _SSVI_UP.rho, _SSVI_UP.mu), 1),
+        ((_SSVI_DOWN.gamma, _SSVI_DOWN.b, _SSVI_DOWN.rho, _SSVI_DOWN.mu), 1),
+        ((0.0, 0.5, 1.0, -1.0), 1),
+        ((0.0, 0.5, -1.0, 1.0), 1),
+        ((0.5, 1.0, 0.3, -0.1), 2),
+    ],
+    ids=["symmetric", "extremal", "ssvi-up", "ssvi-down", "vanishing-up",
+         "vanishing-down", "both-wings"],
+)
+def test_sigma_star_solves_one_g2_zero_per_wing(monkeypatch, shape, zeros):
+    rhos = []
+    right_zero = oracle._right_zero
+
+    def counting(gamma, rho):
+        rhos.append(rho)
+        return right_zero(gamma, rho)
+
+    monkeypatch.setattr(oracle, "_right_zero", counting)
+    sigma_star(*shape)
+    assert len(rhos) == zeros
+
+
+@pytest.mark.parametrize(
+    "gamma, b, mu",
+    [(0.0, 0.5, 1.0), (0.5, 0.8, 0.5), (0.3, 0.6, 0.0), (0.0, 1.0, 2.0), (1.0, 1.0, -0.2)],
+)
+def test_sigma_star_rho_minus_one_is_the_mirror_of_rho_one(gamma, b, mu):
+    down = sigma_star(gamma, b, -1.0, mu)
+    up = sigma_star(gamma, b, 1.0, -mu)
+    assert down.sigma_star == up.sigma_star
+    assert down.argsup_l == -up.argsup_l
+    mirrored = {"right": "left", "limit_at_infinity": "limit_at_infinity"}
+    assert down.side == mirrored[up.side]
 
 
 # extremal shapes with |q| near 1: in the far tail G1 rounds to 0
