@@ -313,7 +313,7 @@ def test_sample_deterministic(capsys):
         ("vanishing-down", "--u-range", "0", "0.5"),
         ("symmetric", "--u-range", "-1.5", "0"),
         ("symmetric", "--t-range", "0.5", "1.5"),
-        ("ssvi", "--t-range", "0.5", "1.5"),  # was a ZeroDivisionError traceback
+        ("ssvi", "--t-range", "0.5", "1.5"),
         ("ssvi", "--t-range", "0", "0.5"),
     ],
 )
