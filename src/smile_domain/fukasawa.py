@@ -9,7 +9,8 @@ at the unique root l- of the level curve g-(l; b, rho) = gamma located
 below the smile minimum; the mirrored root (rho -> -rho) gives the upper
 endpoint.  On the wing-slope boundaries b*(1 -+ rho) = 2 the corresponding
 root escapes to -infinity and the endpoint degenerates to the limit value
--+ b*gamma/2.  The interval is non-empty iff gamma exceeds a threshold
+-+ b*gamma/2.  At |rho| = 1 one wing has no condition and the interval is
+one-sided: (-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  The interval is non-empty iff gamma exceeds a threshold
 depending on (b, rho) only, computed here as the root of the interval's
 width, which increases in gamma.
 """
@@ -128,14 +129,27 @@ def mu_lower_curve(l: float, gamma: float, b: float, rho: float) -> float:
     return 2.0 * n * (1.0 / n1 + b / 4.0) - l
 
 
+def _lower_end(gamma: float, b: float, rho: float) -> float:
+    """Lower end of the mu-interval: -inf for rho = 1, which has no wing
+    below the minimum; the limit -b*gamma/2 on the wing boundary
+    b*(1 - rho) = 2; the bound curve at the root l- otherwise."""
+    if rho >= 1.0:
+        return -math.inf
+    if b * (1.0 - rho) >= 2.0 - BOUNDARY_TOL:
+        return -b * gamma / 2.0
+    return mu_lower_curve(solve_l_minus(gamma, b, rho), gamma, b, rho)
+
+
 def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
     """Admissible open mu-interval for the wing conditions G1+- > 0.
 
-    Covers the generic case and all three wing-slope degeneracies; emptiness
-    is reported through the interval itself, never by an exception.
+    Covers every |rho| <= 1: the interval is (-inf, upper) at rho = 1 and
+    (lower, +inf) at rho = -1.  The upper end is the lower end of the
+    strike-inverted shape, negated.  Emptiness is reported through the
+    interval itself, never by an exception.
     """
-    if abs(rho) >= 1.0:
-        raise InvalidParamsError("mu_interval requires |rho| < 1")
+    if abs(rho) > 1.0:
+        raise InvalidParamsError(f"mu_interval requires |rho| <= 1, got {rho}")
     _validate_level(gamma, rho)
     if b < 0.0:
         raise InvalidParamsError(f"b must be >= 0, got {b}")
@@ -146,21 +160,19 @@ def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
 
     deg_minus = b * (1.0 - rho) >= 2.0 - BOUNDARY_TOL
     deg_plus = b * (1.0 + rho) >= 2.0 - BOUNDARY_TOL
-
     if deg_minus and deg_plus:
         return FukasawaInterval(-gamma, gamma, "b2_rho0")
-    if deg_minus:
-        upper = -mu_lower_curve(solve_l_minus(gamma, b, -rho), gamma, b, -rho)
-        return FukasawaInterval(-b * gamma / 2.0, upper, "b_one_minus_rho_eq_2")
-    if deg_plus:
-        lower = mu_lower_curve(solve_l_minus(gamma, b, rho), gamma, b, rho)
-        return FukasawaInterval(lower, b * gamma / 2.0, "b_one_plus_rho_eq_2")
 
-    lower = mu_lower_curve(solve_l_minus(gamma, b, rho), gamma, b, rho)
+    lower = _lower_end(gamma, b, rho)
     if rho == 0.0:  # the mirrored solve is this one: the interval is symmetric
         return FukasawaInterval(lower, -lower)
-    upper = -mu_lower_curve(solve_l_minus(gamma, b, -rho), gamma, b, -rho)
-    return FukasawaInterval(lower, upper)
+    if deg_minus:
+        tag = "b_one_minus_rho_eq_2"
+    elif deg_plus:
+        tag = "b_one_plus_rho_eq_2"
+    else:
+        tag = "generic"
+    return FukasawaInterval(lower, -_lower_end(gamma, b, -rho), tag)
 
 
 def fukasawa_threshold(b: float, rho: float) -> float:

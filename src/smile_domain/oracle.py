@@ -30,7 +30,7 @@ from .core import (
     n_funcs,
     sigma_floor,
 )
-from .fukasawa import mu_interval, mu_lower_curve, solve_l_minus
+from .fukasawa import mu_interval
 from .roots import grid_root, maximize
 
 __all__ = [
@@ -157,28 +157,16 @@ def maximize_f_on_interval(nsvi: NormalizedSvi, side: str) -> tuple[float, float
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _check_fukasawa_extreme_rho(gamma: float, b: float, mu: float) -> None:
-    """Wing conditions for rho = 1 (mu bound from the mirrored curve)."""
-    if gamma < 0.0:
-        raise FukasawaViolation(f"gamma={gamma} must be >= 0 for rho = 1")
-    if b < 1.0 - BOUNDARY_TOL:
-        upper = -mu_lower_curve(solve_l_minus(gamma, b, -1.0), gamma, b, -1.0)
-    else:  # b = 1 is the wing boundary; the bound degenerates to its limit
-        upper = b * gamma / 2.0
-    if mu >= upper:
-        raise FukasawaViolation(f"mu={mu} >= bound {upper} for rho = 1")
-
-
 def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult:
     """Numerical minimal arbitrage-free sigma for shape (gamma, b, rho, mu).
 
-    Requires the wing conditions to hold (RogerLeeViolation or
-    FukasawaViolation otherwise).  Side-selection shortcuts: a decorrelated
-    smile only needs the side matching the sign of mu; a smile with
-    gamma = sqrt(1-rho^2) and mu at the minimum only needs the side matching
-    the sign of rho; |rho| = 1 is one-sided by construction, and rho = -1
-    is checked as the mirror of rho = 1.  Everything else searches both
-    sides and keeps the larger supremum.
+    Requires the wing conditions of mu_interval to hold (RogerLeeViolation
+    or FukasawaViolation otherwise).  Side-selection shortcuts: a
+    decorrelated smile only needs the side matching the sign of mu; |rho| = 1,
+    which has g2 < 0 on one wing only, and a smile with
+    gamma = sqrt(1-rho^2) and mu at the minimum only need the side matching
+    the sign of rho.  Everything else searches both sides and keeps the
+    larger supremum.
     """
     if b <= 0.0:
         raise EvaluationDomainError("sigma_star requires b > 0")
@@ -186,26 +174,22 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
         raise RogerLeeViolation(
             f"wing slope b*(1+|rho|)={b * (1.0 + abs(rho))} exceeds 2"
         )
+    interval = mu_interval(gamma, b, rho)
+    if interval.is_empty or not interval.contains(mu):
+        raise FukasawaViolation(
+            f"mu={mu} outside admissible interval "
+            f"({interval.lower}, {interval.upper})"
+        )
 
-    sides: list[str]
-    if abs(rho) >= 1.0:
-        _check_fukasawa_extreme_rho(gamma, b, mu if rho > 0.0 else -mu)
-        sides = ["right"] if rho > 0.0 else ["left"]
+    root = math.sqrt((1.0 - rho) * (1.0 + rho))
+    if abs(rho) >= 1.0 or (
+        abs(gamma - root) <= 1e-12 and abs(mu + rho / root) <= 1e-9
+    ):
+        sides = ["right"] if rho >= 0.0 else ["left"]
+    elif abs(rho) <= BOUNDARY_TOL:
+        sides = ["right"] if mu >= 0.0 else ["left"]
     else:
-        interval = mu_interval(gamma, b, rho)
-        if interval.is_empty or not interval.contains(mu):
-            raise FukasawaViolation(
-                f"mu={mu} outside admissible interval "
-                f"({interval.lower}, {interval.upper})"
-            )
-        root = math.sqrt((1.0 - rho) * (1.0 + rho))
-        ssvi_like = abs(gamma - root) <= 1e-12 and abs(mu + rho / root) <= 1e-9
-        if ssvi_like:
-            sides = ["right"] if rho >= 0.0 else ["left"]
-        elif abs(rho) <= BOUNDARY_TOL:
-            sides = ["right"] if mu >= 0.0 else ["left"]
-        else:
-            sides = ["right", "left"]
+        sides = ["right", "left"]
 
     nsvi = NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=1.0)
     best_sup = -math.inf

@@ -91,6 +91,12 @@ def test_vanishing_bound_via_mirrored_curve():
         l = solve_l_minus(0.0, b, -1.0)
         upper = -mu_lower_curve(l, 0.0, b, -1.0)
         assert upper == pytest.approx(math.sqrt(3.0 * (1.0 - b)), rel=1e-10)
+        # mu_interval reads the same bound, one-sided, and mirrors it at rho = -1
+        up = mu_interval(0.0, b, 1.0)
+        assert up.lower == -math.inf
+        assert up.upper == pytest.approx(math.sqrt(3.0 * (1.0 - b)), rel=1e-10)
+        down = mu_interval(0.0, b, -1.0)
+        assert (down.lower, down.upper) == (-up.upper, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +169,7 @@ def test_interval_rejects_bad_params():
     with pytest.raises(InvalidParamsError):
         mu_interval(-1.5, 0.5, 0.0)  # gamma below the level floor
     with pytest.raises(InvalidParamsError):
-        mu_interval(0.5, 0.5, 1.0)  # |rho| = 1 handled elsewhere
+        mu_interval(0.5, 0.5, 1.5)  # |rho| > 1
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +207,12 @@ def test_threshold_mu_interval_calls(monkeypatch, b, rho):
 def test_threshold_boundary_values():
     assert fukasawa_threshold(2.0, 0.0) == pytest.approx(0.0, abs=1e-9)
     assert fukasawa_threshold(0.0, 0.0) == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+def test_threshold_at_unit_rho_is_the_level_floor(rho):
+    # one wing has no condition, so every admissible level opens the interval
+    assert fukasawa_threshold(0.5, rho) == 0.0
 
 
 def test_threshold_monotone_in_b():

@@ -7,6 +7,7 @@ import pytest
 
 from smile_domain import (
     FukasawaViolation,
+    InvalidParamsError,
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
@@ -15,6 +16,7 @@ from smile_domain import (
     hgg2,
     invert,
     maximize_f_on_interval,
+    mu_interval,
     sigma_star,
     sigma_floor,
     sigma_floor_dual,
@@ -111,6 +113,20 @@ def test_sigma_star_fukasawa_violation():
         sigma_star(1.0, 2.0, 0.0, 1.5)  # mu outside (-gamma, gamma)
     with pytest.raises(FukasawaViolation):
         sigma_star(0.0, 0.5, 1.0, 2.0)  # above sqrt(3(1-b))
+
+
+def test_sigma_star_negative_level_at_unit_rho_is_invalid():
+    with pytest.raises(InvalidParamsError):
+        sigma_star(-0.1, 0.5, 1.0, -1.0)
+
+
+def test_sigma_star_vanishing_just_below_the_wing_boundary():
+    # 2 - b*(1 + rho) = 1.4e-10 exceeds the wing-boundary tolerance 1e-10, so
+    # the bound is the mirrored curve sqrt(3(1-b)), not the limit b*gamma/2 = 0
+    b = 1.0 - 7e-11
+    upper = mu_interval(0.0, b, 1.0).upper
+    assert upper == pytest.approx(math.sqrt(3.0 * (1.0 - b)), rel=1e-5)
+    assert math.isfinite(sigma_star(0.0, b, 1.0, 0.0).sigma_star)
 
 
 def test_sigma_star_sides_for_decorrelated():
