@@ -293,6 +293,9 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     samples = []
     try:
+        if not all(1.0 <= v < math.inf for v in args.scale_range):
+            lo, hi = args.scale_range
+            raise InvalidParamsError(f"--scale-range {lo!r} {hi!r} must lie in [1.0, inf)")
         for _ in range(args.count):
             p = fam.sample(args, rng, rng.uniform(*args.scale_range))
             cert = fam.certify(p)

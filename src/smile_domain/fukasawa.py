@@ -10,9 +10,10 @@ below the smile minimum; the mirrored root (rho -> -rho) gives the upper
 endpoint.  On the wing-slope boundaries b*(1 -+ rho) = 2 the corresponding
 root escapes to -infinity and the endpoint degenerates to the limit value
 -+ b*gamma/2.  At |rho| = 1 one wing has no condition and the interval is
-one-sided: (-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  The interval is non-empty iff gamma exceeds a threshold
-depending on (b, rho) only, computed here as the root of the interval's
-width, which increases in gamma.
+one-sided: (-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  The
+interval is non-empty iff gamma exceeds a threshold depending on (b, rho)
+only, computed here as the root of the interval's width, which increases
+in gamma.
 """
 
 from __future__ import annotations
@@ -160,6 +161,7 @@ def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
 
     deg_minus = b * (1.0 - rho) >= 2.0 - BOUNDARY_TOL
     deg_plus = b * (1.0 + rho) >= 2.0 - BOUNDARY_TOL
+
     if deg_minus and deg_plus:
         return FukasawaInterval(-gamma, gamma, "b2_rho0")
 

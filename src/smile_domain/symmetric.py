@@ -63,7 +63,6 @@ B_HAT_MAX = 2.0 * math.sqrt(3.0 * math.sqrt(3.0) - 5.0)
 
 _EDGE = 1e-12
 _GAMMA_HAT_TOL = 1e-9
-_WIDTH_GUARD = 1e-10
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,11 +306,13 @@ def z_from_b(b: float, gamma: float) -> float:
     g_tilde(gamma) at z_star_at_g_tilde), in either orientation.  The root
     search runs on the critical-point equation 8*eta*p = b^2*(gamma*z+1)*q
     itself, which stays finite at the endpoints where b_star degenerates.
+    At the exceptional level GAMMA_HAT the sweep collapses to Z_HAT, the
+    critical point for every b.
     """
+    if abs(gamma - GAMMA_HAT) <= _GAMMA_HAT_TOL:
+        return Z_HAT
     za, zb = z_interval(gamma)
     lo, hi = (za, zb) if za < zb else (zb, za)
-    if hi - lo < _WIDTH_GUARD:
-        return Z_HAT  # endpoints collide only at the exceptional level
 
     def fn(z: float) -> float:
         return _critical_residual(z, b, gamma)
@@ -347,9 +348,6 @@ def certify(p: SymmetricParams) -> DomainCertificate:
             on_boundary.append("fukasawa")
         if not fukasawa_ok:
             sstar = math.inf
-        elif abs(p.gamma - GAMMA_HAT) <= _GAMMA_HAT_TOL:
-            sstar = sigma_star_closed(Z_HAT, p.gamma, b=p.b)
-            diagnostics["z"] = Z_HAT
         else:
             # the requirement is stationary at the critical point, so its
             # value at the given b takes the root's error to second order

@@ -315,6 +315,7 @@ def test_sample_deterministic(capsys):
         ("symmetric", "--t-range", "0.5", "1.5"),
         ("ssvi", "--t-range", "0.5", "1.5"),
         ("ssvi", "--t-range", "0", "0.5"),
+        ("symmetric", "--scale-range", "0.5", "0.6"),
     ],
 )
 def test_sample_range_outside_the_domain_exits_two(capsys, argv):
@@ -328,6 +329,13 @@ def test_sample_range_outside_the_domain_exits_two(capsys, argv):
 def test_sample_ssvi_at_the_slope_bound(capsys):
     # t = 1 is the wing-slope bound b*(1+|rho|) = 2, the closed end of the domain
     code, out = _run(capsys, "sample", "ssvi", "--count", "3", "--t-range", "1", "1")
+    assert code == 0
+    assert len(_strict(out)["samples"]) == 3
+
+
+def test_sample_at_the_unit_scale(capsys):
+    # scale 1 samples the boundary sigma = sigma*, the closed end of the domain
+    code, out = _run(capsys, "sample", "symmetric", "--count", "3", "--scale-range", "1", "1")
     assert code == 0
     assert len(_strict(out)["samples"]) == 3
 

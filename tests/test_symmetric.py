@@ -283,6 +283,10 @@ def test_certify_near_exceptional_level():
     cert = certify(p)
     assert cert.passed
     assert cert.diagnostics["z"] == Z_HAT
+    # Z_HAT is the critical point to within the level's distance from GAMMA_HAT
+    assert abs(cert.diagnostics["critical_residual"]) <= 1e-9
+    oracle = sigma_star(p.gamma, p.b, 0.0, 0.0).sigma_star
+    assert cert.bounds["sigma_star"] == pytest.approx(oracle, rel=1e-9)
 
 
 @pytest.mark.parametrize("gamma, b", [(1.0, 1e-8), (0.3, 1e-7)])
