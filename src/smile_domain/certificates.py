@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import BOUNDARY_TOL, EvaluationDomainError, RawSviParams
+from .core import BOUNDARY_TOL, EvaluationDomainError, RawSviParams, wing_slope
 
 __all__ = ["DomainCertificate", "json_value", "make_certificate"]
 
@@ -71,12 +71,15 @@ def make_certificate(
 ) -> DomainCertificate:
     """Assemble a certificate from the family's own conditions and bounds.
 
-    The sigma rule is the same for every family and lives here: the
-    ``sigma_bound`` condition is ``sigma >= sigma_star - BOUNDARY_TOL``
+    The rules every family shares live here, read from ``params_raw``.
+    First the ``roger_lee`` condition: the steeper wing's slope
+    b*(1 + |rho|) is not beyond 2, and ``"roger_lee"`` is flagged
+    on-boundary within ``BOUNDARY_TOL`` of it (``core.wing_slope``).  Last
+    the ``sigma_bound`` condition, ``sigma >= sigma_star - BOUNDARY_TOL``
     (non-strict, so the boundary passes; an infinite ``sigma_star`` marks
-    arbitrage no sigma can repair), ``"sigma_bound"`` is flagged on-boundary
-    when sigma is within ``BOUNDARY_TOL`` of a finite ``sigma_star``, and
-    ``bounds["sigma_star"]`` records it.  sigma is ``params_raw.sigma``.
+    arbitrage no sigma can repair),
+    flagged on-boundary within ``BOUNDARY_TOL`` of a finite ``sigma_star``,
+    which ``bounds["sigma_star"]`` records.
 
     Raises EvaluationDomainError for a ``sigma_star`` that is not positive
     (NaN included): the requirement -b*g2/(2*G1) is positive wherever it
@@ -84,10 +87,16 @@ def make_certificate(
     """
     if not sigma_star > 0.0:
         raise EvaluationDomainError(f"{family} sigma* = {sigma_star} is not positive")
+    slope = wing_slope(params_raw.b, abs(params_raw.rho))
     sigma = params_raw.sigma
-    conditions = {**conditions, "sigma_bound": sigma >= sigma_star - BOUNDARY_TOL}
+    conditions = {
+        "roger_lee": slope != "beyond",
+        **conditions,
+        "sigma_bound": sigma >= sigma_star - BOUNDARY_TOL,
+    }
+    on_boundary = (["roger_lee"] if slope == "on" else []) + on_boundary
     if math.isfinite(sigma_star) and abs(sigma - sigma_star) <= BOUNDARY_TOL:
-        on_boundary = [*on_boundary, "sigma_bound"]
+        on_boundary.append("sigma_bound")
     return DomainCertificate(
         family=family,
         passed=all(conditions.values()),

@@ -4,10 +4,12 @@ critical-point uniqueness scan.
 
 stdout carries data (JSON or CSV), stderr carries logs.  Exit codes for
 ``certify``: 0 = arbitrage-free, 1 = arbitrage, 2 = invalid input, 3 = a
-solver or closed form failed on a valid input; ``bound`` exits 0, with an
+solver or closed form failed on a valid input, and a parameter option the
+family does not read is an invalid input; ``bound`` exits 0, with an
 infinite sigma* on arbitrage, or 2 and 3 as ``certify`` does; ``sample``
 exits 0, 1 when a sample fails its certificate, or 2 and 3 as ``certify``
-does, and a range outside its sampler's domain is an invalid input.
+does, and a reversed range or one outside its sampler's domain is an
+invalid input.
 Identical invocations (including --seed) produce byte-identical output.
 """
 
@@ -28,6 +30,7 @@ from .certificates import DomainCertificate, json_value
 from .core import (
     FukasawaViolation,
     InvalidParamsError,
+    RawSviParams,
     RogerLeeViolation,
     SmileDomainError,
 )
@@ -63,63 +66,40 @@ def _failure(exc: Exception) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parameter parsing (native coordinates, with raw-SVI alternates)
+# Parameter parsing: a family's routes, each the options it reads (all
+# required) and how it builds the family's parameters from them
 # ---------------------------------------------------------------------------
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise InvalidParamsError(f"missing required options: {missing}")
+PARAM_OPTIONS = ("a", "b", "rho", "m", "sigma", "mu", "gamma", "q", "theta", "phi")
 
 
-def _vanishing_from_args(args, direction: str) -> VanishingParams:
-    _require(args, ["b", "sigma"])
-    if args.mu is None and args.m is None:
-        raise InvalidParamsError("provide --mu (normalized) or --m (raw)")
-    mu = args.mu if args.mu is not None else args.m / args.sigma
-    return VanishingParams(b=args.b, mu=mu, sigma=args.sigma, direction=direction)
-
-
-def _extremal_from_args(args) -> ExtremalParams:
-    _require(args, ["sigma"])
-    if args.gamma is not None and args.q is not None:
-        return ExtremalParams(gamma=args.gamma, q=args.q, sigma=args.sigma)
-    if args.a is not None and args.m is not None:
-        gamma = args.a / (2.0 * args.sigma)
-        if gamma <= 0.0:
-            raise InvalidParamsError(f"a={args.a} implies gamma <= 0")
-        return ExtremalParams(
-            gamma=gamma, q=args.m / (args.sigma * gamma), sigma=args.sigma
-        )
-    raise InvalidParamsError("provide --gamma/--q (native) or --a/--m (raw)")
-
-
-def _symmetric_from_args(args) -> SymmetricParams:
-    _require(args, ["b", "sigma"])
-    if args.gamma is not None:
-        gamma = args.gamma
-    elif args.a is not None:
-        gamma = args.a / (args.b * args.sigma)
-    else:
-        raise InvalidParamsError("provide --gamma (native) or --a (raw)")
-    return SymmetricParams(gamma=gamma, b=args.b, sigma=args.sigma)
-
-
-def _ssvi_from_args(args) -> SsviParams:
-    if args.phi is not None and args.rho is not None:
-        if args.theta is not None:
-            return SsviParams(theta=args.theta, phi=args.phi, rho=args.rho)
-        if args.b is not None:  # b = theta*phi/2
-            return SsviParams(theta=2.0 * args.b / args.phi, phi=args.phi, rho=args.rho)
-    raw_opts = (args.a, args.b, args.rho, args.m, args.sigma)
-    if all(v is not None for v in raw_opts):
-        from .core import RawSviParams
-
-        return SsviParams.from_raw(
-            RawSviParams(a=args.a, b=args.b, rho=args.rho, m=args.m, sigma=args.sigma)
-        )
-    raise InvalidParamsError(
-        "provide --theta (or --b)/--phi/--rho (native) or --a/--b/--rho/--m/--sigma (raw)"
+def _vanishing_routes(direction: str):
+    return (
+        (("b", "mu", "sigma"), lambda b, mu, sigma: VanishingParams(b, mu, sigma, direction)),
+        (("b", "m", "sigma"), lambda b, m, sigma: VanishingParams(b, m / sigma, sigma, direction)),
     )
+
+
+def _extremal_from_raw(a: float, m: float, sigma: float) -> ExtremalParams:
+    gamma = a / (2.0 * sigma)
+    if gamma <= 0.0:
+        raise InvalidParamsError(f"a={a} implies gamma <= 0")
+    return ExtremalParams(gamma=gamma, q=m / (sigma * gamma), sigma=sigma)
+
+
+_EXTREMAL_ROUTES = (
+    (("gamma", "q", "sigma"), ExtremalParams),
+    (("a", "m", "sigma"), _extremal_from_raw),
+)
+_SYMMETRIC_ROUTES = (
+    (("gamma", "b", "sigma"), SymmetricParams),
+    (("a", "b", "sigma"), lambda a, b, sigma: SymmetricParams(a / (b * sigma), b, sigma)),
+)
+_SSVI_ROUTES = (
+    (("theta", "phi", "rho"), SsviParams),
+    # b = theta*phi/2
+    (("b", "phi", "rho"), lambda b, phi, rho: SsviParams(2.0 * b / phi, phi, rho)),
+    (("a", "b", "rho", "m", "sigma"), lambda *raw: SsviParams.from_raw(RawSviParams(*raw))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +112,19 @@ def _ssvi_bounds(b: float, rho: float) -> dict[str, float]:
     return ssvi.certify(SsviParams(theta=2.0 * b, phi=1.0, rho=rho)).bounds
 
 
-def _draw(rng, pair, name: str, lo: float, hi: float = math.inf, closed: bool = False) -> float:
+def _draw(rng, pair, name: str, lo: float, hi: float = math.inf, ends: str = "()") -> float:
     """A uniform draw from the range option --name; InvalidParamsError
-    unless both of its ends lie in the sampler's domain (lo, hi), or
-    (lo, hi] when closed."""
-    if not all(lo < v < hi or (closed and v == hi) for v in pair):
-        domain = f"({lo}, {hi}{']' if closed else ')'}"
-        raise InvalidParamsError(f"--{name} {pair[0]!r} {pair[1]!r} must lie in {domain}")
-    return rng.uniform(*pair)
+    unless its ends are in order and lie in the sampler's domain from lo to
+    hi, open or closed at each end as ``ends`` reads ("(]": closed at hi)."""
+    low, high = pair
+    if low > high:
+        raise InvalidParamsError(f"--{name} {low!r} {high!r} is reversed")
+    low_in = lo < low or (ends[0] == "[" and low == lo)
+    high_in = high < hi or (ends[1] == "]" and high == hi)
+    if not (low_in and high_in):
+        domain = f"{ends[0]}{lo}, {hi}{ends[1]}"
+        raise InvalidParamsError(f"--{name} {low!r} {high!r} must lie in {domain}")
+    return rng.uniform(low, high)
 
 
 def _sample_vanishing(args, rng, scale: float, direction: str) -> VanishingParams:
@@ -153,8 +138,8 @@ def _sample_vanishing(args, rng, scale: float, direction: str) -> VanishingParam
 
 
 def _sample_extremal(args, rng, scale: float) -> ExtremalParams:
-    gamma = rng.uniform(*args.gamma_range)
-    q = rng.uniform(*args.q_range)
+    gamma = _draw(rng, args.gamma_range, "gamma-range", 0.0)
+    q = _draw(rng, args.q_range, "q-range", -1.0, 1.0)
     return ExtremalParams(gamma=gamma, q=q, sigma=scale * extremal.sigma_bound(gamma, q))
 
 
@@ -168,8 +153,8 @@ def _sample_symmetric(args, rng, scale: float) -> SymmetricParams:
 
 
 def _sample_ssvi(args, rng, scale: float) -> SsviParams:
-    rho = rng.uniform(*args.rho_range)
-    b = _draw(rng, args.t_range, "t-range", 0.0, 1.0, closed=True) * 2.0 / (1.0 + abs(rho))
+    rho = _draw(rng, args.rho_range, "rho-range", -1.0, 1.0)
+    b = _draw(rng, args.t_range, "t-range", 0.0, 1.0, "(]") * 2.0 / (1.0 + abs(rho))
     sig = scale * _ssvi_bounds(b, rho)["sigma_star"]
     phi = math.sqrt((1.0 - rho) * (1.0 + rho)) / sig
     return SsviParams(theta=2.0 * b / phi, phi=phi, rho=rho)
@@ -177,11 +162,11 @@ def _sample_ssvi(args, rng, scale: float) -> SsviParams:
 
 @dataclass(frozen=True, slots=True)
 class Family:
-    """What the commands need of one family: its option parser, its
+    """What the commands need of one family: its option routes, its
     certifier, the normalized shape (gamma, b, rho, mu) that
     ``oracle.sigma_star`` takes, and its sampler."""
 
-    params: Callable[[argparse.Namespace], object]
+    routes: tuple[tuple[tuple[str, ...], Callable[..., object]], ...]
     certify: Callable[[object], DomainCertificate]
     shape: Callable[[object], tuple[float, float, float, float]]
     sample: Callable[[argparse.Namespace, np.random.Generator, float], object]
@@ -189,7 +174,7 @@ class Family:
 
 def _vanishing(direction: str) -> Family:
     return Family(
-        lambda args: _vanishing_from_args(args, direction),
+        _vanishing_routes(direction),
         vanishing.certify,
         lambda p: (0.0, p.b, p.rho, p.mu),
         lambda args, rng, scale: _sample_vanishing(args, rng, scale, direction),
@@ -200,19 +185,19 @@ FAMILIES = {
     "vanishing-up": _vanishing("upward"),
     "vanishing-down": _vanishing("downward"),
     "extremal": Family(
-        _extremal_from_args,
+        _EXTREMAL_ROUTES,
         extremal.certify,
         lambda p: (p.gamma, 2.0, 0.0, p.mu),
         _sample_extremal,
     ),
     "symmetric": Family(
-        _symmetric_from_args,
+        _SYMMETRIC_ROUTES,
         symmetric.certify,
         lambda p: (p.gamma, p.b, 0.0, 0.0),
         _sample_symmetric,
     ),
     "ssvi": Family(
-        _ssvi_from_args,
+        _SSVI_ROUTES,
         ssvi.certify,
         lambda p: (p.gamma, p.b, p.rho, p.mu),
         _sample_ssvi,
@@ -220,22 +205,39 @@ FAMILIES = {
 }
 
 
-def _params(fam: Family, args):
-    """The family's parameters; a raw coordinate divided by a zero scale is
-    an invalid input, not a solver failure."""
-    try:
-        return fam.params(args)
-    except ArithmeticError as exc:
-        raise InvalidParamsError(str(exc)) from exc
+def _flags(names) -> str:
+    return " ".join(f"--{n}" for n in names)
+
+
+def _params(args, defaults: dict[str, float] | None = None):
+    """The family's parameters, built by the first route that has all its
+    options and reads every option passed; ``defaults`` fills options left
+    out.  An option passed but not read is an invalid input, and so is a
+    raw coordinate divided by a zero scale."""
+    routes = FAMILIES[args.family].routes
+    passed = {n: v for n in PARAM_OPTIONS if (v := getattr(args, n)) is not None}
+    given = {**(defaults or {}), **passed}
+    complete = [(names, build) for names, build in routes if given.keys() >= set(names)]
+    if not complete:
+        alternatives = " or ".join(_flags(names) for names, _ in routes)
+        raise InvalidParamsError(f"{args.family} needs {alternatives}")
+    for names, build in complete:
+        if passed.keys() <= set(names):
+            try:
+                return build(*(given[n] for n in names))
+            except ArithmeticError as exc:
+                raise InvalidParamsError(str(exc)) from exc
+    names = complete[0][0]
+    unread = _flags(n for n in passed if n not in names)
+    raise InvalidParamsError(f"{args.family} does not read {unread} with {_flags(names)}")
 
 
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
 def cmd_certify(args) -> int:
-    fam = FAMILIES[args.family]
     try:
-        cert = fam.certify(_params(fam, args))
+        cert = FAMILIES[args.family].certify(_params(args))
         doc = cert.to_dict()
         doc["schema"] = SCHEMA
         if args.oracle:
@@ -254,12 +256,9 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 def cmd_bound(args) -> int:
     fam = FAMILIES[args.family]
-    # sigma* depends on the shape only, so a scale left out is 1
-    for name in ("sigma", "phi"):
-        if getattr(args, name) is None:
-            setattr(args, name, 1.0)
     try:
-        p = _params(fam, args)
+        # sigma* depends on the shape only, so a scale left out is 1
+        p = _params(args, {"sigma": 1.0, "phi": 1.0})
         closed = fam.certify(p).bounds["sigma_star"]
         doc = {"sigma_star": closed}
         if args.oracle:
@@ -293,11 +292,8 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     samples = []
     try:
-        if not all(1.0 <= v < math.inf for v in args.scale_range):
-            lo, hi = args.scale_range
-            raise InvalidParamsError(f"--scale-range {lo!r} {hi!r} must lie in [1.0, inf)")
         for _ in range(args.count):
-            p = fam.sample(args, rng, rng.uniform(*args.scale_range))
+            p = fam.sample(args, rng, _draw(rng, args.scale_range, "scale-range", 1.0, ends="[)"))
             cert = fam.certify(p)
             if not cert.passed:
                 print(f"sample failed certification: {p}", file=sys.stderr)
@@ -429,7 +425,7 @@ def cmd_scan_uniqueness(args) -> int:
 # Argument wiring
 # ---------------------------------------------------------------------------
 def _add_param_options(p: argparse.ArgumentParser) -> None:
-    for name in ("a", "b", "rho", "m", "sigma", "mu", "gamma", "q", "theta", "phi"):
+    for name in PARAM_OPTIONS:
         p.add_argument(f"--{name}", type=float, default=None)
 
 

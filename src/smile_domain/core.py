@@ -28,6 +28,7 @@ __all__ = [
     "RogerLeeViolation",
     "FukasawaViolation",
     "NoRootError",
+    "wing_slope",
     "RawSviParams",
     "NormalizedSvi",
     "total_variance",
@@ -74,6 +75,21 @@ class NoRootError(SmileDomainError):
     def __init__(self, message: str, degenerate_case: str = "generic"):
         super().__init__(message)
         self.degenerate_case = degenerate_case
+
+
+# ---------------------------------------------------------------------------
+# The wing-slope bound
+# ---------------------------------------------------------------------------
+def wing_slope(b: float, rho: float) -> str:
+    """Where the right wing's slope b*(1 + rho) lies against the Roger Lee
+    bound 2, within BOUNDARY_TOL: "inside", "on" or "beyond".  The left
+    wing is wing_slope(b, -rho), the steeper one wing_slope(b, abs(rho)).
+    Every sub-SVI domain ends at this bound: b = 2 for symmetric smiles,
+    b = 1 for vanishing ones and b = 2/(1 + |rho|) for SSVI slices."""
+    slope = b * (1.0 + rho)
+    if slope < 2.0 - BOUNDARY_TOL:
+        return "inside"
+    return "on" if slope <= 2.0 + BOUNDARY_TOL else "beyond"
 
 
 # ---------------------------------------------------------------------------

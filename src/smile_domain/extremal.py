@@ -59,10 +59,7 @@ def certify(p: ExtremalParams) -> DomainCertificate:
     non-strict, so the boundary passes."""
     return make_certificate(
         family="extremal",
-        conditions={
-            "roger_lee": True,  # b = 2, rho = 0 sits exactly on the bound
-            "fukasawa": True,  # |q| < 1 is the admissible interval
-        },
+        conditions={"fukasawa": True},  # |q| < 1 is the admissible interval
         bounds={"mu_lower": -p.gamma, "mu_upper": p.gamma},
         on_boundary=[],
         params_raw=p.to_raw(),

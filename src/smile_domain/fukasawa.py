@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BOUNDARY_TOL,
     EvaluationDomainError,
     InvalidParamsError,
     NoRootError,
     n_funcs,
+    wing_slope,
 )
 from .roots import brentq, grid_root
 
@@ -98,12 +98,8 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
     _validate_level(gamma, rho)
     if rho >= 1.0:
         raise EvaluationDomainError("no domain below the minimum for rho = 1")
-    if b * (1.0 - rho) >= 2.0 - BOUNDARY_TOL:
-        tag = (
-            "b2_rho0"
-            if abs(b * (1.0 + rho) - 2.0) <= BOUNDARY_TOL
-            else "b_one_minus_rho_eq_2"
-        )
+    if wing_slope(b, -rho) != "inside":
+        tag = "b2_rho0" if wing_slope(b, rho) == "on" else "b_one_minus_rho_eq_2"
         raise NoRootError(
             f"left root removed at b*(1-rho)={b * (1.0 - rho)}", degenerate_case=tag
         )
@@ -136,7 +132,7 @@ def _lower_end(gamma: float, b: float, rho: float) -> float:
     b*(1 - rho) = 2; the bound curve at the root l- otherwise."""
     if rho >= 1.0:
         return -math.inf
-    if b * (1.0 - rho) >= 2.0 - BOUNDARY_TOL:
+    if wing_slope(b, -rho) != "inside":
         return -b * gamma / 2.0
     return mu_lower_curve(solve_l_minus(gamma, b, rho), gamma, b, rho)
 
@@ -154,13 +150,13 @@ def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
     _validate_level(gamma, rho)
     if b < 0.0:
         raise InvalidParamsError(f"b must be >= 0, got {b}")
-    if b * (1.0 + abs(rho)) > 2.0 + BOUNDARY_TOL:
+    if wing_slope(b, abs(rho)) == "beyond":
         raise InvalidParamsError(
             f"wing slope b*(1+|rho|)={b * (1.0 + abs(rho))} exceeds 2"
         )
 
-    deg_minus = b * (1.0 - rho) >= 2.0 - BOUNDARY_TOL
-    deg_plus = b * (1.0 + rho) >= 2.0 - BOUNDARY_TOL
+    deg_minus = wing_slope(b, -rho) != "inside"
+    deg_plus = wing_slope(b, rho) != "inside"
 
     if deg_minus and deg_plus:
         return FukasawaInterval(-gamma, gamma, "b2_rho0")

@@ -29,6 +29,7 @@ from .core import (
     hgg2,
     n_funcs,
     sigma_floor,
+    wing_slope,
 )
 from .fukasawa import mu_interval
 from .roots import grid_root, maximize
@@ -124,16 +125,17 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     hi = grid[min(i + 1, len(grid) - 1)]
     arg, sup = maximize(lambda l: sigma_floor(l, nsvi), lo, hi)
 
-    if abs(b * (1.0 + rho) - 2.0) <= BOUNDARY_TOL:
+    if wing_slope(b, rho) == "on":
         # on the wing boundary b*(1+rho) = 2, f tends to 1/(gamma/(1+rho) - mu)
         # as l -> +infinity, finite while that wing factor is positive
         denom = gamma / (1.0 + rho) - mu
         lim = 1.0 / denom if denom > 0.0 else math.inf
-        # G1 ~ 1/(2*lim*l) in the far tail, so f there carries relative
-        # cancellation noise of order eps*l*lim, and is infinite where G1
-        # rounds to 0; only an interior max that beats the limit beyond that
-        # noise is genuine
-        noise_rel = 2e-15 * max(abs(arg), 1.0) * max(lim, 1.0) + 1e-12
+        # G1 ~ 1/(2*lim*l) in the far tail, so a slope within BOUNDARY_TOL
+        # of 2, which counts as on the bound, moves f there by a relative
+        # BOUNDARY_TOL*l*lim at most; that covers the cancellation noise
+        # eps*l*lim too, and f is infinite where G1 rounds to 0; only an
+        # interior max that beats the limit beyond that is genuine
+        noise_rel = BOUNDARY_TOL * max(abs(arg), 1.0) * max(lim, 1.0) + 1e-12
         if math.isinf(sup) or sup <= lim * (1.0 + noise_rel):
             return math.inf, lim
     return arg, sup
@@ -170,7 +172,7 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
     """
     if b <= 0.0:
         raise EvaluationDomainError("sigma_star requires b > 0")
-    if b * (1.0 + abs(rho)) > 2.0 + BOUNDARY_TOL:
+    if wing_slope(b, abs(rho)) == "beyond":
         raise RogerLeeViolation(
             f"wing slope b*(1+|rho|)={b * (1.0 + abs(rho))} exceeds 2"
         )

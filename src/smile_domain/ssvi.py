@@ -37,6 +37,7 @@ from .core import (
     RogerLeeViolation,
     hgg2_prime,
     sigma_floor,
+    wing_slope,
 )
 from .roots import brentq, grid_root
 
@@ -151,11 +152,10 @@ class HestonLtParams:
     theta_bar: float
     sigma_vol: float
     rho: float
-    maturity: float = 1.0
 
     def __post_init__(self):
-        if min(self.kappa, self.theta_bar, self.sigma_vol, self.maturity) <= 0.0:
-            raise InvalidParamsError("kappa, theta_bar, sigma_vol, maturity must be > 0")
+        if min(self.kappa, self.theta_bar, self.sigma_vol) <= 0.0:
+            raise InvalidParamsError("kappa, theta_bar, sigma_vol must be > 0")
         if not abs(self.rho) < 1.0:
             raise InvalidParamsError(f"|rho| must be < 1, got {self.rho}")
 
@@ -304,7 +304,7 @@ def l_from_b(b: float, rho: float) -> float:
     Returns +inf when the bracket outgrows 1e8, which is the boundary
     b = 2/(1+rho) case for all practical purposes.
     """
-    if not 0.0 < b < 2.0 / (1.0 + rho) + BOUNDARY_TOL:
+    if not b > 0.0 or wing_slope(b, rho) == "beyond":
         raise EvaluationDomainError(f"b={b} outside (0, 2/(1+rho)) for rho={rho}")
     lbar = l_bar_zero(rho)
     if math.isinf(lbar):
@@ -335,17 +335,13 @@ def certify(p: SsviParams) -> DomainCertificate:
     """Certify an SSVI slice; negative rho routes through |rho| by the
     strike-inversion symmetry."""
     ar = abs(p.rho)
-    slope = p.b * (1.0 + ar)
-    roger_lee = slope <= 2.0 + BOUNDARY_TOL
-    on_boundary: list[str] = []
+    slope = wing_slope(p.b, ar)
     diagnostics: dict[str, float | str] = {"uniqueness": "numerically sustained"}
-    if abs(slope - 2.0) <= BOUNDARY_TOL:
-        on_boundary.append("roger_lee")
 
     root = math.sqrt((1.0 - p.rho) * (1.0 + p.rho))
-    if not roger_lee:
+    if slope == "beyond":
         sstar = math.inf
-    elif slope >= 2.0 - BOUNDARY_TOL:
+    elif slope == "on":
         sstar = root
         diagnostics["argsup"] = math.inf
     else:
@@ -362,18 +358,13 @@ def certify(p: SsviParams) -> DomainCertificate:
 
     return make_certificate(
         family="ssvi",
-        conditions={
-            "roger_lee": roger_lee,
-            "fukasawa": True,  # automatic for SSVI shapes
-        },
+        conditions={"fukasawa": True},  # automatic for SSVI shapes
         bounds={
             "b_max": 2.0 / (1.0 + ar),
             "gj_sigma": gj_sigma_bound(p.b, p.rho),
-            "subdomain_sigma": subdomain_bound(p.b, p.rho)
-            if slope < 2.0 - BOUNDARY_TOL
-            else math.inf,
+            "subdomain_sigma": subdomain_bound(p.b, p.rho) if slope == "inside" else math.inf,
         },
-        on_boundary=on_boundary,
+        on_boundary=[],
         params_raw=p.to_raw(),
         params_native={"theta": p.theta, "phi": p.phi, "rho": p.rho},
         sigma_star=sstar,
@@ -394,7 +385,7 @@ def gj_sufficient(p: SsviParams) -> bool:
     """Classical sufficient no-arbitrage conditions: the strict slope bound
     b*(1+|rho|) < 2 together with sigma >= (b/2)*(1+|rho|)*sqrt(1-rho^2).
     True implies the exact certification passes, never conversely."""
-    if p.b * (1.0 + abs(p.rho)) >= 2.0 - BOUNDARY_TOL:
+    if wing_slope(p.b, abs(p.rho)) != "inside":
         return False
     return p.sigma >= gj_sigma_bound(p.b, p.rho) - BOUNDARY_TOL
 
@@ -411,7 +402,7 @@ def subdomain_bound(b: float, rho: float) -> float:
 
 def subdomain_check(p: SsviParams) -> bool:
     """Membership in the explicit sufficient sub-domain."""
-    if p.b * (1.0 + abs(p.rho)) >= 2.0 - BOUNDARY_TOL:
+    if wing_slope(p.b, abs(p.rho)) != "inside":
         return False
     return p.sigma >= subdomain_bound(p.b, p.rho) - BOUNDARY_TOL
 
@@ -433,12 +424,11 @@ def lt_heston_b(h: HestonLtParams) -> float:
     return 2.0 * (math.sqrt(d * d + e) - d) / (h.sigma_vol * one_m_rho2)
 
 
-def heston_to_ssvi(h: HestonLtParams, maturity: float | None = None) -> SsviParams:
+def heston_to_ssvi(h: HestonLtParams, maturity: float) -> SsviParams:
     """SSVI slice of the long-maturity smile at the given maturity."""
-    t = h.maturity if maturity is None else maturity
-    if t <= 0.0:
-        raise InvalidParamsError(f"maturity must be > 0, got {t}")
-    phi = h.sigma_vol / (h.kappa * h.theta_bar * t)
+    if maturity <= 0.0:
+        raise InvalidParamsError(f"maturity must be > 0, got {maturity}")
+    phi = h.sigma_vol / (h.kappa * h.theta_bar * maturity)
     theta = 2.0 * lt_heston_b(h) / phi
     return SsviParams(theta=theta, phi=phi, rho=h.rho)
 
@@ -448,11 +438,10 @@ def lt_heston_threshold(h: HestonLtParams) -> float:
     certifies the long-maturity smile (sigma grows linearly in maturity
     while the sub-domain sigma level is maturity-free)."""
     b = lt_heston_b(h)
-    ar = abs(h.rho)
-    if b * (1.0 + ar) >= 2.0 - BOUNDARY_TOL:
+    if wing_slope(b, abs(h.rho)) != "inside":
         raise RogerLeeViolation(
             f"long-maturity smile violates the slope bound: b*(1+|rho|)="
-            f"{b * (1.0 + ar)}"
+            f"{b * (1.0 + abs(h.rho))}"
         )
     return subdomain_bound(b, h.rho) * h.sigma_vol / (
         h.kappa * h.theta_bar * math.sqrt((1.0 - h.rho) * (1.0 + h.rho))

@@ -29,6 +29,7 @@ from .core import (
     NormalizedSvi,
     RawSviParams,
     sigma_floor,
+    wing_slope,
 )
 from .roots import brentq, grid_root
 
@@ -76,7 +77,7 @@ class SymmetricParams:
     def __post_init__(self):
         if self.gamma <= -1.0:
             raise InvalidParamsError(f"gamma must be > -1, got {self.gamma}")
-        if not 0.0 < self.b <= 2.0 + BOUNDARY_TOL:
+        if not self.b > 0.0 or wing_slope(self.b, 0.0) == "beyond":
             raise InvalidParamsError(f"b must lie in (0, 2], got {self.b}")
         if self.sigma <= 0.0:
             raise InvalidParamsError(f"sigma must be > 0, got {self.sigma}")
@@ -97,7 +98,7 @@ class SymmetricParams:
 def fukasawa_threshold_closed(b: float) -> float:
     """Closed-form wing threshold -(b^2+32)*sqrt(4-b^2)/(16-b^2)^(3/2)
     on b in [0, 2]; equals -1 at b = 0 and 0 at b = 2."""
-    if not 0.0 <= b <= 2.0 + BOUNDARY_TOL:
+    if not b >= 0.0 or wing_slope(b, 0.0) == "beyond":
         raise InvalidParamsError(f"b must lie in [0, 2], got {b}")
     b = min(b, 2.0)
     b2 = b * b
@@ -336,7 +337,7 @@ def certify(p: SymmetricParams) -> DomainCertificate:
     on_boundary: list[str] = []
     diagnostics: dict[str, float | str] = {}
 
-    if p.b >= 2.0 - BOUNDARY_TOL:
+    if wing_slope(p.b, 0.0) == "on":
         fukasawa_ok = p.gamma > 0.0
         if abs(p.gamma) <= BOUNDARY_TOL:
             on_boundary.append("fukasawa")
@@ -359,10 +360,7 @@ def certify(p: SymmetricParams) -> DomainCertificate:
 
     return make_certificate(
         family="symmetric",
-        conditions={
-            "roger_lee": True,  # b <= 2 enforced by the type invariant
-            "fukasawa": fukasawa_ok,
-        },
+        conditions={"fukasawa": fukasawa_ok},
         bounds={
             "gamma_threshold": threshold,
             "b_max": g_tilde(p.gamma),

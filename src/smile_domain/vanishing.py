@@ -14,8 +14,9 @@ that critical point.  The requirement is stationary there, so the root's
 error enters sigma* only at second order; sigma*(x) itself would carry
 it at first order through mu*(x).
 
-For b = 1 the wing factor degenerates and the requirement is attained only
-in the k -> +infinity limit, where it equals -1/mu.
+For b = 1, a wing slope 2b on the bound 2 (``core.wing_slope``: b within
+5e-11 of 1), the wing factor degenerates and the requirement is attained
+only in the k -> +infinity limit, where it equals -1/mu.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     NormalizedSvi,
     RawSviParams,
     sigma_floor,
+    wing_slope,
 )
 from .roots import brentq
 
@@ -65,7 +67,7 @@ class VanishingParams:
     direction: Direction = "upward"
 
     def __post_init__(self):
-        if not 0.0 < self.b <= 1.0 + BOUNDARY_TOL:
+        if not self.b > 0.0 or wing_slope(self.b, 1.0) == "beyond":
             raise InvalidParamsError(f"b must lie in (0, 1], got {self.b}")
         if self.sigma <= 0.0:
             raise InvalidParamsError(f"sigma must be > 0, got {self.sigma}")
@@ -94,7 +96,7 @@ def x_plus_star(b: float) -> float:
 def fukasawa_bound(b: float) -> float:
     """Upper mu bound sqrt(3*(1-b)) for the upward family (the downward
     family requires mu above the negated value)."""
-    if not 0.0 <= b <= 1.0 + BOUNDARY_TOL:
+    if not b >= 0.0 or wing_slope(b, 1.0) == "beyond":
         raise InvalidParamsError(f"b must lie in [0, 1], got {b}")
     return math.sqrt(3.0 * max(0.0, 1.0 - b))
 
@@ -186,7 +188,8 @@ def subdomain_check(
 def certify(p: VanishingParams) -> DomainCertificate:
     """Certify a wing-degenerate smile against its explicit domain."""
     mu_up = p.mu if p.direction == "upward" else -p.mu
-    mu_cap = fukasawa_bound(p.b) if p.b < 1.0 - BOUNDARY_TOL else 0.0
+    at_bound = wing_slope(p.b, 1.0) == "on"
+    mu_cap = 0.0 if at_bound else fukasawa_bound(p.b)
     fukasawa_ok = mu_up < mu_cap
     on_boundary: list[str] = []
     if abs(mu_up - mu_cap) <= BOUNDARY_TOL:
@@ -195,7 +198,7 @@ def certify(p: VanishingParams) -> DomainCertificate:
     diagnostics: dict[str, float | str] = {}
     if not fukasawa_ok:
         sstar = math.inf
-    elif p.b >= 1.0 - BOUNDARY_TOL:
+    elif at_bound:
         # b = 1: requirement attained only in the k -> +inf limit
         sstar = -1.0 / mu_up
         diagnostics["argsup"] = math.inf
@@ -211,24 +214,14 @@ def certify(p: VanishingParams) -> DomainCertificate:
     mu_bound = mu_cap if p.direction == "upward" else -mu_cap
     return make_certificate(
         family=f"vanishing-{'up' if p.direction == 'upward' else 'down'}",
-        conditions={
-            "roger_lee": True,  # enforced by the type invariant b <= 1
-            "fukasawa": fukasawa_ok,
-        },
+        conditions={"fukasawa": fukasawa_ok},
         bounds={
             "mu_bound": mu_bound,
-            "subdomain_sigma": subdomain_bound(p.b)
-            if 0.0 < p.b < 1.0
-            else math.inf,
+            "subdomain_sigma": subdomain_bound(p.b) if 0.0 < p.b < 1.0 else math.inf,
         },
         on_boundary=on_boundary,
         params_raw=p.to_raw(),
-        params_native={
-            "b": p.b,
-            "mu": p.mu,
-            "sigma": p.sigma,
-            "direction": p.direction,
-        },
+        params_native={"b": p.b, "mu": p.mu, "sigma": p.sigma, "direction": p.direction},
         sigma_star=sstar,
         diagnostics=diagnostics,
     )

@@ -257,6 +257,39 @@ def test_solver_failure_exit_three(capsys, monkeypatch, command, error):
 
 @pytest.mark.parametrize("command", ["certify", "bound"])
 @pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("symmetric", "--gamma", "0.3", "--b", "1", "--sigma", "1", "--rho", "0.9", "--m", "3"),
+         "--rho --m"),
+        (("ssvi", "--theta", "1", "--phi", "1", "--rho", "0.3", "--sigma", "100", "--a", "5"),
+         "--a --sigma"),
+        (("vanishing-up", "--b", "0.5", "--mu", "-1", "--m", "-2", "--sigma", "2"), "--m"),
+        (("extremal", "--gamma", "1", "--q", "0.5", "--a", "2", "--m", "1", "--sigma", "1"),
+         "--a --m"),
+    ],
+    ids=["symmetric", "ssvi", "vanishing-up", "extremal"],
+)
+def test_options_the_family_does_not_read_exit_two(capsys, command, argv, unread):
+    code, out = _run(capsys, command, *argv)
+    doc = _strict(out)
+    assert code == 2
+    assert doc["error"]["type"] == "invalid_params"
+    assert f"does not read {unread} with" in doc["error"]["message"]
+
+
+def test_bound_fills_only_the_scale_it_needs(capsys):
+    # bound fills --sigma and --phi, but a raw SSVI slice with its own
+    # --sigma still takes the raw route, and agrees with the native one
+    raw = ("--a", "0.0375", "--b", "0.05", "--rho", "0.5", "--m", "-0.5",
+           "--sigma", "0.8660254037844386")
+    code, out = _run(capsys, "bound", "ssvi", *raw, "--json")
+    assert code == 0
+    _, native = _run(capsys, "bound", "ssvi", "--b", "0.05", "--rho", "0.5", "--json")
+    assert _strict(out)["sigma_star"] == pytest.approx(_strict(native)["sigma_star"], rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["certify", "bound"])
+@pytest.mark.parametrize(
     "argv",
     [("--gamma", "-1.5", "--b", "1", "--sigma", "1"), ("--a", "1", "--b", "1", "--sigma", "0")],
 )
@@ -316,6 +349,9 @@ def test_sample_deterministic(capsys):
         ("ssvi", "--t-range", "0.5", "1.5"),
         ("ssvi", "--t-range", "0", "0.5"),
         ("symmetric", "--scale-range", "0.5", "0.6"),
+        ("extremal", "--gamma-range", "0", "1"),
+        ("extremal", "--q-range", "-0.5", "1"),
+        ("ssvi", "--rho-range", "-1", "0.5"),
     ],
 )
 def test_sample_range_outside_the_domain_exits_two(capsys, argv):
@@ -324,6 +360,26 @@ def test_sample_range_outside_the_domain_exits_two(capsys, argv):
     assert code == 2
     assert doc["error"]["type"] == "invalid_params"
     assert argv[1] in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ssvi", "--t-range", "0.9", "0.1"),
+        ("ssvi", "--scale-range", "2", "1"),
+        ("ssvi", "--rho-range", "0.5", "-0.5"),
+        ("extremal", "--gamma-range", "2", "1"),
+        ("extremal", "--q-range", "0.5", "-0.5"),
+        ("vanishing-up", "--b-range", "0.9", "0.1"),
+        ("symmetric", "--u-range", "1", "0"),
+    ],
+)
+def test_sample_reversed_range_exits_two(capsys, argv):
+    code, out = _run(capsys, "sample", *argv, "--count", "2")
+    doc = _strict(out)
+    assert code == 2
+    assert doc["error"]["type"] == "invalid_params"
+    assert f"{argv[1]} " in doc["error"]["message"] and "reversed" in doc["error"]["message"]
 
 
 def test_sample_ssvi_at_the_slope_bound(capsys):

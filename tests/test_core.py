@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from smile_domain import (
+    BOUNDARY_TOL,
     EvaluationDomainError,
     InvalidParamsError,
     NormalizedSvi,
@@ -20,6 +21,7 @@ from smile_domain import (
     sigma_floor_dual,
     total_variance,
 )
+from smile_domain.core import wing_slope
 
 SQRT2 = math.sqrt(2.0)
 
@@ -245,3 +247,18 @@ def test_dual_objective_reciprocity():
         f = sigma_floor(l, nsvi)
         dual = sigma_floor_dual(l, nsvi)
         assert f * dual == pytest.approx(nsvi.b / 2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the wing-slope bound
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("rho", [0.0, 0.4, -0.4, 1.0, -0.999])
+@pytest.mark.parametrize(
+    "k, expected", [(-2.0, "inside"), (-0.5, "on"), (0.5, "on"), (2.0, "beyond")]
+)
+def test_wing_slope_against_two(rho, k, expected):
+    # right wing slope b*(1 + rho) = 2 + k*BOUNDARY_TOL
+    slope = 2.0 + k * BOUNDARY_TOL
+    assert wing_slope(slope / (1.0 + rho), rho) == expected
+    if rho < 1.0:  # left wing slope b*(1 - rho), the right wing at -rho
+        assert wing_slope(slope / (1.0 - rho), -rho) == expected

@@ -73,3 +73,13 @@ def test_certify_matches_density_check():
         cert = certify(p)
         rep = durrleman_check(p.to_raw())
         assert cert.passed == (rep.min_value >= -1e-8), (gamma, q, sigma)
+
+
+def test_certificate_flags_the_wing_slope_bound():
+    # b = 2, rho = 0 sits on the Roger Lee bound b*(1 + |rho|) = 2, and the
+    # oracle takes the wing limit there as the certificate does
+    cert = certify(ExtremalParams(gamma=1.0, q=0.3, sigma=2.0))
+    assert cert.conditions["roger_lee"]
+    assert cert.on_boundary == ("roger_lee",)
+    assert math.isinf(cert.diagnostics["argsup"])
+    assert sigma_star(1.0, 2.0, 0.0, 0.3).side == "limit_at_infinity"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from smile_domain import (
+    BOUNDARY_TOL,
     FukasawaViolation,
     InvalidParamsError,
     NormalizedSvi,
@@ -127,6 +128,66 @@ def test_sigma_star_vanishing_just_below_the_wing_boundary():
     upper = mu_interval(0.0, b, 1.0).upper
     assert upper == pytest.approx(math.sqrt(3.0 * (1.0 - b)), rel=1e-5)
     assert math.isfinite(sigma_star(0.0, b, 1.0, 0.0).sigma_star)
+
+
+def _ssvi_at(slope: float, rho: float) -> SsviParams:
+    return SsviParams(theta=2.0 * slope / (1.0 + abs(rho)), phi=1.0, rho=rho)
+
+
+def _ssvi_shape(slope: float, rho: float) -> tuple[float, float, float, float]:
+    p = _ssvi_at(slope, rho)
+    return (p.gamma, p.b, p.rho, p.mu)
+
+
+# per family at the steeper wing's slope s: its certifier, its parameters
+# and the shape the oracle takes
+SLOPE_CASES = {
+    "symmetric": (
+        symmetric.certify,
+        lambda s: SymmetricParams(gamma=0.5, b=s, sigma=1.0),
+        lambda s: (0.5, s, 0.0, 0.0),
+    ),
+    "vanishing-up": (
+        vanishing.certify,
+        lambda s: VanishingParams(b=s / 2.0, mu=-0.5, sigma=1.0),
+        lambda s: (0.0, s / 2.0, 1.0, -0.5),
+    ),
+    "vanishing-down": (
+        vanishing.certify,
+        lambda s: VanishingParams(b=s / 2.0, mu=0.5, sigma=1.0, direction="downward"),
+        lambda s: (0.0, s / 2.0, -1.0, 0.5),
+    ),
+    "ssvi": (ssvi.certify, lambda s: _ssvi_at(s, 0.4), lambda s: _ssvi_shape(s, 0.4)),
+    "ssvi-negative-rho": (
+        ssvi.certify,
+        lambda s: _ssvi_at(s, -0.4),
+        lambda s: _ssvi_shape(s, -0.4),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SLOPE_CASES))
+@pytest.mark.parametrize("k", [-2.0, -0.5, 0.5, 2.0])
+def test_certifier_and_oracle_share_the_slope_rule(family, k):
+    # at the steeper wing's slope 2 + k*BOUNDARY_TOL both routes find the
+    # Roger Lee bound kept for k < 1, and take the wing limit for |k| < 1
+    certify, params, shape = SLOPE_CASES[family]
+    slope = 2.0 + k * BOUNDARY_TOL
+    try:
+        res = sigma_star(*shape(slope))
+    except RogerLeeViolation:
+        res = None
+    try:
+        cert = certify(params(slope))
+    except InvalidParamsError:  # the family's parameters end at the bound
+        cert = None
+    kept = cert is not None and cert.conditions["roger_lee"]
+    assert kept == (res is not None) == (k < 1.0)
+    if kept:
+        limit = math.isinf(cert.diagnostics.get("argsup", 0.0))
+        assert limit == (res.side == "limit_at_infinity") == (abs(k) < 1.0)
+        assert ("roger_lee" in cert.on_boundary) == (abs(k) < 1.0)
+        assert cert.bounds["sigma_star"] == pytest.approx(res.sigma_star, rel=1e-6)
 
 
 def test_sigma_star_sides_for_decorrelated():

@@ -419,6 +419,15 @@ def test_lt_heston_threshold_certifies():
         assert certify(p).passed
 
 
+def test_heston_to_ssvi_takes_a_positive_maturity():
+    h = HestonLtParams(kappa=1.0, theta_bar=0.04, sigma_vol=0.4, rho=-0.7)
+    with pytest.raises(TypeError):
+        heston_to_ssvi(h)  # the maturity is not a setting of the Heston inputs
+    with pytest.raises(InvalidParamsError):
+        heston_to_ssvi(h, 0.0)
+    assert heston_to_ssvi(h, 2.0).phi == pytest.approx(0.5 * heston_to_ssvi(h, 1.0).phi)
+
+
 def test_lt_heston_slope_violation_detected():
     # kappa -> 0 pushes the wing slope beyond the admissible bound
     h = HestonLtParams(kappa=1e-4, theta_bar=0.04, sigma_vol=0.5, rho=0.6)

@@ -256,3 +256,18 @@ def test_certify_mu_next_to_the_cap(b, eps):
     assert math.isfinite(sstar) and sstar > 0.0
     up = certify(VanishingParams(b=b, mu=fukasawa_bound(b) - eps, sigma=2.0 * sstar))
     assert up.passed
+
+
+@pytest.mark.parametrize("direction", ["upward", "downward"])
+def test_certify_just_inside_the_wing_slope_bound(direction):
+    # b = 1 - 7e-11 is a wing slope 2b = 2 - 1.4e-10, inside the bound for
+    # the oracle and the certifier alike: both solve the critical point
+    # below the mirrored-curve cap sqrt(3(1 - b)) instead of taking b = 1
+    b, sgn = 1.0 - 7e-11, 1.0 if direction == "upward" else -1.0
+    cert = certify(VanishingParams(b=b, mu=-0.5 * sgn, sigma=1.0, direction=direction))
+    oracle = sigma_star(0.0, b, sgn, -0.5 * sgn).sigma_star
+    assert cert.bounds["sigma_star"] == pytest.approx(oracle, rel=1e-9)
+    cert = certify(VanishingParams(b=b, mu=5e-6 * sgn, sigma=1.0, direction=direction))
+    assert cert.conditions["fukasawa"]
+    assert cert.bounds["mu_bound"] == sgn * math.sqrt(3.0 * (1.0 - b))
+    assert math.isfinite(cert.bounds["sigma_star"])
