@@ -154,7 +154,7 @@ def _sample_symmetric(args, rng, scale: float) -> SymmetricParams:
 
 def _sample_ssvi(args, rng, scale: float) -> SsviParams:
     rho = _draw(rng, args.rho_range, "rho-range", -1.0, 1.0)
-    b = _draw(rng, args.t_range, "t-range", 0.0, 1.0, "(]") * 2.0 / (1.0 + abs(rho))
+    b = _draw(rng, args.t_range, "t-range", 0.0, 1.0, ends="(]") * 2.0 / (1.0 + abs(rho))
     sig = scale * _ssvi_bounds(b, rho)["sigma_star"]
     phi = math.sqrt((1.0 - rho) * (1.0 + rho)) / sig
     return SsviParams(theta=2.0 * b / phi, phi=phi, rho=rho)
