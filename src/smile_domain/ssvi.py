@@ -74,6 +74,7 @@ X_M2_RHO0 = math.sqrt(math.sqrt(7.0) / 18.0 + 7.0 / 9.0)
 _L_MAX = 1.0e8
 _EDGE = 1e-12
 _FROM_RAW_TOL = 1e-9
+_SCAN_ROWS = 64  # x-rows per block of the uniqueness scan
 
 
 # ---------------------------------------------------------------------------
@@ -533,20 +534,33 @@ def scan_uniqueness(rho_steps: int = 1000, x_steps: int = 1000) -> UniquenessRep
     """Grid scan of the uniqueness target over rho in [0, 0.999] and
     x in [x_m2(1), 0.999] at the extremal wing level.
 
-    Deterministic single-pass vectorized evaluation; the reduction equals
-    the sequential scan bit for bit.
+    The grid is evaluated in blocks of ``_SCAN_ROWS`` x-rows, each row
+    broadcast against every rho, and each block is reduced before the next
+    one is computed, so memory stays at one block instead of the whole
+    grid.  Every value is bit for bit the one of a full meshgrid evaluation,
+    and the minimum kept is the first in row-major (x, rho) order, so the
+    report equals a one-shot reduction of the whole grid.  Raises
+    InvalidParamsError for a step count below 1.
     """
+    if rho_steps < 1 or x_steps < 1:
+        raise InvalidParamsError(
+            f"step counts must be >= 1, got rho_steps={rho_steps}, x_steps={x_steps}"
+        )
     rho = np.linspace(0.0, 0.999, rho_steps)
     x = np.linspace(X_M2_RHO1, 0.999, x_steps)
-    rv, xv = np.meshgrid(rho, x)
-    vals = uniqueness_target(xv, rv)
-    i = int(np.argmin(vals))
-    ix, ir = np.unravel_index(i, vals.shape)
+    min_value, arg_x, arg_rho = math.inf, 0, 0
+    negative_count = 0
+    for start in range(0, x_steps, _SCAN_ROWS):
+        vals = uniqueness_target(x[start:start + _SCAN_ROWS, None], rho[None, :])
+        ix, ir = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[ix, ir] < min_value:  # strict: an earlier block keeps a tie
+            min_value, arg_x, arg_rho = float(vals[ix, ir]), start + int(ix), int(ir)
+        negative_count += int(np.count_nonzero(vals < 0.0))
     return UniquenessReport(
-        min_value=float(vals[ix, ir]),
-        arg_rho=float(rv[ix, ir]),
-        arg_x=float(xv[ix, ir]),
-        negative_count=int(np.sum(vals < 0.0)),
+        min_value=min_value,
+        arg_rho=float(rho[arg_rho]),
+        arg_x=float(x[arg_x]),
+        negative_count=negative_count,
         rho_steps=rho_steps,
         x_steps=x_steps,
     )

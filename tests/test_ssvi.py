@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from smile_domain import (
     maximize_f_on_interval,
     mu_interval,
     sigma_star,
+    ssvi,
 )
 from smile_domain.ssvi import (
     X_M2_RHO0,
     X_M2_RHO1,
     HestonLtParams,
     SsviParams,
+    UniquenessReport,
     b_star,
     certify,
     gj_sufficient,
@@ -457,6 +460,77 @@ def test_uniqueness_scan_small_grid():
     assert rep.message == "There is unicity"
     assert rep.min_value > 0
     assert rep.negative_count == 0
+
+
+def _one_shot_scan(target, rho_steps, x_steps):
+    """The whole-grid meshgrid evaluation and its reduction."""
+    rho = np.linspace(0.0, 0.999, rho_steps)
+    x = np.linspace(X_M2_RHO1, 0.999, x_steps)
+    rv, xv = np.meshgrid(rho, x)
+    vals = target(xv, rv)
+    ix, ir = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    report = UniquenessReport(
+        min_value=float(vals[ix, ir]),
+        arg_rho=float(rv[ix, ir]),
+        arg_x=float(xv[ix, ir]),
+        negative_count=int(np.sum(vals < 0.0)),
+        rho_steps=rho_steps,
+        x_steps=x_steps,
+    )
+    return vals, report
+
+
+@pytest.mark.parametrize("rho_steps, x_steps", [(137, 61), (1, 1), (65, 1000), (61, 137)])
+def test_uniqueness_scan_equals_one_shot_reduction(rho_steps, x_steps):
+    _, expected = _one_shot_scan(uniqueness_target, rho_steps, x_steps)
+    assert scan_uniqueness(rho_steps, x_steps) == expected
+
+
+def test_uniqueness_scan_values_bit_identical(monkeypatch):
+    blocks = []
+
+    def recorded(x, rho):
+        vals = uniqueness_target(x, rho)
+        blocks.append(vals)
+        return vals
+
+    monkeypatch.setattr(ssvi, "uniqueness_target", recorded)
+    scan_uniqueness(65, 1000)
+    full, _ = _one_shot_scan(uniqueness_target, 65, 1000)
+    assert len(blocks) > 1
+    assert np.concatenate(blocks).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("rho_steps, x_steps", [(137, 61), (65, 1000), (7, 300)])
+def test_uniqueness_scan_reduction_keeps_first_minimum(monkeypatch, rho_steps, x_steps):
+    # a target with many tied minima and negatives in every block: the
+    # blocked reduction must keep the first minimum in row-major order and
+    # count every negative value once
+    def ties(x, rho):
+        return np.floor(3.0 * np.cos(40.0 * x + 9.0 * rho))
+
+    _, expected = _one_shot_scan(ties, rho_steps, x_steps)
+    monkeypatch.setattr(ssvi, "uniqueness_target", ties)
+    report = scan_uniqueness(rho_steps, x_steps)
+    assert expected.negative_count > 0
+    assert report == expected
+
+
+def test_uniqueness_scan_memory_stays_at_one_block():
+    # the whole 1000 x 1000 grid in float64 is 8 MB per temporary array
+    tracemalloc.start()
+    try:
+        scan_uniqueness(1000, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("rho_steps, x_steps", [(0, 10), (10, 0), (10, -3)])
+def test_uniqueness_scan_rejects_empty_grid(rho_steps, x_steps):
+    with pytest.raises(InvalidParamsError):
+        scan_uniqueness(rho_steps, x_steps)
 
 
 def test_uniqueness_target_decreasing_in_b_squared():
