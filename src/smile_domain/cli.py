@@ -9,7 +9,8 @@ family does not read is an invalid input; ``bound`` exits 0, with an
 infinite sigma* on arbitrage, or 2 and 3 as ``certify`` does; ``sample``
 exits 0, 1 when a sample fails its certificate, or 2 and 3 as ``certify``
 does, and a reversed range or one outside its sampler's domain is an
-invalid input.
+invalid input; ``scan-uniqueness`` exits 0 when the scan finds uniqueness,
+1 when it does not, and 2 for a step count below 1.
 Identical invocations (including --seed) produce byte-identical output.
 """
 
@@ -414,7 +415,10 @@ def cmd_table(args) -> int:
 # scan-uniqueness
 # ---------------------------------------------------------------------------
 def cmd_scan_uniqueness(args) -> int:
-    report = ssvi.scan_uniqueness(args.rho_steps, args.x_steps)
+    try:
+        report = ssvi.scan_uniqueness(args.rho_steps, args.x_steps)
+    except InvalidParamsError as exc:
+        return _failure(exc)
     print(f"min_n = {report.min_value!r} at rho = {report.arg_rho!r}, x = {report.arg_x!r}")
     print(f"negative_count = {report.negative_count}")
     print(report.message)

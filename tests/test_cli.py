@@ -459,3 +459,12 @@ def test_scan_uniqueness_output(capsys):
     assert lines[0].startswith("min_n = ")
     assert lines[1] == "negative_count = 0"
     assert lines[2] == "There is unicity"
+
+
+@pytest.mark.parametrize("argv", [("--rho-steps", "0"), ("--x-steps", "-3")])
+def test_scan_uniqueness_bad_steps_exit_two(capsys, argv):
+    code, out = _run(capsys, "scan-uniqueness", *argv)
+    assert code == 2
+    doc = _strict(out)
+    assert doc["error"]["type"] == "invalid_params"
+    assert "steps" in doc["error"]["message"]
