@@ -89,6 +89,16 @@ def _validate_level(gamma: float, rho: float) -> None:
         raise InvalidParamsError(f"gamma={gamma} must be >= 0 when |rho| = 1")
 
 
+def _scan_grid(rho: float):
+    """Log-spaced grid below the smile minimum, from next to it out to the
+    far left, on which the root l- is bracketed."""
+    if abs(rho) < 1.0:
+        upper = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) - _SCAN_NEAR
+    else:  # rho = -1: the smile minimum sits at +infinity
+        upper = _SCAN_FAR
+    return upper - np.geomspace(_SCAN_NEAR, upper + _SCAN_FAR, _SCAN_POINTS)
+
+
 def solve_l_minus(gamma: float, b: float, rho: float) -> float:
     """Unique root of l_minus_curve(., b, rho) = gamma below the minimum.
 
@@ -104,13 +114,8 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
             f"left root removed at b*(1-rho)={b * (1.0 - rho)}", degenerate_case=tag
         )
 
-    if abs(rho) < 1.0:
-        upper = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) - _SCAN_NEAR
-    else:  # rho = -1: the smile minimum sits at +infinity
-        upper = _SCAN_FAR
-    grid = upper - np.geomspace(_SCAN_NEAR, upper + _SCAN_FAR, _SCAN_POINTS)
     # negative near the minimum, diverges to +infinity on the far left
-    l = grid_root(lambda t: l_minus_curve(t, b, rho) - gamma, grid, xtol=1e-14)
+    l = grid_root(lambda t: l_minus_curve(t, b, rho) - gamma, _scan_grid(rho), xtol=1e-14)
     if l is None:
         raise NoRootError(
             f"no sign change for gamma={gamma}, b={b}, rho={rho}"
@@ -118,10 +123,13 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
     return l
 
 
-def mu_lower_curve(l: float, gamma: float, b: float, rho: float) -> float:
-    """Bound curve 2*N*(1/N' + b/4) - l; undefined at the smile minimum."""
+def mu_lower_curve(l, gamma, b: float, rho: float):
+    """Bound curve 2*N*(1/N' + b/4) - l; undefined at the smile minimum.
+
+    l and gamma are floats, or arrays that broadcast together.
+    """
     n, n1, _ = n_funcs(l, gamma, rho)
-    if n1 == 0.0:
+    if np.any(n1 == 0.0):
         raise EvaluationDomainError("bound curve undefined where N'(l) = 0")
     return 2.0 * n * (1.0 / n1 + b / 4.0) - l
 
@@ -178,7 +186,8 @@ def fukasawa_threshold(b: float, rho: float) -> float:
 
     The interval's width upper - lower is continuous and increasing in
     gamma, and its zero is the threshold, found by Brent's method to
-    within ``_THRESHOLD_XTOL``.
+    within ``_THRESHOLD_XTOL``; at rho = 0 inside the wing-slope bound it
+    is one root in l instead (see ``_threshold_decorrelated``).
     """
     floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
 
@@ -189,9 +198,33 @@ def fukasawa_threshold(b: float, rho: float) -> float:
     lo = floor + 1e-12
     if width(lo) > 0.0:
         return floor
+    if rho == 0.0 and wing_slope(b, 0.0) == "inside":
+        return _threshold_decorrelated(b)
     hi = 0.5
     while width(hi) <= 0.0:  # gamma > 0 is always admissible
         hi *= 2.0
         if hi > 64.0:
             raise NoRootError(f"interval never opens for b={b}, rho={rho}")
     return brentq(width, lo, hi, xtol=_THRESHOLD_XTOL)
+
+
+def _threshold_decorrelated(b: float) -> float:
+    """fukasawa_threshold(b, 0) for b inside the wing-slope bound.
+
+    At rho = 0 the interval is (lower, -lower) and opens where its lower end
+    crosses 0.  Along the scan grid, the level whose root l- is l is
+    gamma(l) = l_minus_curve(l, b, 0) and the lower end at that level is
+    mu_lower_curve(l, gamma(l), b, 0), both explicit, so the threshold is
+    gamma at one root in l, with no solve for l- inside it.  The lower end
+    is negative on the far left and the first sign change from there is
+    taken: gamma(l) is not monotone next to the minimum, where it dips
+    below -1 near l = -0.2.
+    """
+
+    def lower(l):
+        return mu_lower_curve(l, l_minus_curve(l, b, 0.0), b, 0.0)
+
+    l = grid_root(lower, _scan_grid(0.0)[::-1], xtol=1e-14)
+    if l is None:
+        raise NoRootError(f"interval never opens for b={b}, rho=0")
+    return l_minus_curve(l, b, 0.0)

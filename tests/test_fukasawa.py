@@ -190,6 +190,15 @@ def test_threshold_tight_to_closed_form_decorrelated():
     assert worst <= 1e-10
 
 
+def test_threshold_decorrelated_is_the_closed_form():
+    # at rho = 0 the threshold is one root in l, with no nested solve
+    worst = max(
+        abs(fukasawa_threshold(float(b), 0.0) - fukasawa_threshold_closed(float(b)))
+        for b in np.linspace(0.05, 1.95, 96)
+    )
+    assert worst <= 1e-12
+
+
 @pytest.mark.parametrize("b, rho", [(0.1, 0.0), (1.0, 0.0), (1.9, 0.0), (2.0, 0.0),
                                     (0.9, -0.6), (1.2, 0.3), (0.5, 0.8)])
 def test_threshold_mu_interval_calls(monkeypatch, b, rho):
