@@ -112,6 +112,10 @@ def g2_zeros(gamma: float, rho: float) -> G2Zeros:
 # ---------------------------------------------------------------------------
 # Supremum search
 # ---------------------------------------------------------------------------
+# a wing scan's last points, l about 7e7 to 1e8 beyond the zero of g2
+_TAIL_POINTS = 6
+
+
 def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, float]:
     """(argsup, sup) of f on the right wing (l2, infinity) of the given
     shape; argsup = +inf for a supremum attained only in the limit."""
@@ -121,15 +125,21 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     grid = l2 + offs
     vals = np.asarray(sigma_floor(grid, nsvi))
     i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    arg, sup = maximize(lambda l: sigma_floor(l, nsvi), lo, hi)
-
-    if wing_slope(b, rho) == "on":
+    on_bound = wing_slope(b, rho) == "on"
+    if on_bound:
         # on the wing boundary b*(1+rho) = 2, f tends to 1/(gamma/(1+rho) - mu)
         # as l -> +infinity, finite while that wing factor is positive
         denom = gamma / (1.0 + rho) - mu
         lim = 1.0 / denom if denom > 0.0 else math.inf
+        if i >= len(grid) - _TAIL_POINTS:
+            # a peak that far out is the cancellation noise that the test
+            # below takes for the limit, so it needs no search
+            return math.inf, lim
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    arg, sup = maximize(lambda l: sigma_floor(l, nsvi), lo, hi)
+
+    if on_bound:
         # G1 ~ 1/(2*lim*l) in the far tail, so a slope within BOUNDARY_TOL
         # of 2, which counts as on the bound, moves f there by a relative
         # BOUNDARY_TOL*l*lim at most; that covers the cancellation noise
@@ -222,6 +232,12 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
     Nonnegativity of this functional is equivalent to absence of butterfly
     arbitrage; this check is deliberately independent of the supremum search
     so the two can validate each other.
+
+    It only checks |l| <= 1e6.  Arbitrage that sits further out is not
+    seen: SSVI slices with |rho| within about 1e-14 of 1 have the argsup of
+    the requirement at |l| up to 8.4e6, where a sigma below the supremum
+    still leaves this minimum positive on the grid.  There only
+    ``sigma_star`` judges.
     """
     if p.b <= 0.0:
         # flat smile: the functional is identically 1

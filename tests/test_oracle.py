@@ -301,6 +301,33 @@ def test_sigma_star_extremal_limit_of_rounded_shape():
     assert res.sigma_star == 1.0 / (GAMMA_NEAR_UNIT_Q - abs(mu))
 
 
+@pytest.mark.parametrize(
+    "gamma, q", [(1.0, 0.5), (0.3, -0.7), (4.0, 0.0), (GAMMA_NEAR_UNIT_Q, -0.9999999)]
+)
+def test_sigma_star_extremal_tail_needs_no_search(monkeypatch, gamma, q):
+    # on the wing-slope bound a scan that peaks among its last points
+    # returns the limit without Brent's search, and the same result as the
+    # search that the tail shortcut skips
+    calls = []
+    maximize = oracle.maximize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "maximize", counting)
+    monkeypatch.setattr(oracle, "_TAIL_POINTS", 0)
+    searched = sigma_star(gamma, 2.0, 0.0, q * gamma)
+    assert calls
+    calls.clear()
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "maximize", counting)
+    res = sigma_star(gamma, 2.0, 0.0, q * gamma)
+    assert res == searched
+    assert res.side == "limit_at_infinity"
+    assert not calls
+
+
 def test_sigma_floor_scalar_infinite_where_g1_rounds_to_zero():
     gamma = GAMMA_NEAR_UNIT_Q
     nsvi = NormalizedSvi(gamma=gamma, b=2.0, rho=0.0, mu=0.9999999 * gamma, sigma=1.0)
