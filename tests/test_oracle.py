@@ -309,7 +309,7 @@ def test_sigma_star_extremal_tail_needs_no_search(monkeypatch, gamma, q):
     # returns the limit without Brent's search, and the same result as the
     # search that the tail shortcut skips
     calls = []
-    maximize = oracle.maximize
+    maximize, tail = oracle.maximize, oracle._TAIL_POINTS
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -320,8 +320,7 @@ def test_sigma_star_extremal_tail_needs_no_search(monkeypatch, gamma, q):
     searched = sigma_star(gamma, 2.0, 0.0, q * gamma)
     assert calls
     calls.clear()
-    monkeypatch.undo()
-    monkeypatch.setattr(oracle, "maximize", counting)
+    monkeypatch.setattr(oracle, "_TAIL_POINTS", tail)
     res = sigma_star(gamma, 2.0, 0.0, q * gamma)
     assert res == searched
     assert res.side == "limit_at_infinity"
