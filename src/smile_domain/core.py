@@ -236,7 +236,7 @@ def hgg2(l, nsvi: NormalizedSvi):
     EvaluationDomainError if N <= 0 anywhere on the input.
     """
     n, n1, n2 = n_funcs(l, nsvi.gamma, nsvi.rho)
-    if np.any(np.asarray(n) <= 0.0):
+    if (np.asarray(n) <= 0.0).any():
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
     h = 1.0 - n1 * (np.asarray(l, dtype=np.float64) + nsvi.mu) / (2.0 * n)
     g = n1 / 4.0
@@ -262,7 +262,7 @@ def hgg2_prime(l, nsvi: NormalizedSvi):
     """
     l = np.asarray(l, dtype=np.float64)
     n, n1, n2 = n_funcs(l, nsvi.gamma, nsvi.rho)
-    if np.any(np.asarray(n) <= 0.0):
+    if (np.asarray(n) <= 0.0).any():
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
     s = np.hypot(l, 1.0)
     n3 = -3.0 * l / s**5

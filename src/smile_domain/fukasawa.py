@@ -90,17 +90,29 @@ def _validate_level(gamma: float, rho: float) -> None:
 
 
 def _scan_grid(rho: float):
-    """Log-spaced grid below the smile minimum, from next to it out to the
-    far left, on which the root l- is bracketed."""
-    if abs(rho) < 1.0:
-        upper = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) - _SCAN_NEAR
-    else:  # rho = -1: the smile minimum sits at +infinity
-        upper = _SCAN_FAR
+    """Log-spaced grid on which the root l- is bracketed: from just below
+    min(l*, 0), with l* = -rho/sqrt(1-rho^2) the smile minimum, out to
+    l = -1e8.
+
+    For rho > 0 the grid starts next to the minimum l* < 0.  For rho <= 0
+    the minimum l* >= 0 is far right (at +infinity for rho = -1), and the
+    grid starts next to l = 0 instead, where the level curve is
+    rho^2*(2 + b*rho)/4 - 1 <= rho^2/2 - 1 <= -sqrt(1 - rho^2) < gamma
+    (at rho = -1, -(2 + b)/4 < 0 <= gamma).  The root is unique, so it lies
+    below 0, a few grid steps from the start.
+    """
+    start = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) if rho > 0.0 else 0.0
+    upper = start - _SCAN_NEAR
     return upper - np.geomspace(_SCAN_NEAR, upper + _SCAN_FAR, _SCAN_POINTS)
 
 
 def solve_l_minus(gamma: float, b: float, rho: float) -> float:
     """Unique root of l_minus_curve(., b, rho) = gamma below the minimum.
+
+    The curve minus gamma is negative at the start of the scan grid (next
+    to min(l*, 0)) and diverges to +infinity on the far left; Brent's method
+    on the grid's first sign change takes about 8 scalar evaluations, at
+    rho = -1 as for every other rho < 1.
 
     Raises NoRootError in the degenerate case b*(1 - rho) = 2, where the
     curve no longer diverges on the left and the root escapes to -infinity.
@@ -114,7 +126,7 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
             f"left root removed at b*(1-rho)={b * (1.0 - rho)}", degenerate_case=tag
         )
 
-    # negative near the minimum, diverges to +infinity on the far left
+    # negative at the grid's start, diverges to +infinity on the far left
     l = grid_root(lambda t: l_minus_curve(t, b, rho) - gamma, _scan_grid(rho), xtol=1e-14)
     if l is None:
         raise NoRootError(
@@ -129,7 +141,7 @@ def mu_lower_curve(l, gamma, b: float, rho: float):
     l and gamma are floats, or arrays that broadcast together.
     """
     n, n1, _ = n_funcs(l, gamma, rho)
-    if np.any(n1 == 0.0):
+    if (np.asarray(n1) == 0.0).any():
         raise EvaluationDomainError("bound curve undefined where N'(l) = 0")
     return 2.0 * n * (1.0 / n1 + b / 4.0) - l
 

@@ -74,6 +74,11 @@ class DensityReport:
 # ---------------------------------------------------------------------------
 # Zeros of g2
 # ---------------------------------------------------------------------------
+# offsets right of the smile minimum on which the zero of g2 is bracketed
+_G2_OFFSETS = np.geomspace(1e-9, 1e7, 400)
+_G2_OFFSETS.flags.writeable = False
+
+
 def _right_zero(gamma: float, rho: float) -> float:
     """Unique zero of g2 to the right of the smile minimum."""
     if abs(rho) < 1.0:
@@ -85,7 +90,7 @@ def _right_zero(gamma: float, rho: float) -> float:
         n, n1, n2 = n_funcs(l, gamma, rho)
         return n2 - n1 * n1 / (2.0 * n)
 
-    l2 = grid_root(g2, start + np.geomspace(1e-9, 1e7, 400), xtol=1e-15, rtol=8.9e-16)
+    l2 = grid_root(g2, start + _G2_OFFSETS, xtol=1e-15, rtol=8.9e-16)
     if l2 is None:
         raise EvaluationDomainError(
             f"no g2 sign change found for gamma={gamma}, rho={rho}"

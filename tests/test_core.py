@@ -145,6 +145,28 @@ def test_hgg2_raises_where_level_vanishes():
         hgg2(0.0, nsvi)
 
 
+_LEVEL_CHECKED = (hgg2, hgg2_prime, sigma_floor)
+
+
+@pytest.mark.parametrize("fn", _LEVEL_CHECKED)
+def test_level_check_passes_empty_input(fn):
+    out = fn(np.array([]), _nsvi(0.3, 1.0, -0.4, 0.2))
+    out = out if isinstance(out, tuple) else (out,)
+    assert all(isinstance(v, np.ndarray) and v.shape == (0,) for v in out)
+
+
+@pytest.mark.parametrize("fn", _LEVEL_CHECKED)
+@pytest.mark.parametrize("gamma", [-1.0, -1.0 - BOUNDARY_TOL / 2])
+@pytest.mark.parametrize(
+    "l", [0.0, np.array([0.0]), np.array([2.0, 0.0, -3.0]), np.array([math.nan, 0.0])],
+    ids=["scalar", "one", "among_valid", "after_nan"],
+)
+def test_level_check_raises_where_level_is_not_positive(fn, gamma, l):
+    # N(0) = gamma + 1 <= 0 at rho = 0; a NaN next to it must not hide it
+    with pytest.raises(EvaluationDomainError, match="smile level vanishes"):
+        fn(l, _nsvi(gamma, 1.0, 0.0, 0.0))
+
+
 def test_g1_factorization():
     rng = np.random.default_rng(42)
     for _ in range(50):

@@ -79,6 +79,21 @@ def test_mu_lower_curve_undefined_at_minimum():
         mu_lower_curve(0.0, 0.5, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "l", [np.array([0.0]), np.array([-2.0, 0.0, -5.0]), np.array([math.nan, 0.0])],
+    ids=["one", "among_valid", "after_nan"],
+)
+def test_mu_lower_curve_undefined_at_minimum_in_an_array(l):
+    # N'(0) = 0 at rho = 0; a NaN next to it must not hide it
+    with pytest.raises(EvaluationDomainError, match="N'"):
+        mu_lower_curve(l, 0.5, 1.0, 0.0)
+
+
+def test_mu_lower_curve_passes_empty_input():
+    out = mu_lower_curve(np.array([]), 0.5, 1.0, 0.0)
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
 def test_mu_lower_nonpositive_at_root_for_nonnegative_gamma():
     for gamma, b, rho in [(0.0, 0.5, 0.2), (1.0, 1.2, -0.3), (0.4, 0.9, 0.6)]:
         l = solve_l_minus(gamma, b, rho)
@@ -87,16 +102,48 @@ def test_mu_lower_nonpositive_at_root_for_nonnegative_gamma():
 
 def test_vanishing_bound_via_mirrored_curve():
     # gamma=0, rho=1 smiles: upper mu bound -L(l-(0,b,-1)) equals sqrt(3(1-b))
-    for b in (0.2, 0.5, 0.8):
+    for b in np.linspace(0.005, 0.995, 199).tolist():
         l = solve_l_minus(0.0, b, -1.0)
         upper = -mu_lower_curve(l, 0.0, b, -1.0)
-        assert upper == pytest.approx(math.sqrt(3.0 * (1.0 - b)), rel=1e-10)
+        assert abs(upper - math.sqrt(3.0 * (1.0 - b))) <= 1e-12
         # mu_interval reads the same bound, one-sided, and mirrors it at rho = -1
         up = mu_interval(0.0, b, 1.0)
         assert up.lower == -math.inf
-        assert up.upper == pytest.approx(math.sqrt(3.0 * (1.0 - b)), rel=1e-10)
+        assert abs(up.upper - math.sqrt(3.0 * (1.0 - b))) <= 1e-12
         down = mu_interval(0.0, b, -1.0)
         assert (down.lower, down.upper) == (-up.upper, math.inf)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 5.0])
+def test_solve_l_minus_budget_at_rho_minus_one(monkeypatch, gamma):
+    # the scan grid starts next to l = 0, so Brent's method polishes a
+    # short bracket instead of bisecting one 1e7 wide (49-51 evaluations)
+    scalar_calls = []
+
+    def counted(l, b, rho):
+        if np.ndim(l) == 0:
+            scalar_calls.append(l)
+        return l_minus_curve(l, b, rho)
+
+    monkeypatch.setattr(fukasawa, "l_minus_curve", counted)
+    for b in np.linspace(0.01, 0.99, 99).tolist():
+        scalar_calls.clear()
+        l = solve_l_minus(gamma, b, -1.0)
+        assert abs(l_minus_curve(l, b, -1.0) - gamma) <= 1e-12 * max(1.0, gamma)
+        assert 0 < len(scalar_calls) <= 12
+
+
+@pytest.mark.parametrize("rho", [-1.0, -1.0 + 1e-14, -0.5, -1e-3, 0.0])
+def test_scan_grid_starts_below_the_level(rho):
+    # the first grid point has the curve below every admissible level, so
+    # the grid's first sign change brackets the root l-
+    floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
+    start = fukasawa._scan_grid(rho)[0]
+    assert start < 0.0
+    for frac in (0.0, 0.5, 0.999):
+        b = frac * 2.0 / (1.0 - rho)
+        for gamma in floor + np.geomspace(1e-12, 50.0, 40):
+            assert l_minus_curve(start, b, rho) - gamma < 0.0
 
 
 # ---------------------------------------------------------------------------

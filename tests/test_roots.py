@@ -80,8 +80,7 @@ def test_matches_scipy_on_fukasawa_level_curve(gamma, b, rho):
     def f(l):
         return fukasawa.l_minus_curve(l, b, rho) - gamma
 
-    upper = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) - 1e-6
-    grid = upper - np.geomspace(1e-6, upper + 1e8, 128)
+    grid = fukasawa._scan_grid(rho)
     hi, lo = _grid_bracket(f, grid)
     root = _same_root(f, lo, hi, xtol=1e-14)
     assert root == fukasawa.solve_l_minus(gamma, b, rho)
@@ -169,8 +168,7 @@ def test_grid_root_matches_scipy_on_a_descending_grid():
     def f(l):
         return fukasawa.l_minus_curve(l, b, rho) - gamma
 
-    upper = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) - 1e-6
-    grid = upper - np.geomspace(1e-6, upper + 1e8, 128)
+    grid = fukasawa._scan_grid(rho)
     hi, lo = _grid_bracket(f, grid)
     root = grid_root(f, grid, xtol=1e-14)
     assert root == scipy.optimize.brentq(f, lo, hi, xtol=1e-14)
