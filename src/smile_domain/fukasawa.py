@@ -126,7 +126,6 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
             f"left root removed at b*(1-rho)={b * (1.0 - rho)}", degenerate_case=tag
         )
 
-    # negative at the grid's start, diverges to +infinity on the far left
     l = grid_root(lambda t: l_minus_curve(t, b, rho) - gamma, _scan_grid(rho), xtol=1e-14)
     if l is None:
         raise NoRootError(
