@@ -193,6 +193,21 @@ class NormalizedSvi:
 # ---------------------------------------------------------------------------
 # Shape functions
 # ---------------------------------------------------------------------------
+# The shape functions have one body each for a scalar l and an array of them.
+# Only these three helpers look at the type: a Python number stays a Python
+# float, as the scalar solvers call them, and never becomes a 0-d array.
+def _hypot1(l):
+    return math.hypot(l, 1.0) if isinstance(l, (float, int)) else np.hypot(l, 1.0)
+
+
+def _select(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _any(mask):
+    return mask if isinstance(mask, bool) else mask.any()
+
+
 def total_variance(p: RawSviParams, k):
     """Total variance w(k) of the raw SVI smile; vectorized in k."""
     d = np.asarray(k, dtype=np.float64) - p.m
@@ -208,24 +223,22 @@ def n_funcs(l, gamma: float, rho: float):
     rationalized when rho*l < 0 so the wings keep full relative precision
     instead of cancelling two nearly equal magnitudes.
     """
-    l = np.asarray(l, dtype=np.float64)
-    s = np.hypot(l, 1.0)
+    s = _hypot1(l)
     x = l / s
     one_m_rho2 = (1.0 - rho) * (1.0 + rho)
 
     lin = rho * l
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # rho*l + s == (l^2*(1-rho^2) + 1)/(s - rho*l) when signs oppose
-        n_alt = gamma + (l * l * one_m_rho2 + 1.0) / (s - lin)
-        n = np.where(lin < 0.0, n_alt, gamma + lin + s)
-        # rho + x == (rho^2 - x^2)/(rho - x) when signs oppose, with
-        # rho^2 - x^2 = (rho^2 - l^2*(1-rho^2))/(l^2+1)
-        n1_alt = (rho * rho - l * l * one_m_rho2) / (s * s) / (rho - x)
-        n1 = np.where(rho * x < 0.0, n1_alt, rho + x)
+    # rho*l + s == (l^2*(1-rho^2) + 1)/(s + |rho*l|) when signs oppose
+    n_alt = gamma + (l * l * one_m_rho2 + 1.0) / (s + abs(lin))
+    n = _select(lin < 0.0, n_alt, gamma + lin + s)
+    n1 = rho + x
+    if rho != 0.0:  # both branches are evaluated, and |rho| + |x| > 0 here
+        # rho + x == sgn(rho)*(rho^2 - x^2)/(|rho| + |x|) when signs oppose,
+        # with rho^2 - x^2 = (rho^2 - l^2*(1-rho^2))/(l^2+1)
+        sgn = math.copysign(1.0, rho)
+        n1_alt = sgn * (rho * rho - l * l * one_m_rho2) / (s * s) / (abs(rho) + abs(x))
+        n1 = _select(rho * x < 0.0, n1_alt, n1)
     n2 = 1.0 / (s * s * s)
-
-    if n.ndim == 0:
-        return float(n), float(n1), float(n2)
     return n, n1, n2
 
 
@@ -236,13 +249,11 @@ def hgg2(l, nsvi: NormalizedSvi):
     EvaluationDomainError if N <= 0 anywhere on the input.
     """
     n, n1, n2 = n_funcs(l, nsvi.gamma, nsvi.rho)
-    if (np.asarray(n) <= 0.0).any():
+    if _any(n <= 0.0):
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    h = 1.0 - n1 * (np.asarray(l, dtype=np.float64) + nsvi.mu) / (2.0 * n)
+    h = 1.0 - n1 * (l + nsvi.mu) / (2.0 * n)
     g = n1 / 4.0
     g2 = n2 - n1 * n1 / (2.0 * n)
-    if np.ndim(h) == 0:
-        return float(h), float(g), float(g2)
     return h, g, g2
 
 
@@ -260,11 +271,10 @@ def hgg2_prime(l, nsvi: NormalizedSvi):
     Returns (h, g, g2, h', g', g2').  Used by the critical-point machinery
     that trades the curvature parameter b for the minimizer location.
     """
-    l = np.asarray(l, dtype=np.float64)
     n, n1, n2 = n_funcs(l, nsvi.gamma, nsvi.rho)
-    if (np.asarray(n) <= 0.0).any():
+    if _any(n <= 0.0):
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    s = np.hypot(l, 1.0)
+    s = _hypot1(l)
     n3 = -3.0 * l / s**5
 
     lm = l + nsvi.mu
@@ -274,9 +284,6 @@ def hgg2_prime(l, nsvi: NormalizedSvi):
     h1 = -(n2 * lm + n1) / (2.0 * n) + n1 * n1 * lm / (2.0 * n * n)
     g1d = n2 / 4.0
     g21 = n3 - n1 * n2 / n + n1**3 / (2.0 * n * n)
-
-    if np.ndim(h) == 0:
-        return float(h), float(g), float(g2), float(h1), float(g1d), float(g21)
     return h, g, g2, h1, g1d, g21
 
 
@@ -287,13 +294,10 @@ def sigma_floor(l, nsvi: NormalizedSvi):
     h, g, g2v = hgg2(l, nsvi)
     b = nsvi.b
     num, den = -b * g2v, 2.0 * ((h - b * g) * (h + b * g))
-    if isinstance(den, float) and den != 0.0:
-        # scalar l, as the oracle's maximizer calls it: errstate plus
-        # np.divide cost about 4 us of a 26 us call (Xeon, numpy 2.4)
+    if not _any(den == 0.0):
         return num / den
     with np.errstate(divide="ignore"):
-        val = np.divide(num, den)
-    return float(val) if np.ndim(val) == 0 else val
+        return np.divide(num, den)
 
 
 def sigma_floor_dual(l, nsvi: NormalizedSvi):

@@ -27,6 +27,8 @@ from .core import (
     EvaluationDomainError,
     InvalidParamsError,
     NoRootError,
+    _any,
+    _hypot1,
     n_funcs,
     wing_slope,
 )
@@ -71,11 +73,9 @@ def l_minus_curve(l, b: float, rho: float):
     with s = sqrt(l^2+1); evaluated here as s^3*N'^2*(2 + b*N')/4 - N so the
     deep left wing keeps full precision.
     """
-    l = np.asarray(l, dtype=np.float64)
-    s = np.hypot(l, 1.0)
+    s = _hypot1(l)
     n0, n1, _ = n_funcs(l, 0.0, rho)
-    val = s**3 * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
-    return float(val) if np.ndim(val) == 0 else val
+    return s**3 * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
 
 
 def _validate_level(gamma: float, rho: float) -> None:
@@ -140,7 +140,7 @@ def mu_lower_curve(l, gamma, b: float, rho: float):
     l and gamma are floats, or arrays that broadcast together.
     """
     n, n1, _ = n_funcs(l, gamma, rho)
-    if (np.asarray(n1) == 0.0).any():
+    if _any(n1 == 0.0):
         raise EvaluationDomainError("bound curve undefined where N'(l) = 0")
     return 2.0 * n * (1.0 / n1 + b / 4.0) - l
 

@@ -251,7 +251,12 @@ def z_star_at_g_tilde(gamma: float) -> float:
     sqrt((4-G^2)*(16-G^2))/(G^2+8) with G = g_tilde(gamma)."""
     gt = g_tilde(gamma)
     g2v = gt * gt
-    return math.sqrt((4.0 - g2v) * (16.0 - g2v)) / (g2v + 8.0)
+    rad = (4.0 - g2v) * (16.0 - g2v)
+    if rad < 0.0:  # G in (2, 4): g_tilde lost its digits next to gamma = -1
+        raise EvaluationDomainError(
+            f"(4 - G^2)*(16 - G^2) < 0 at gamma={gamma}, G=g_tilde(gamma)={gt}"
+        )
+    return math.sqrt(rad) / (g2v + 8.0)
 
 
 def z_interval(gamma: float) -> tuple[float, float]:

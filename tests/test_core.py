@@ -21,7 +21,9 @@ from smile_domain import (
     sigma_floor_dual,
     total_variance,
 )
+from smile_domain import core
 from smile_domain.core import wing_slope
+from smile_domain.fukasawa import l_minus_curve, mu_lower_curve
 
 SQRT2 = math.sqrt(2.0)
 
@@ -231,6 +233,239 @@ def test_hgg2_prime_matches_finite_differences():
         assert g1d == pytest.approx((gp - gm) / (2 * eps), rel=2e-8, abs=1e-10)
         assert g21 == pytest.approx((g2p - g2m) / (2 * eps), rel=2e-8, abs=1e-10)
         assert (h, g, g2) == pytest.approx(hgg2(l, nsvi))
+
+
+# ---------------------------------------------------------------------------
+# scalar and array inputs
+# ---------------------------------------------------------------------------
+_NSVI = _nsvi(0.4, 0.9, -0.6, 0.1)
+_SHAPE_FUNCTIONS = {
+    "n_funcs": lambda l: n_funcs(l, 0.4, -0.6),
+    "hgg2": lambda l: hgg2(l, _NSVI),
+    "g1": lambda l: g1(l, _NSVI),
+    "hgg2_prime": lambda l: hgg2_prime(l, _NSVI),
+    "sigma_floor": lambda l: (sigma_floor(l, _NSVI),),
+    "l_minus_curve": lambda l: (l_minus_curve(l, 0.9, -0.6),),
+    "mu_lower_curve": lambda l: (mu_lower_curve(l, 0.4, 0.9, -0.6),),
+}
+
+
+@pytest.mark.parametrize("fn", _SHAPE_FUNCTIONS.values(), ids=_SHAPE_FUNCTIONS.keys())
+def test_python_numbers_give_python_floats(fn):
+    for l in (2.5, 2):
+        assert all(type(v) is float for v in fn(l))
+
+
+@pytest.mark.parametrize("fn", _SHAPE_FUNCTIONS.values(), ids=_SHAPE_FUNCTIONS.keys())
+def test_numpy_scalars_give_floats_and_arrays_give_arrays(fn):
+    for l in (np.float64(2.5), np.array(2.5)):
+        out = fn(l)
+        assert all(isinstance(v, float) and np.ndim(v) == 0 for v in out)
+        assert [float(v) for v in out] == [float(v) for v in fn(2.5)]
+    out = fn(np.array([2.5, -1.0]))
+    assert all(isinstance(v, np.ndarray) and v.shape == (2,) for v in out)
+
+
+_AGREEMENT_RHOS = [-1.0, -0.6, -1e-12, 0.0, 1e-12, 0.6, 1.0]
+
+
+def _agreement_points(rho):
+    ls = [0.0, 1e8, -1e8, 0.75, -0.75, 3.0, -3.0, 1e-3, -1e-3]
+    if abs(rho) < 1.0:  # l/s == rho, where rho - l/s once sat in a denominator
+        ls.append(rho / math.sqrt((1.0 - rho) * (1.0 + rho)))
+    return ls
+
+
+@pytest.mark.parametrize("rho", _AGREEMENT_RHOS)
+@pytest.mark.parametrize("level", ["low", "high"])
+def test_scalar_and_array_results_agree(rho, level):
+    floor = -math.sqrt((1.0 - rho) * (1.0 + rho))
+    gamma = floor + 0.3 if level == "low" else 0.8
+    b = 0.9 * 2.0 / (1.0 + abs(rho))
+    nsvi = _nsvi(gamma, b, rho, 0.1)
+    fns = [
+        lambda l: n_funcs(l, gamma, rho),
+        lambda l: hgg2_prime(l, nsvi),
+        lambda l: g1(l, nsvi),
+        lambda l: (sigma_floor(l, nsvi),),
+        lambda l: (l_minus_curve(l, b, rho),),
+        lambda l: (mu_lower_curve(l, gamma, b, rho),),
+    ]
+    for fn in fns:
+        ls = _agreement_points(rho)
+        if fn is fns[-1]:  # the bound curve is undefined where N' = 0
+            ls = [l for l in ls if n_funcs(l, gamma, rho)[1] != 0.0]
+        arrays = fn(np.array(ls))
+        for i, l in enumerate(ls):
+            scalars = fn(l)
+            for arr, val in zip(arrays, scalars):
+                np.testing.assert_array_max_ulp(arr[i], val, maxulp=4)
+
+
+@pytest.mark.parametrize("rho, l", [(0.6, 0.75), (-0.6, -0.75)])
+def test_rationalized_derivative_where_rho_equals_l_over_s(rho, l):
+    # s = 1.25 and l/s = rho exactly: rho - l/s is 0 here, |rho| + |l/s| is not
+    n, n1, n2 = n_funcs(l, 0.2, rho)
+    assert (n, n1, n2) == (0.2 + rho * l + 1.25, 2.0 * rho, 1.25**-3)
+    arrays = n_funcs(np.array([l]), 0.2, rho)
+    assert [v[0] for v in arrays] == [n, n1, n2]
+
+
+@pytest.mark.parametrize("g2v", [-1.0, 1.0])
+def test_sigma_floor_signed_infinity_where_g1_is_zero(monkeypatch, g2v):
+    # G1+ = h - b*g = 0 exactly: -b*g2/(2*G1) is -inf*sign(g2), scalar or array
+    nsvi = _nsvi(0.4, 2.0, 0.0, 0.0)
+    monkeypatch.setattr(core, "hgg2", lambda l, _: (0.5 + 0 * l, 0.25 + 0 * l, g2v + 0 * l))
+    expected = -math.copysign(math.inf, g2v)
+    assert sigma_floor(1.5, nsvi) == expected
+    assert list(sigma_floor(np.array([1.5, 2.5]), nsvi)) == [expected, expected]
+
+
+# n_funcs and hgg2_prime on 8 points for 5 shapes (gamma, b, rho, mu), as float.hex:
+# per point N, N', N'', then h, g, g2, h', g', g2'.  The array path keeps these
+# bit for bit.
+_GOLDEN_L = [-1e8, -37.5, -0.75, -1e-3, 0.0, 0.75, 2.5, 1e8]
+_GOLDEN = {
+    (0.3, 0.8, -0.6, 0.2): (
+        "0x1.312d00099999ap+27 -0x1.999999999999ap+0 0x1.357c299a88ea8p-80"
+        " 0x1.00000010a49b8p-1 -0x1.999999999999ap-2 -0x1.12e0be79c7cd5p-27"
+        " 0x1.6567d90000000p-56 0x1.357c299a88ea8p-82 -0x1.70ef544d372c9p-54",
+        "0x1.e281b3aa12f24p+5 -0x1.99824f8c16734p+0 0x1.3dce820779da1p-16"
+        " 0x1.02be9352ff762p-1 -0x1.99824f8c16734p-2 -0x1.5b3ea6eba4158p-6"
+        " 0x1.366d0c99c5100p-13 0x1.3dce820779da1p-18 -0x1.25eaad70630b5p-11",
+        "0x1.0000000000000p+1 -0x1.3333333333333p+0 0x1.0624dd2f1a9fcp-1"
+        " 0x1.ab851eb851eb8p-1 -0x1.3333333333333p-2 0x1.374bc6a7ef9dcp-3"
+        " 0x1.15e9e1b089a02p-2 0x1.0624dd2f1a9fcp-3 0x1.a82e87d2c7b8ap-1",
+        "0x1.4cf42784a9246p+0 -0x1.33b6459d7f3dcp-1 0x1.ffffcdab1d3d4p-1"
+        " 0x1.0bc53d28fe2aep+0 -0x1.33b6459d7f3dcp-3 0x1.b8e73c178e8c5p-1"
+        " 0x1.6804d3745aa0bp-3 0x1.ffffcdab1d3d4p-3 0x1.9a8cb991efdcep-2",
+        "0x1.4cccccccccccdp+0 -0x1.3333333333333p-1 0x1.0000000000000p+0"
+        " 0x1.0bd0bd0bd0bd1p+0 -0x1.3333333333333p-3 0x1.b91b91b91b91cp-1"
+        " 0x1.66b3f517ef08cp-3 0x1.0000000000000p-2 0x1.972d240d54868p-2",
+        "0x1.199999999999ap+0 0x1.1111111111111p-54 0x1.0624dd2f1a9fcp-1"
+        " 0x1.0000000000000p+0 0x1.1111111111111p-56 0x1.0624dd2f1a9fcp-1"
+        " -0x1.c4cb4f7fe82b3p-3 0x1.0624dd2f1a9fcp-3 -0x1.797cc39ffd60fp-1",
+        "0x1.7e19e161e80b4p+0 0x1.505c319366e70p-2 0x1.a3a5567fe99f8p-5"
+        " 0x1.67e2bef003626p-1 0x1.505c319366e70p-4 0x1.ee344d2a9d9bcp-7"
+        " -0x1.74adad87fd841p-4 0x1.a3a5567fe99f8p-7 -0x1.cd4e7eb2e7b6ap-5",
+        "0x1.312d002666668p+25 0x1.999999999999bp-2 0x1.357c299a88ea8p-80"
+        " 0x1.000000179f506p-1 0x1.999999999999bp-4 -0x1.12e0be5fd6f95p-29"
+        " -0x1.fb49150000000p-56 0x1.357c299a88ea8p-82 0x1.70ef540794d5dp-56",
+    ),
+    (0.05, 1.2, 0.6, -0.4): (
+        "0x1.312d000666668p+25 -0x1.999999999999bp-2 0x1.357c299a88ea8p-80"
+        " 0x1.ffffffe860afap-2 -0x1.999999999999bp-4 -0x1.12e0be7ca9abep-29"
+        " -0x1.fb490e0000000p-57 0x1.357c299a88ea8p-82 -0x1.70ef5454f3e02p-56",
+        "0x1.e206cea84bc94p+3 -0x1.993c71638d007p-2 0x1.3dce820779da1p-16"
+        " 0x1.fd2c09c27b978p-2 -0x1.993c71638d007p-4 -0x1.5a323bd78951bp-8"
+        " -0x1.9ebba8d262400p-15 0x1.3dce820779da1p-18 -0x1.22bdd7f487febp-13",
+        "0x1.b333333333334p-1 -0x1.1111111111111p-54 0x1.0624dd2f1a9fcp-1"
+        " 0x1.0000000000000p+0 -0x1.1111111111111p-56 0x1.0624dd2f1a9fcp-1"
+        " 0x1.62aa586ce7c91p-2 0x1.0624dd2f1a9fcp-3 0x1.797cc39ffd60fp-1",
+        "0x1.0ca582dbe7cfap+0 0x1.32b020c8e7289p-1 0x1.ffffcdab1d3d4p-1"
+        " 0x1.1d4c523b7b994p+0 0x1.32b020c8e7289p-3 0x1.a8785c243b47dp-1"
+        " -0x1.46fed9e9a8f61p-3 0x1.ffffcdab1d3d4p-3 -0x1.e1814203252d4p-2",
+        "0x1.0cccccccccccdp+0 0x1.3333333333333p-1 0x1.0000000000000p+0"
+        " 0x1.1d41d41d41d42p+0 0x1.3333333333333p-3 0x1.a83a83a83a83bp-1"
+        " -0x1.48cb6824391efp-3 0x1.0000000000000p-2 -0x1.e4d528c042dfap-2",
+        "0x1.c000000000000p+0 0x1.3333333333333p+0 0x1.0624dd2f1a9fcp-1"
+        " 0x1.c28f5c28f5c29p-1 0x1.3333333333333p-2 0x1.9bf0c94a05444p-4"
+        " -0x1.3f4102662a7b3p-2 0x1.0624dd2f1a9fcp-3 -0x1.9ccbead238583p-1",
+        "0x1.0f8678587a02dp+2 0x1.874a3f980cecfp+0 0x1.a3a5567fe99f8p-5"
+        " 0x1.3e519354992a2p-1 0x1.874a3f980cecfp-2 -0x1.caf826c5aa59ep-3"
+        " -0x1.cf156051d8e20p-5 0x1.a3a5567fe99f8p-7 0x1.c697736b4d094p-6",
+        "0x1.312d00019999ap+27 0x1.999999999999ap+0 0x1.357c299a88ea8p-80"
+        " 0x1.0000001285a4ep-1 0x1.999999999999ap-2 -0x1.12e0be80fc79fp-27"
+        " -0x1.8dc2070000000p-56 0x1.357c299a88ea8p-82 0x1.70ef54608eef2p-54",
+    ),
+    (-0.5, 1.0, 0.0, 0.1): (
+        "0x1.7d783fe000000p+26 -0x1.0000000000000p+0 0x1.357c299a88ea8p-80"
+        " 0x1.ffffffdda3e82p-2 -0x1.0000000000000p-2 -0x1.5798ee3fdb763p-28"
+        " -0x1.70ef550000000p-56 0x1.357c299a88ea8p-82 -0x1.cd2b29cae7a5dp-55",
+        "0x1.281b4d43ac8bep+5 -0x1.ffd16be4f9b36p-1 0x1.3dce820779da1p-16"
+        " 0x1.fad5c9e4697c8p-2 -0x1.ffd16be4f9b36p-3 -0x1.b9b74f9abb27ap-7"
+        " -0x1.099bccdbf4840p-13 0x1.3dce820779da1p-18 -0x1.7c29daa965b56p-12",
+        "0x1.8000000000000p-1 -0x1.3333333333333p-1 0x1.0624dd2f1a9fcp-1"
+        " 0x1.7ae147ae147aep-1 -0x1.3333333333333p-3 0x1.16872b020c49cp-2"
+        " 0x1.a7cca9d8f3936p-2 0x1.0624dd2f1a9fcp-3 0x1.e8e60807357e6p-1",
+        "0x1.000010c6f75a6p-1 -0x1.0624d4981517cp-10 0x1.ffffcdab1d3d4p-1"
+        " 0x1.00067cf11fdf6p+0 -0x1.0624d4981517cp-12 0x1.ffffac1d3261cp-1"
+        " -0x1.9167fb80c0a19p-4 0x1.ffffcdab1d3d4p-3 0x1.47add1e87c52dp-8",
+        "0x1.0000000000000p-1 0x0.0p+0 0x1.0000000000000p+0"
+        " 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0"
+        " -0x1.999999999999ap-4 0x1.0000000000000p-2 0x0.0p+0",
+        "0x1.8000000000000p-1 0x1.3333333333333p-1 0x1.0624dd2f1a9fcp-1"
+        " 0x1.51eb851eb851ep-1 0x1.3333333333333p-3 0x1.16872b020c49cp-2"
+        " -0x1.ac2b250022f3cp-2 0x1.0624dd2f1a9fcp-3 -0x1.e8e60807357e6p-1",
+        "0x1.18a68a4a8d9f3p+1 0x1.db614bfce6a6bp-1 0x1.a3a5567fe99f8p-5"
+        " 0x1.cc495bf1f26bep-2 0x1.db614bfce6a6bp-3 -0x1.29b32d9408ed3p-3"
+        " -0x1.267cb2f5d7d80p-7 0x1.a3a5567fe99f8p-7 0x1.18922bf48cf50p-7",
+        "0x1.7d783fe000000p+26 0x1.0000000000000p+0 0x1.357c299a88ea8p-80"
+        " 0x1.ffffffcc75dc4p-2 0x1.0000000000000p-2 -0x1.5798ee3fdb763p-28"
+        " 0x1.14b37f0000000p-55 0x1.357c299a88ea8p-82 0x1.cd2b29cae7a5dp-55",
+    ),
+    (0.2, 0.9, 1.0, -0.3): (
+        "0x1.99999a456610bp-3 0x1.cd2b297d889bcp-55 0x1.357c299a88ea8p-80"
+        " 0x1.00000035afe52p+0 0x1.cd2b297d889bcp-57 0x1.357c297a153dcp-80"
+        " 0x1.203af919b0055p-53 0x1.357c299a88ea8p-82 0x1.3789add859771p-105",
+        "0x1.b4e6dd462578bp-3 0x1.74a0d83264fd7p-12 0x1.3dce820779da1p-16"
+        " 0x1.080f4e7b0690bp+0 0x1.74a0d83264fd7p-14 0x1.38d74464a14b4p-16"
+        " 0x1.9fb32bf27b392p-11 0x1.3dce820779da1p-18 0x1.8e2a57b64f074p-20",
+        "0x1.6666666666666p-1 0x1.9999999999999p-2 0x1.0624dd2f1a9fcp-1"
+        " 0x1.4cccccccccccdp+0 0x1.9999999999999p-4 0x1.974269e92def1p-2"
+        " -0x1.2b97d835d5488p-4 0x1.0624dd2f1a9fcp-3 0x1.0520a55d5df81p-1",
+        "0x1.32f1b25f6319cp+0 0x1.ff7ced95b3f57p-1 0x1.ffffcdab1d3d4p-1"
+        " 0x1.2019eea5c2f04p+0 0x1.ff7ced95b3f57p-3 0x1.2aea34f0284afp-1"
+        " -0x1.950c5815b1cb0p-2 0x1.ffffcdab1d3d4p-3 -0x1.ef0941180af88p-2",
+        "0x1.3333333333333p+0 0x1.0000000000000p+0 0x1.0000000000000p+0"
+        " 0x1.2000000000000p+0 0x1.0000000000000p-2 0x1.2aaaaaaaaaaaap-1"
+        " -0x1.9555555555556p-2 0x1.0000000000000p-2 -0x1.f1c71c71c71c8p-2",
+        "0x1.199999999999ap+1 0x1.999999999999ap+0 0x1.0624dd2f1a9fcp-1"
+        " 0x1.ac37dac37dac4p-1 0x1.999999999999ap-2 -0x1.1df9ab7934518p-4"
+        " -0x1.301e99fd420f8p-2 0x1.0624dd2f1a9fcp-3 -0x1.5f7d56f20fe52p-1",
+        "0x1.592011f2139c6p+2 0x1.edb0a5fe73536p+0 0x1.a3a5567fe99f8p-5"
+        " 0x1.369721eef4947p-1 0x1.edb0a5fe73536p-2 -0x1.2ca5d0c61473ep-2"
+        " -0x1.8df5ac6e55420p-5 0x1.a3a5567fe99f8p-7 0x1.aa0431dd04d50p-5",
+        "0x1.7d78400666666p+27 0x1.0000000000000p+1 0x1.357c299a88ea8p-80"
+        " 0x1.000000112e0bep-1 0x1.0000000000000p-1 -0x1.5798ee1d45064p-27"
+        " -0x1.70ef530000000p-56 0x1.357c299a88ea8p-82 0x1.cd2b296e0f333p-54",
+    ),
+    (0.4, 0.5, -1e-12, 0.0): (
+        "0x1.7d7840199b3d0p+26 -0x1.0000000001198p+0 0x1.357c299a88ea8p-80"
+        " 0x1.000000112e0bep-1 -0x1.0000000001198p-2 -0x1.5798ee0bfb483p-28"
+        " 0x1.70ef530000000p-56 0x1.357c299a88ea8p-82 -0x1.cd2b293fa4f4dp-55",
+        "0x1.2f4e8076e108fp+5 -0x1.ffd16be4fbe65p-1 0x1.3dce820779da1p-16"
+        " 0x1.02e182301dbeap-1 -0x1.ffd16be4fbe65p-3 -0x1.af3738ec0f2a4p-7"
+        " 0x1.4ac68a35a6b00p-13 0x1.3dce820779da1p-18 -0x1.6a3dec09dd62ep-12",
+        "0x1.a666666667398p+0 -0x1.3333333335662p-1 0x1.0624dd2f1a9fcp-1"
+        " 0x1.ba2e8ba2e85d2p-1 -0x1.3333333335662p-3 0x1.9c943362db6e3p-2"
+        " 0x1.fd1f65a36b21dp-3 0x1.0624dd2f1a9fcp-3 0x1.c4806fe082c1bp-1",
+        "0x1.66666ec9e213ep+0 -0x1.0624d49c7afe2p-10 0x1.ffffcdab1d3d4p-1"
+        " 0x1.fffff4042b395p-1 -0x1.0624d49c7afe2p-12 0x1.ffffc1af48dafp-1"
+        " 0x1.767da433b8a3ep-11 0x1.ffffcdab1d3d4p-3 0x1.e6d66e44ffbf0p-9",
+        "0x1.6666666666666p+0 -0x1.19799812dea11p-40 0x1.0000000000000p+0"
+        " 0x1.0000000000000p+0 -0x1.19799812dea11p-42 0x1.0000000000000p+0"
+        " 0x1.921b6b88abc19p-42 0x1.0000000000000p-2 0x1.921b6b88abc19p-41",
+        "0x1.a666666665934p+0 0x1.3333333331004p-1 0x1.0624dd2f1a9fcp-1"
+        " 0x1.ba2e8ba2e9174p-1 0x1.3333333331004p-3 0x1.9c943362de316p-2"
+        " -0x1.fd1f65a36a4cep-3 0x1.0624dd2f1a9fcp-3 -0x1.c4806fe0827a5p-1",
+        "0x1.8bd9bd7dbf72ap+1 0x1.db614bfce473bp-1 0x1.a3a5567fe99f8p-5"
+        " 0x1.3fdacf8f20bc6p-1 0x1.db614bfce473bp-3 -0x1.691094c26edcap-4"
+        " -0x1.dc5a3d817d318p-5 0x1.a3a5567fe99f8p-7 -0x1.b2a09338cc1cap-6",
+        "0x1.7d78401997f63p+26 0x1.fffffffffdcd0p-1 0x1.357c299a88ea8p-80"
+        " 0x1.000000112e0bep-1 0x1.fffffffffdcd0p-3 -0x1.5798ee0bf8547p-28"
+        " -0x1.70ef560000000p-56 0x1.357c299a88ea8p-82 0x1.cd2b293fa0fe3p-55",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", _GOLDEN)
+def test_array_outputs_are_pinned(shape):
+    gamma, b, rho, mu = shape
+    l = np.array(_GOLDEN_L)
+    outs = n_funcs(l, gamma, rho) + hgg2_prime(l, _nsvi(gamma, b, rho, mu))
+    got = [" ".join(float(o[i]).hex() for o in outs) for i in range(len(l))]
+    assert got == [" ".join(row.split()) for row in _GOLDEN[shape]]
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ def test_z_star_at_g_tilde_known_form():
     assert zb == pytest.approx(Z_HAT, abs=1e-7)
 
 
+def test_z_star_at_g_tilde_names_a_lost_g_tilde():
+    # certify-mix census draw (seed 3): g_tilde returns about 3.8, not a value
+    # in [-2, 2], and (4 - G^2)*(16 - G^2) < 0 under the square root
+    gamma, b = -0.9999999893831698, 0.0052076955889283835
+    with pytest.raises(EvaluationDomainError, match="gamma=-0.9999999893831698, G="):
+        z_star_at_g_tilde(gamma)
+    with pytest.raises(EvaluationDomainError):
+        certify(SymmetricParams(gamma=gamma, b=b, sigma=1.5644836208923327))
+
+
 # ---------------------------------------------------------------------------
 # b_star sweep
 # ---------------------------------------------------------------------------
