@@ -21,7 +21,6 @@ from .core import (
     g1,
     hgg2,
     hgg2_prime,
-    invert,
     n_funcs,
     sigma_floor,
     sigma_floor_dual,
@@ -79,7 +78,6 @@ __all__ = [
     "g2_zeros",
     "hgg2",
     "hgg2_prime",
-    "invert",
     "l_minus_curve",
     "make_certificate",
     "maximize_f_on_interval",

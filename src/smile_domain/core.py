@@ -38,7 +38,6 @@ __all__ = [
     "hgg2_prime",
     "sigma_floor",
     "sigma_floor_dual",
-    "invert",
 ]
 
 # Absolute tolerance for all bound comparisons; strict paper inequalities are
@@ -225,14 +224,15 @@ def n_funcs(l, gamma: float, rho: float):
     """
     s = _hypot1(l)
     x = l / s
-    one_m_rho2 = (1.0 - rho) * (1.0 + rho)
-
     lin = rho * l
-    # rho*l + s == (l^2*(1-rho^2) + 1)/(s + |rho*l|) when signs oppose
-    n_alt = gamma + (l * l * one_m_rho2 + 1.0) / (s + abs(lin))
-    n = _select(lin < 0.0, n_alt, gamma + lin + s)
+    n = gamma + lin + s
     n1 = rho + x
-    if rho != 0.0:  # both branches are evaluated, and |rho| + |x| > 0 here
+    if rho != 0.0:  # at rho = 0, rho*l and rho*x are +-0 and never < 0
+        # both branches are evaluated, and |rho| + |x| > 0 here
+        one_m_rho2 = (1.0 - rho) * (1.0 + rho)
+        # rho*l + s == (l^2*(1-rho^2) + 1)/(s + |rho*l|) when signs oppose
+        n_alt = gamma + (l * l * one_m_rho2 + 1.0) / (s + abs(lin))
+        n = _select(lin < 0.0, n_alt, n)
         # rho + x == sgn(rho)*(rho^2 - x^2)/(|rho| + |x|) when signs oppose,
         # with rho^2 - x^2 = (rho^2 - l^2*(1-rho^2))/(l^2+1)
         sgn = math.copysign(1.0, rho)
@@ -302,16 +302,9 @@ def sigma_floor(l, nsvi: NormalizedSvi):
 
 def sigma_floor_dual(l, nsvi: NormalizedSvi):
     """Dual form -G1/g2 = b/(2*sigma_floor); the same critical point
-    minimizes it, which is what the reparametrized families exploit."""
+    minimizes it.  No family or oracle calls it: it is the reference for
+    the reciprocity checks in the tests."""
     h, g, g2v = hgg2(l, nsvi)
     b = nsvi.b
     return -((h - b * g) * (h + b * g)) / g2v
 
-
-def invert(p: RawSviParams) -> RawSviParams:
-    """Strike-inverted smile (a, b, -rho, -m, sigma).
-
-    Butterfly arbitrage is preserved exactly: the inverted smile is
-    arbitrage-free iff the original one is.  Involution by construction.
-    """
-    return RawSviParams(a=p.a, b=p.b, rho=-p.rho, m=-p.m, sigma=p.sigma)

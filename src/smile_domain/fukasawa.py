@@ -46,6 +46,9 @@ __all__ = [
 _SCAN_POINTS = 128
 _SCAN_FAR = 1.0e8
 _SCAN_NEAR = 1.0e-6
+# offsets below the grid's first point; they do not depend on the shape
+_SCAN_OFFSETS = np.geomspace(_SCAN_NEAR, _SCAN_FAR - _SCAN_NEAR, _SCAN_POINTS)
+_SCAN_OFFSETS.flags.writeable = False
 _THRESHOLD_XTOL = 1e-10
 
 
@@ -92,18 +95,19 @@ def _validate_level(gamma: float, rho: float) -> None:
 def _scan_grid(rho: float):
     """Log-spaced grid on which the root l- is bracketed: from just below
     min(l*, 0), with l* = -rho/sqrt(1-rho^2) the smile minimum, out to
-    l = -1e8.
+    about 1e8 below that start (l = -1e8 for rho <= 0).
 
     For rho > 0 the grid starts next to the minimum l* < 0.  For rho <= 0
     the minimum l* >= 0 is far right (at +infinity for rho = -1), and the
     grid starts next to l = 0 instead, where the level curve is
     rho^2*(2 + b*rho)/4 - 1 <= rho^2/2 - 1 <= -sqrt(1 - rho^2) < gamma
     (at rho = -1, -(2 + b)/4 < 0 <= gamma).  The root is unique, so it lies
-    below 0, a few grid steps from the start.
+    below the start, and the first sign change brackets it.  For |l-| of
+    order 1 that is about halfway along the grid (near point 56 of 128);
+    the whole grid is one array evaluation, so that position costs nothing.
     """
     start = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) if rho > 0.0 else 0.0
-    upper = start - _SCAN_NEAR
-    return upper - np.geomspace(_SCAN_NEAR, upper + _SCAN_FAR, _SCAN_POINTS)
+    return start - _SCAN_NEAR - _SCAN_OFFSETS
 
 
 def solve_l_minus(gamma: float, b: float, rho: float) -> float:

@@ -119,6 +119,22 @@ def g2_zeros(gamma: float, rho: float) -> G2Zeros:
 # ---------------------------------------------------------------------------
 # a wing scan's last points, l about 7e7 to 1e8 beyond the zero of g2
 _TAIL_POINTS = 6
+_WING_FAR = 1e8
+_WING_RAMP = np.arange(512.0)
+_WING_RAMP.flags.writeable = False
+_LOG_WING_FAR = float(np.log10(_WING_FAR))
+
+
+def _wing_offsets(near: float):
+    """np.geomspace(near, _WING_FAR, 512) bit for bit, for 0 < near < 1e8:
+    numpy's own steps (log10 of both ends, a linear ramp, 10**ramp, both
+    ends pinned) without its per-call argument handling.  np.log10, not
+    math.log10: the two differ in the last bit for some ends."""
+    log_near = np.log10(near)
+    step = (_LOG_WING_FAR - log_near) / (len(_WING_RAMP) - 1)
+    offs = np.power(10.0, _WING_RAMP * step + log_near)
+    offs[0], offs[-1] = near, _WING_FAR
+    return offs
 
 
 def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, float]:
@@ -126,8 +142,7 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     shape; argsup = +inf for a supremum attained only in the limit."""
     nsvi = NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=1.0)
     l2 = _right_zero(gamma, rho)
-    offs = np.geomspace(1e-8 * max(1.0, abs(l2)), 1e8, 512)
-    grid = l2 + offs
+    grid = l2 + _wing_offsets(1e-8 * max(1.0, abs(l2)))
     vals = np.asarray(sigma_floor(grid, nsvi))
     i = int(np.argmax(vals))
     on_bound = wing_slope(b, rho) == "on"

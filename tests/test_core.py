@@ -15,7 +15,6 @@ from smile_domain import (
     g1,
     hgg2,
     hgg2_prime,
-    invert,
     n_funcs,
     sigma_floor,
     sigma_floor_dual,
@@ -311,6 +310,26 @@ def test_rationalized_derivative_where_rho_equals_l_over_s(rho, l):
     assert [v[0] for v in arrays] == [n, n1, n2]
 
 
+@pytest.mark.parametrize("rho", [0.0, -0.0])
+@pytest.mark.parametrize("gamma", [-0.9, 0.4])
+def test_level_at_zero_correlation_is_the_two_branch_form(rho, gamma):
+    # at rho = +-0 the rationalized N is never selected, so it is not computed
+    ls = [0.0, 1e-3, -1e-3, 1e8, -1e8]
+
+    def two_branch(l):
+        s = np.hypot(l, 1.0)
+        lin = rho * l
+        n_alt = gamma + (l * l * ((1.0 - rho) * (1.0 + rho)) + 1.0) / (s + abs(lin))
+        return np.where(lin < 0.0, n_alt, gamma + lin + s)
+
+    arr = np.array(ls)
+    assert n_funcs(arr, gamma, rho)[0].tobytes() == two_branch(arr).tobytes()
+    for l in ls:
+        n = n_funcs(l, gamma, rho)[0]
+        assert type(n) is float
+        assert n.hex() == float(two_branch(np.float64(l))).hex()
+
+
 @pytest.mark.parametrize("g2v", [-1.0, 1.0])
 def test_sigma_floor_signed_infinity_where_g1_is_zero(monkeypatch, g2v):
     # G1+ = h - b*g = 0 exactly: -b*g2/(2*G1) is -inf*sign(g2), scalar or array
@@ -466,18 +485,6 @@ def test_array_outputs_are_pinned(shape):
     outs = n_funcs(l, gamma, rho) + hgg2_prime(l, _nsvi(gamma, b, rho, mu))
     got = [" ".join(float(o[i]).hex() for o in outs) for i in range(len(l))]
     assert got == [" ".join(row.split()) for row in _GOLDEN[shape]]
-
-
-# ---------------------------------------------------------------------------
-# inversion
-# ---------------------------------------------------------------------------
-def test_invert_examples():
-    p = RawSviParams(a=0.0, b=1.0, rho=1.0, m=-1.0, sigma=1.0)
-    q = invert(p)
-    assert (q.a, q.b, q.rho, q.m, q.sigma) == (0.0, 1.0, -1.0, 1.0, 1.0)
-    assert invert(q) == p
-    fixed = RawSviParams(a=0.1, b=0.5, rho=0.0, m=0.0, sigma=1.0)
-    assert invert(fixed) == fixed
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,6 +17,7 @@ from smile_domain import (
     solve_l_minus,
 )
 from smile_domain import fukasawa
+from smile_domain.roots import RTOL, grid_root
 from smile_domain.symmetric import fukasawa_threshold_closed
 
 
@@ -144,6 +145,45 @@ def test_scan_grid_starts_below_the_level(rho):
         b = frac * 2.0 / (1.0 - rho)
         for gamma in floor + np.geomspace(1e-12, 50.0, 40):
             assert l_minus_curve(start, b, rho) - gamma < 0.0
+
+
+def _per_call_scan_grid(rho):
+    # the grid as it was built on every solve before its offsets became a
+    # module constant
+    start = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) if rho > 0.0 else 0.0
+    upper = start - 1e-6
+    return upper - np.geomspace(1e-6, upper + 1e8, 128)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.0, -1e-300, -0.5, -1.0 + 1e-14, -1.0])
+def test_scan_grid_unchanged_for_nonpositive_rho(rho):
+    grid = fukasawa._scan_grid(rho)
+    assert grid.tobytes() == _per_call_scan_grid(rho).tobytes()
+    assert grid.flags.writeable and not fukasawa._SCAN_OFFSETS.flags.writeable
+
+
+def test_scan_grid_roots_for_positive_rho_within_the_solver_tolerance():
+    # for rho > 0 the far end moved from l = -1e8 to 1e8 below the start, so
+    # the bracket, and the root in its last bits, can differ: over this
+    # sweep 558 of 1035 roots are bitwise equal and the rest lie within
+    # 4.3 solver tolerances.  Within 1e-9 of the floor the level curve is
+    # flat and the roots differ up to 1.5e-8 relative, so there the residual
+    # is checked instead (at most 2.0e-12 on this sweep).
+    for rho in np.linspace(0.005, 0.995, 67).tolist() + [1e-12, 1.0 - 1e-10]:
+        floor = -math.sqrt((1.0 - rho) * (1.0 + rho))
+        for frac in (0.01, 0.3, 0.999):
+            b = frac * 2.0 / (1.0 + rho)
+            for gamma in (floor + 1e-9, floor / 2.0, 0.0, 0.3, 2.0):
+                def f(l):
+                    return l_minus_curve(l, b, rho) - gamma
+
+                old = grid_root(f, _per_call_scan_grid(rho), xtol=1e-14)
+                new = solve_l_minus(gamma, b, rho)
+                assert mu_interval(gamma, b, rho).lower == mu_lower_curve(new, gamma, b, rho)
+                if gamma == floor + 1e-9:
+                    assert abs(f(new)) <= 1e-11
+                else:
+                    assert abs(new - old) <= 8.0 * (1e-14 + RTOL * abs(old))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from smile_domain import (
     BOUNDARY_TOL,
     FukasawaViolation,
+    fukasawa_threshold,
     InvalidParamsError,
     NormalizedSvi,
     RawSviParams,
@@ -15,7 +16,6 @@ from smile_domain import (
     durrleman_check,
     g2_zeros,
     hgg2,
-    invert,
     maximize_f_on_interval,
     mu_interval,
     sigma_star,
@@ -336,6 +336,33 @@ def test_sigma_floor_scalar_infinite_where_g1_rounds_to_zero():
     assert sigma_floor(l, nsvi) == arr[0] == math.inf
 
 
+def test_wing_offsets_are_numpy_geomspace():
+    rng = np.random.default_rng(5)
+    nears = (10.0 ** rng.uniform(-12.0, 4.0, 900)).tolist()
+    for rho in np.linspace(-0.999, 0.999, 50).tolist():
+        for gamma in (-0.3 * math.sqrt((1.0 - rho) * (1.0 + rho)), 1.5):
+            nears.append(1e-8 * max(1.0, abs(oracle._right_zero(gamma, rho))))
+    for near in nears:
+        expected = np.geomspace(near, 1e8, 512)
+        assert oracle._wing_offsets(near).tobytes() == expected.tobytes(), near
+
+
+@pytest.mark.parametrize(
+    "gamma, b, rho, mu",
+    [(0.5, 1.0, 0.3, -0.1), (0.2, 0.6, -0.7, 0.3), (0.3, 1.2, 0.0, 0.1),
+     (1.0, 2.0, 0.0, 0.5), (0.5, 0.8, 1.0, -0.5)],
+)
+def test_oracle_builds_no_grid_per_call(monkeypatch, gamma, b, rho, mu):
+    # the scan grids' shape-independent parts are built once, at import
+    def no_geomspace(*args, **kwargs):
+        raise AssertionError("np.geomspace called per call")
+
+    monkeypatch.setattr(np, "geomspace", no_geomspace)
+    assert sigma_star(gamma, b, rho, mu).sigma_star > 0.0
+    assert mu_interval(gamma, b, rho).contains(mu)
+    assert -1.0 <= fukasawa_threshold(b, rho) <= 0.0
+
+
 # ---------------------------------------------------------------------------
 # density check
 # ---------------------------------------------------------------------------
@@ -392,7 +419,8 @@ def test_arbitrage_status_invariant_under_inversion():
         sigma = star * rng.choice([0.7, 1.4])
         raw = NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=sigma).to_raw()
         v1 = durrleman_check(raw).min_value >= -1e-8
-        v2 = durrleman_check(invert(raw)).min_value >= -1e-8
+        inverted = RawSviParams(raw.a, raw.b, -raw.rho, -raw.m, raw.sigma)
+        v2 = durrleman_check(inverted).min_value >= -1e-8
         assert v1 == v2
         checked += 1
 
