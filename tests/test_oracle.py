@@ -8,12 +8,12 @@ import pytest
 from smile_domain import (
     BOUNDARY_TOL,
     FukasawaViolation,
-    fukasawa_threshold,
     InvalidParamsError,
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
     durrleman_check,
+    fukasawa_threshold,
     g2_zeros,
     hgg2,
     maximize_f_on_interval,
