@@ -214,6 +214,33 @@ def total_variance(p: RawSviParams, k):
     return float(w) if w.ndim == 0 else w
 
 
+def _l_terms(l):
+    """The terms in l alone: (l, s, l/s, s^2, s^-3, l^2), s = sqrt(l^2+1)."""
+    s = _hypot1(l)
+    s2 = s * s
+    return l, s, l / s, s2, 1.0 / (s2 * s), l * l
+
+
+def _n_funcs_at(t, gamma: float, rho: float):
+    """n_funcs on the terms of _l_terms."""
+    l, s, x, s2, n2, ll = t
+    lin = rho * l
+    n = gamma + lin + s
+    n1 = rho + x
+    if rho != 0.0:  # at rho = 0, rho*l and rho*x are +-0 and never < 0
+        # both branches are evaluated, and |rho| + |x| > 0 here
+        l2c = ll * ((1.0 - rho) * (1.0 + rho))
+        # rho*l + s == (l^2*(1-rho^2) + 1)/(s + |rho*l|) when signs oppose
+        n_alt = gamma + (l2c + 1.0) / (s + abs(lin))
+        n = _select(lin < 0.0, n_alt, n)
+        # rho + x == sgn(rho)*(rho^2 - x^2)/(|rho| + |x|) when signs oppose,
+        # with rho^2 - x^2 = (rho^2 - l^2*(1-rho^2))/(l^2+1)
+        den = abs(rho) + abs(x)
+        n1_alt = (rho * rho - l2c) / s2 / (den if rho > 0.0 else -den)
+        n1 = _select(rho * x < 0.0, n1_alt, n1)
+    return n, n1, n2
+
+
 def n_funcs(l, gamma: float, rho: float):
     """Normalized level N and its first two derivatives at l.
 
@@ -222,24 +249,19 @@ def n_funcs(l, gamma: float, rho: float):
     rationalized when rho*l < 0 so the wings keep full relative precision
     instead of cancelling two nearly equal magnitudes.
     """
-    s = _hypot1(l)
-    x = l / s
-    lin = rho * l
-    n = gamma + lin + s
-    n1 = rho + x
-    if rho != 0.0:  # at rho = 0, rho*l and rho*x are +-0 and never < 0
-        # both branches are evaluated, and |rho| + |x| > 0 here
-        one_m_rho2 = (1.0 - rho) * (1.0 + rho)
-        # rho*l + s == (l^2*(1-rho^2) + 1)/(s + |rho*l|) when signs oppose
-        n_alt = gamma + (l * l * one_m_rho2 + 1.0) / (s + abs(lin))
-        n = _select(lin < 0.0, n_alt, n)
-        # rho + x == sgn(rho)*(rho^2 - x^2)/(|rho| + |x|) when signs oppose,
-        # with rho^2 - x^2 = (rho^2 - l^2*(1-rho^2))/(l^2+1)
-        sgn = math.copysign(1.0, rho)
-        n1_alt = sgn * (rho * rho - l * l * one_m_rho2) / (s * s) / (abs(rho) + abs(x))
-        n1 = _select(rho * x < 0.0, n1_alt, n1)
-    n2 = 1.0 / (s * s * s)
-    return n, n1, n2
+    return _n_funcs_at(_l_terms(l), gamma, rho)
+
+
+def _hgg2_at(t, nsvi: NormalizedSvi):
+    """hgg2 on the terms of _l_terms."""
+    n, n1, n2 = _n_funcs_at(t, nsvi.gamma, nsvi.rho)
+    if _any(n <= 0.0):
+        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
+    two_n = 2.0 * n
+    h = 1.0 - n1 * (t[0] + nsvi.mu) / two_n
+    g = n1 / 4.0
+    g2 = n2 - n1 * n1 / two_n
+    return h, g, g2
 
 
 def hgg2(l, nsvi: NormalizedSvi):
@@ -248,20 +270,14 @@ def hgg2(l, nsvi: NormalizedSvi):
     h = 1 - N'*(l + mu)/(2N), g = N'/4 and g2 = N'' - N'^2/(2N).  Raises
     EvaluationDomainError if N <= 0 anywhere on the input.
     """
-    n, n1, n2 = n_funcs(l, nsvi.gamma, nsvi.rho)
-    if _any(n <= 0.0):
-        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    h = 1.0 - n1 * (l + nsvi.mu) / (2.0 * n)
-    g = n1 / 4.0
-    g2 = n2 - n1 * n1 / (2.0 * n)
-    return h, g, g2
+    return _hgg2_at(_l_terms(l), nsvi)
 
 
 def g1(l, nsvi: NormalizedSvi):
     """Wing positivity factors (G1, G1+, G1-) with G1 = G1+ * G1-."""
     h, g, _ = hgg2(l, nsvi)
-    plus = h - nsvi.b * g
-    minus = h + nsvi.b * g
+    bg = nsvi.b * g
+    plus, minus = h - bg, h + bg
     return plus * minus, plus, minus
 
 
@@ -271,19 +287,21 @@ def hgg2_prime(l, nsvi: NormalizedSvi):
     Returns (h, g, g2, h', g', g2').  Used by the critical-point machinery
     that trades the curvature parameter b for the minimizer location.
     """
-    n, n1, n2 = n_funcs(l, nsvi.gamma, nsvi.rho)
+    t = _l_terms(l)
+    n, n1, n2 = _n_funcs_at(t, nsvi.gamma, nsvi.rho)
     if _any(n <= 0.0):
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    s = _hypot1(l)
-    n3 = -3.0 * l / s**5
+    n3 = -3.0 * l / t[1]**5
 
     lm = l + nsvi.mu
-    h = 1.0 - n1 * lm / (2.0 * n)
+    two_n, n1sq = 2.0 * n, n1 * n1
+    two_nn = two_n * n
+    h = 1.0 - n1 * lm / two_n
     g = n1 / 4.0
-    g2 = n2 - n1 * n1 / (2.0 * n)
-    h1 = -(n2 * lm + n1) / (2.0 * n) + n1 * n1 * lm / (2.0 * n * n)
+    g2 = n2 - n1sq / two_n
+    h1 = -(n2 * lm + n1) / two_n + n1sq * lm / two_nn
     g1d = n2 / 4.0
-    g21 = n3 - n1 * n2 / n + n1**3 / (2.0 * n * n)
+    g21 = n3 - n1 * n2 / n + n1**3 / two_nn
     return h, g, g2, h1, g1d, g21
 
 
@@ -293,7 +311,8 @@ def sigma_floor(l, nsvi: NormalizedSvi):
     value is infinite, for a scalar l as for an array."""
     h, g, g2v = hgg2(l, nsvi)
     b = nsvi.b
-    num, den = -b * g2v, 2.0 * ((h - b * g) * (h + b * g))
+    bg = b * g
+    num, den = -b * g2v, 2.0 * ((h - bg) * (h + bg))
     if not _any(den == 0.0):
         return num / den
     with np.errstate(divide="ignore"):
@@ -305,6 +324,5 @@ def sigma_floor_dual(l, nsvi: NormalizedSvi):
     minimizes it.  No family or oracle calls it: it is the reference for
     the reciprocity checks in the tests."""
     h, g, g2v = hgg2(l, nsvi)
-    b = nsvi.b
-    return -((h - b * g) * (h + b * g)) / g2v
-
+    bg = nsvi.b * g
+    return -((h - bg) * (h + bg)) / g2v

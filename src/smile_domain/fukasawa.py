@@ -28,7 +28,8 @@ from .core import (
     InvalidParamsError,
     NoRootError,
     _any,
-    _hypot1,
+    _l_terms,
+    _n_funcs_at,
     n_funcs,
     wing_slope,
 )
@@ -76,9 +77,9 @@ def l_minus_curve(l, b: float, rho: float):
     with s = sqrt(l^2+1); evaluated here as s^3*N'^2*(2 + b*N')/4 - N so the
     deep left wing keeps full precision.
     """
-    s = _hypot1(l)
-    n0, n1, _ = n_funcs(l, 0.0, rho)
-    return s**3 * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
+    t = _l_terms(l)
+    n0, n1, _ = _n_funcs_at(t, 0.0, rho)
+    return t[1]**3 * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
 
 
 def _validate_level(gamma: float, rho: float) -> None:
@@ -116,7 +117,8 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
     The curve minus gamma is negative at the start of the scan grid (next
     to min(l*, 0)) and diverges to +infinity on the far left; Brent's method
     on the grid's first sign change takes about 8 scalar evaluations, at
-    rho = -1 as for every other rho < 1.
+    rho = -1 as for every other rho < 1.  Past a grid with no sign change
+    (rho within about 1e-12 of 1) the scan goes on to |l| = 1e100 or so.
 
     Raises NoRootError in the degenerate case b*(1 - rho) = 2, where the
     curve no longer diverges on the left and the root escapes to -infinity.
@@ -130,7 +132,13 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
             f"left root removed at b*(1-rho)={b * (1.0 - rho)}", degenerate_case=tag
         )
 
-    l = grid_root(lambda t: l_minus_curve(t, b, rho) - gamma, _scan_grid(rho), xtol=1e-14)
+    def level(t):
+        return l_minus_curve(t, b, rho) - gamma
+
+    grid = _scan_grid(rho)
+    l = grid_root(level, grid, xtol=1e-14)
+    if l is None:  # s^3 overflows a little past |l| = 1e102
+        l = grid_root(level, np.geomspace(grid[-1], 1e92 * grid[-1], 93), xtol=1e-14)
     if l is None:
         raise NoRootError(
             f"no sign change for gamma={gamma}, b={b}, rho={rho}"

@@ -26,7 +26,8 @@ from .core import (
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
-    hgg2,
+    _hgg2_at,
+    _l_terms,
     n_funcs,
     sigma_floor,
     wing_slope,
@@ -242,12 +243,17 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
 _TAIL = np.geomspace(50.0, 1.0e6, 501)[1:]
 _DENSITY_GRID = np.concatenate([-_TAIL[::-1], np.linspace(-50.0, 50.0, 4001), _TAIL])
 _DENSITY_GRID.flags.writeable = False
+# the grid's terms that do not depend on the shape, built once
+_DENSITY_TERMS = _l_terms(_DENSITY_GRID)
+for _term in _DENSITY_TERMS:
+    _term.flags.writeable = False
 
 
 def durrleman_check(p: RawSviParams) -> DensityReport:
     """Minimum of the density functional G1 + b*g2/(2*sigma) on a fixed
     grid: 4001 uniform points on [-50, 50] and 500 log-spaced points on
-    each tail out to 1e6.
+    each tail out to 1e6.  The grid's terms in l alone (sqrt(l^2+1), its
+    powers, l/sqrt(l^2+1) and l^2) are built once, at import.
 
     Nonnegativity of this functional is equivalent to absence of butterfly
     arbitrage; this check is deliberately independent of the supremum search
@@ -264,9 +270,10 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
         return DensityReport(min_value=1.0, argmin_l=0.0, n_points=1)
     nsvi = p.normalized()
     ls = _DENSITY_GRID
-    h, g, g2v = hgg2(ls, nsvi)
+    h, g, g2v = _hgg2_at(_DENSITY_TERMS, nsvi)
     b = nsvi.b
-    vals = (h - b * g) * (h + b * g) + b * g2v / (2.0 * nsvi.sigma)
+    bg = b * g
+    vals = (h - bg) * (h + bg) + b * g2v / (2.0 * nsvi.sigma)
     i = int(np.argmin(vals))
     return DensityReport(
         min_value=float(vals[i]), argmin_l=float(ls[i]), n_points=len(ls)

@@ -193,7 +193,8 @@ def grid_root(f: Callable, grid, xtol: float, rtol: float = RTOL) -> float | Non
     may run either way.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    idx = np.flatnonzero(np.diff(np.sign(f(grid))) != 0)
+    sgn = np.sign(f(grid))
+    idx = np.flatnonzero(sgn[1:] != sgn[:-1])
     if not idx.size:
         return None
     i = int(idx[0])

@@ -186,6 +186,27 @@ def test_scan_grid_roots_for_positive_rho_within_the_solver_tolerance():
                     assert abs(new - old) <= 8.0 * (1e-14 + RTOL * abs(old))
 
 
+@pytest.mark.parametrize(
+    "gamma, b, rho",
+    [(0.3, 0.5, 1.0 - 1e-14), (2.0, 0.5, 1.0 - 1e-12), (0.3, 0.5, -1.0 + 1e-14),
+     (2.0, 0.01, 1.0 - 1e-12), (2.0, 0.99, 1.0 - 1e-12)],
+)
+def test_interval_with_a_root_beyond_the_scan_grid(gamma, b, rho):
+    # within about 1e-12 of |rho| = 1 the root l- of the solve at rho
+    # (or at -rho, for the mirrored upper end) lies past the grid's far end
+    iv = mu_interval(gamma, b, rho)
+    assert math.isfinite(iv.lower) and math.isfinite(iv.upper)
+    assert iv.lower < iv.upper
+    r = abs(rho)
+    l = solve_l_minus(gamma, b, r)
+    assert l < fukasawa._scan_grid(r)[-1]
+    tol = 1e-14 + RTOL * abs(l)
+    assert l_minus_curve(l - tol, b, r) - gamma >= 0.0 >= l_minus_curve(l + tol, b, r) - gamma
+    assert abs(l_minus_curve(l, b, r) - gamma) <= 1e-12 * max(1.0, gamma)
+    end = mu_lower_curve(l, gamma, b, r)
+    assert (iv.lower if rho > 0.0 else -iv.upper) == end
+
+
 # ---------------------------------------------------------------------------
 # mu_interval
 # ---------------------------------------------------------------------------

@@ -191,6 +191,33 @@ def test_grid_root_evaluates_the_grid_once():
     assert arrays == [20]
 
 
+def test_grid_root_brackets_the_first_sign_change_of_any_values():
+    # +-0, NaN, infinities and subnormals: the pair grid_root solves on is
+    # the first one where np.diff(np.sign(values)) != 0
+    rng = np.random.default_rng(7)
+    pool = np.array([1.0, -1.0, 0.0, -0.0, 2.0, np.nan, np.inf, -np.inf, 1e-310])
+
+    class Bracket(Exception):
+        pass
+
+    for _ in range(2000):
+        vals = rng.choice(pool, rng.integers(0, 10))
+        grid = np.arange(float(len(vals)))
+
+        def f(x):
+            if np.ndim(x):
+                return vals
+            raise Bracket(x)
+
+        idx = np.flatnonzero(np.diff(np.sign(vals)) != 0)
+        if not idx.size:
+            assert grid_root(f, grid, xtol=1e-15) is None
+            continue
+        with pytest.raises(Bracket) as lo:
+            grid_root(f, grid, xtol=1e-15)
+        assert lo.value.args[0] == grid[idx[0]]
+
+
 # ---------------------------------------------------------------------------
 # bounded maximization
 # ---------------------------------------------------------------------------
