@@ -38,7 +38,7 @@ L_SCALARS = L_ARRAY[:: len(L_ARRAY) // 1000].tolist()
 # reference expressions
 # ---------------------------------------------------------------------------
 def _hypot1(l):
-    return math.hypot(l, 1.0) if isinstance(l, float) else np.hypot(l, 1.0)
+    return math.hypot(l, 1.0) if isinstance(l, (float, int)) else np.hypot(l, 1.0)
 
 
 def _select(cond, a, b):
