@@ -244,7 +244,7 @@ def cmd_certify(args) -> int:
         if args.oracle:
             report = durrleman_check(cert.params_raw)
             doc["diagnostics"]["oracle_min"] = report.min_value
-            doc["diagnostics"]["oracle_argmin_l"] = report.argmin_l
+            doc["diagnostics"]["oracle_argmin_l"] = json_value(report.argmin_l)
             doc["diagnostics"]["oracle_grid_points"] = report.n_points
     except _SOLVER_ERRORS as exc:
         return _failure(exc)

@@ -193,8 +193,8 @@ class NormalizedSvi:
 # Shape functions
 # ---------------------------------------------------------------------------
 # The shape functions have one body each for a scalar l and an array of them.
-# Only these three helpers look at the type: a Python number stays a Python
-# float, as the scalar solvers call them, and never becomes a 0-d array.
+# Only these helpers look at the type: a Python number stays a Python float,
+# as the scalar solvers call them, and never becomes a 0-d array.
 def _hypot1(l):
     return math.hypot(l, 1.0) if isinstance(l, (float, int)) else np.hypot(l, 1.0)
 
@@ -205,6 +205,22 @@ def _select(cond, a, b):
 
 def _any(mask):
     return mask if isinstance(mask, bool) else mask.any()
+
+
+def _pow(s, n: int):
+    """s**n, inf past the float range for a Python float as for an array."""
+    try:
+        return s**n
+    except OverflowError:
+        return math.inf
+
+
+def _ratio(num, den):
+    """num/den, infinite where den is 0, for a scalar as for an array."""
+    if not _any(den == 0.0):
+        return num / den
+    with np.errstate(divide="ignore"):
+        return np.divide(num, den)
 
 
 def total_variance(p: RawSviParams, k):
@@ -252,16 +268,47 @@ def n_funcs(l, gamma: float, rho: float):
     return _n_funcs_at(_l_terms(l), gamma, rho)
 
 
-def _hgg2_at(t, nsvi: NormalizedSvi):
-    """hgg2 on the terms of _l_terms."""
-    n, n1, n2 = _n_funcs_at(t, nsvi.gamma, nsvi.rho)
-    if _any(n <= 0.0):
+def _wing_terms(u):
+    """Terms of the point l = 1/u in [0, +inf] alone (a, c, e, e/s, q,
+    q*a/s, q*e/s, c^2/s^3): (a, c) = (1/max(u, 1), min(u, 1)), l = a/c,
+    s = hypot(a, c), q = c/(s + a), e = s - a = c*q; terms in u for l >= 1."""
+    big = u > 1.0
+    a, c = 1.0 / _select(big, u, 1.0), _select(big, 1.0, u)
+    s = _hypot1(_select(big, a, c))  # one of a, c is 1
+    q = c / (s + a)
+    e = c * q
+    es = e / s
+    return a, c, e, es, q, q * a / s, q * es, c * c / (s * s * s)
+
+
+def _wing_slack(b: float, rho: float) -> float:
+    """The right wing's slack 1 - b*(1 + rho)/2, or 0 where it is "on"."""
+    return 0.0 if wing_slope(b, rho) == "on" else 1.0 - b * (1.0 + rho) / 2.0
+
+
+def _wing_n_at(t, gamma: float, rho: float):
+    """(2*N*c, N' = P - e/s, g2/c) on the terms of _wing_terms, P = 1 + rho:
+    N*c = gamma*c + P*a + e, and g2/c is -P/2 at l = +inf."""
+    a, c, e, es, _, _, _, c2s3 = t
+    p = 1.0 + rho
+    two_d = 2.0 * (gamma * c + (p * a + e))
+    n1 = p - es
+    return two_d, n1, c2s3 - n1 * n1 / two_d
+
+
+def _wing_at(t, gamma: float, b: float, rho: float, mu: float, w: float):
+    """(g2/c, h - b*g, h + b*g, Y/(2*N*c)) on the terms of _wing_terms, with
+    w = _wing_slack(b, rho) split out of 2*N*c*(h - b*g) = P*w*a + c*Y, and Y
+    gamma*(1 + w) - mu*P at l = +inf.  Raises where N*c <= 0, as at P = 0."""
+    a, c, _, es, q, qr, eqr, _ = t
+    two_d, n1, g2c = _wing_n_at(t, gamma, rho)
+    if _any(two_d <= 0.0):
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    two_n = 2.0 * n
-    h = 1.0 - n1 * (t[0] + nsvi.mu) / two_n
-    g = n1 / 4.0
-    g2 = n2 - n1 * n1 / two_n
-    return h, g, g2
+    p = 1.0 + rho
+    y = ((gamma * (1.0 + w) - p * mu) + (1.0 + w) * q + (2.0 - w) * qr
+         + (mu + b * gamma / 2.0) * es + b / 2.0 * eqr)
+    hm = (p * w * a + c * y) / two_d
+    return g2c, hm, hm + b / 2.0 * n1, y / two_d
 
 
 def hgg2(l, nsvi: NormalizedSvi):
@@ -270,7 +317,15 @@ def hgg2(l, nsvi: NormalizedSvi):
     h = 1 - N'*(l + mu)/(2N), g = N'/4 and g2 = N'' - N'^2/(2N).  Raises
     EvaluationDomainError if N <= 0 anywhere on the input.
     """
-    return _hgg2_at(_l_terms(l), nsvi)
+    t = _l_terms(l)
+    n, n1, n2 = _n_funcs_at(t, nsvi.gamma, nsvi.rho)
+    if _any(n <= 0.0):
+        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
+    two_n = 2.0 * n
+    h = 1.0 - n1 * (l + nsvi.mu) / two_n
+    g = n1 / 4.0
+    g2 = n2 - n1 * n1 / two_n
+    return h, g, g2
 
 
 def g1(l, nsvi: NormalizedSvi):
@@ -291,7 +346,7 @@ def hgg2_prime(l, nsvi: NormalizedSvi):
     n, n1, n2 = _n_funcs_at(t, nsvi.gamma, nsvi.rho)
     if _any(n <= 0.0):
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    n3 = -3.0 * l / t[1]**5
+    n3 = -3.0 * l / _pow(t[1], 5)
 
     lm = l + nsvi.mu
     two_n, n1sq = 2.0 * n, n1 * n1
@@ -312,11 +367,7 @@ def sigma_floor(l, nsvi: NormalizedSvi):
     h, g, g2v = hgg2(l, nsvi)
     b = nsvi.b
     bg = b * g
-    num, den = -b * g2v, 2.0 * ((h - bg) * (h + bg))
-    if not _any(den == 0.0):
-        return num / den
-    with np.errstate(divide="ignore"):
-        return np.divide(num, den)
+    return _ratio(-b * g2v, 2.0 * ((h - bg) * (h + bg)))
 
 
 def sigma_floor_dual(l, nsvi: NormalizedSvi):

@@ -30,6 +30,7 @@ from .core import (
     _any,
     _l_terms,
     _n_funcs_at,
+    _pow,
     n_funcs,
     wing_slope,
 )
@@ -79,7 +80,7 @@ def l_minus_curve(l, b: float, rho: float):
     """
     t = _l_terms(l)
     n0, n1, _ = _n_funcs_at(t, 0.0, rho)
-    return t[1]**3 * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
+    return _pow(t[1], 3) * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
 
 
 def _validate_level(gamma: float, rho: float) -> None:

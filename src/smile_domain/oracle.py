@@ -2,11 +2,11 @@
 
 sigma* is the supremum of the pointwise requirement f = -b*g2/(2*G1) over
 the two wing intervals where g2 < 0.  Each admissible side is searched with
-a dense log-spaced scan followed by Brent's bounded maximization; on the
-wing-slope boundaries b*(1 +- rho) = 2 the supremum may be attained only in
-the limit l -> +-infinity, so the closed-form limit of f is evaluated
-explicitly (a grid cannot witness it).  Every closed-form family domain in
-this package is validated against this oracle.
+a dense scan in u = 1/l followed by Brent's bounded maximization.  The scan
+ends at u = 0, the point at infinity: on the wing-slope boundaries
+b*(1 +- rho) = 2 the supremum may be attained only there, as the limit of f.
+Every closed-form family domain in this package is validated against this
+oracle.
 
 durrleman_check is the independent second route: it verifies nonnegativity
 of G1 + b*g2/(2*sigma) directly on a wide grid.
@@ -26,10 +26,11 @@ from .core import (
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
-    _hgg2_at,
-    _l_terms,
-    n_funcs,
-    sigma_floor,
+    _wing_at,
+    _wing_n_at,
+    _wing_slack,
+    _ratio,
+    _wing_terms,
     wing_slope,
 )
 from .fukasawa import mu_interval
@@ -75,28 +76,19 @@ class DensityReport:
 # ---------------------------------------------------------------------------
 # Zeros of g2
 # ---------------------------------------------------------------------------
-# offsets right of the smile minimum on which the zero of g2 is bracketed
-_G2_OFFSETS = np.geomspace(1e-9, 1e7, 400)
-_G2_OFFSETS.flags.writeable = False
+# u = 1/l from u = 0, l = +inf, up to l = 1e-6, left of every zero of g2
+_U_GRID = np.append(0.0, np.geomspace(1e-16, 1e6, 551))
+_U_TERMS = _wing_terms(_U_GRID)
 
 
 def _right_zero(gamma: float, rho: float) -> float:
-    """Unique zero of g2 to the right of the smile minimum."""
-    if abs(rho) < 1.0:
-        start = -rho / math.sqrt((1.0 - rho) * (1.0 + rho))
-    else:  # rho = 1: g2 > 0 on the whole left half-line
-        start = 0.0
+    """Unique zero l2 > 0 of g2 right of the smile minimum, in u = 1/l: the
+    grid brackets it, as g2 > 0 on [0, l2) and g2/u = -(1 + rho)/2 at u = 0."""
 
-    def g2(l):
-        n, n1, n2 = n_funcs(l, gamma, rho)
-        return n2 - n1 * n1 / (2.0 * n)
+    def g2u(u):
+        return _wing_n_at(_U_TERMS if u is _U_GRID else _wing_terms(u), gamma, rho)[2]
 
-    l2 = grid_root(g2, start + _G2_OFFSETS, xtol=1e-15, rtol=8.9e-16)
-    if l2 is None:
-        raise EvaluationDomainError(
-            f"no g2 sign change found for gamma={gamma}, rho={rho}"
-        )
-    return l2
+    return 1.0 / grid_root(g2u, _U_GRID, xtol=1e-300, rtol=8.9e-16)
 
 
 def g2_zeros(gamma: float, rho: float) -> G2Zeros:
@@ -118,58 +110,25 @@ def g2_zeros(gamma: float, rho: float) -> G2Zeros:
 # ---------------------------------------------------------------------------
 # Supremum search
 # ---------------------------------------------------------------------------
-# a wing scan's last points, l about 7e7 to 1e8 beyond the zero of g2
-_TAIL_POINTS = 6
-_WING_FAR = 1e8
-_WING_RAMP = np.arange(512.0)
-_WING_RAMP.flags.writeable = False
-_LOG_WING_FAR = float(np.log10(_WING_FAR))
-
-
-def _wing_offsets(near: float):
-    """np.geomspace(near, _WING_FAR, 512) bit for bit, for 0 < near < 1e8:
-    numpy's own steps (log10 of both ends, a linear ramp, 10**ramp, both
-    ends pinned) without its per-call argument handling.  np.log10, not
-    math.log10: the two differ in the last bit for some ends."""
-    log_near = np.log10(near)
-    step = (_LOG_WING_FAR - log_near) / (len(_WING_RAMP) - 1)
-    offs = np.power(10.0, _WING_RAMP * step + log_near)
-    offs[0], offs[-1] = near, _WING_FAR
-    return offs
-
-
 def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, float]:
     """(argsup, sup) of f on the right wing (l2, infinity) of the given
-    shape; argsup = +inf for a supremum attained only in the limit."""
-    nsvi = NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=1.0)
-    l2 = _right_zero(gamma, rho)
-    grid = l2 + _wing_offsets(1e-8 * max(1.0, abs(l2)))
-    vals = np.asarray(sigma_floor(grid, nsvi))
-    i = int(np.argmax(vals))
-    on_bound = wing_slope(b, rho) == "on"
-    if on_bound:
-        # on the wing boundary b*(1+rho) = 2, f tends to 1/(gamma/(1+rho) - mu)
-        # as l -> +infinity, finite while that wing factor is positive
-        denom = gamma / (1.0 + rho) - mu
-        lim = 1.0 / denom if denom > 0.0 else math.inf
-        if i >= len(grid) - _TAIL_POINTS:
-            # a peak that far out is the cancellation noise that the test
-            # below takes for the limit, so it needs no search
-            return math.inf, lim
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    arg, sup = maximize(lambda l: sigma_floor(l, nsvi), lo, hi)
+    shape, scanned on the u-grid right of l2: argsup = +inf where u = 0,
+    whose value is the limit (0 off the wing-slope bound), is the best
+    point, else Brent's search runs in u between that point's neighbours.
+    """
+    w = _wing_slack(b, rho)
 
-    if on_bound:
-        # G1 ~ 1/(2*lim*l) in the far tail, so a slope within BOUNDARY_TOL
-        # of 2, which counts as on the bound, moves f there by a relative
-        # BOUNDARY_TOL*l*lim at most; that covers the cancellation noise
-        # eps*l*lim too, and f is infinite where G1 rounds to 0; only an
-        # interior max that beats the limit beyond that is genuine
-        noise_rel = BOUNDARY_TOL * max(abs(arg), 1.0) * max(lim, 1.0) + 1e-12
-        if math.isinf(sup) or sup <= lim * (1.0 + noise_rel):
-            return math.inf, lim
-    return arg, sup
+    def f(t):  # on the bound (w = 0) h - b*g = c*Y/(2*N*c), and c cancels
+        g2c, hm, hp, yd = _wing_at(t, gamma, b, rho, mu, w)
+        return _ratio(-b / 2.0 * t[1] * g2c, hm * hp) if w else _ratio(-b / 2.0 * g2c, yd * hp)
+
+    n = int(np.searchsorted(_U_GRID, 1.0 / _right_zero(gamma, rho)))
+    vals = f(tuple(t[:n] for t in _U_TERMS))
+    i = int(np.argmax(vals))
+    if vals[0] >= vals[i] * (1.0 - 1e-15):  # u = 0 wins a tie within rounding
+        return math.inf, float(vals[0])
+    arg, sup = maximize(lambda u: f(_wing_terms(u)), _U_GRID[i - 1], _U_GRID[i + 1])
+    return 1.0 / arg, sup
 
 
 def maximize_f_on_interval(nsvi: NormalizedSvi, side: str) -> tuple[float, float]:
@@ -240,41 +199,42 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
 # ---------------------------------------------------------------------------
 # Independent density check
 # ---------------------------------------------------------------------------
-_TAIL = np.geomspace(50.0, 1.0e6, 501)[1:]
-_DENSITY_GRID = np.concatenate([-_TAIL[::-1], np.linspace(-50.0, 50.0, 4001), _TAIL])
-_DENSITY_GRID.flags.writeable = False
-# the grid's terms that do not depend on the shape, built once
-_DENSITY_TERMS = _l_terms(_DENSITY_GRID)
-for _term in _DENSITY_TERMS:
+# the right half-line: 2001 uniform l on [0, 50], then 500 log-spaced
+# u = 1/l from 1/50 down to 1e-10 and u = 0; the left one is its mirror
+_HALF_L = np.linspace(0.0, 50.0, 2001)
+_HALF_U = np.append(np.geomspace(0.02, 1e-10, 501)[1:], 0.0)
+with np.errstate(divide="ignore"):
+    _HALF = np.concatenate([_HALF_L, 1.0 / _HALF_U])
+    _HALF_TERMS = _wing_terms(np.concatenate([1.0 / _HALF_L, _HALF_U]))
+_DENSITY_GRID = np.concatenate([-_HALF[:0:-1], _HALF])
+for _term in (_U_GRID, *_U_TERMS, _DENSITY_GRID, *_HALF_TERMS):  # built once
     _term.flags.writeable = False
 
 
 def durrleman_check(p: RawSviParams) -> DensityReport:
     """Minimum of the density functional G1 + b*g2/(2*sigma) on a fixed
-    grid: 4001 uniform points on [-50, 50] and 500 log-spaced points on
-    each tail out to 1e6.  The grid's terms in l alone (sqrt(l^2+1), its
-    powers, l/sqrt(l^2+1) and l^2) are built once, at import.
+    grid: 4001 uniform points on [-50, 50], and on each side 500 points
+    log-spaced in u = 1/l down to 1e-10 and u = 0, l = +-inf (its limit).
 
     Nonnegativity of this functional is equivalent to absence of butterfly
     arbitrage; this check is deliberately independent of the supremum search
     so the two can validate each other.
-
-    It only checks |l| <= 1e6.  Arbitrage that sits further out is not
-    seen: SSVI slices with |rho| within about 1e-14 of 1 have the argsup of
-    the requirement at |l| up to 8.4e6, where a sigma below the supremum
-    still leaves this minimum positive on the grid.  There only
-    ``sigma_star`` judges.
     """
     if p.b <= 0.0:
         # flat smile: the functional is identically 1
         return DensityReport(min_value=1.0, argmin_l=0.0, n_points=1)
     nsvi = p.normalized()
-    ls = _DENSITY_GRID
-    h, g, g2v = _hgg2_at(_DENSITY_TERMS, nsvi)
-    b = nsvi.b
-    bg = b * g
-    vals = (h - bg) * (h + bg) + b * g2v / (2.0 * nsvi.sigma)
+    gamma, b, rho, mu = nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu
+    k = b / (2.0 * nsvi.sigma)
+    halves = []
+    for side in (1.0, -1.0):  # the left half-line is the mirror's right one
+        # a flat wing of |rho| = 1 (P = 0) has N*u = 0 at u = 0: +inf there
+        t = _HALF_TERMS if side * rho > -1.0 else tuple(x[:-1] for x in _HALF_TERMS)
+        g2c, hm, hp, _ = _wing_at(t, gamma, b, side * rho, side * mu, _wing_slack(b, side * rho))
+        vals = hm * hp + k * t[1] * g2c
+        halves.append(vals if t is _HALF_TERMS else np.append(vals, math.inf))
+    vals = np.concatenate([halves[1][:0:-1], halves[0]])
     i = int(np.argmin(vals))
     return DensityReport(
-        min_value=float(vals[i]), argmin_l=float(ls[i]), n_points=len(ls)
+        min_value=float(vals[i]), argmin_l=float(_DENSITY_GRID[i]), n_points=len(vals)
     )

@@ -51,7 +51,6 @@ __all__ = [
     "z_interval",
     "z_from_b",
     "certify",
-    "m_curve_diag",
     "z_inflection",
     "j1_slope",
 ]
@@ -381,17 +380,6 @@ def certify(p: SymmetricParams) -> DomainCertificate:
 # ---------------------------------------------------------------------------
 # Diagnostics (exposed for tables; no role in certification)
 # ---------------------------------------------------------------------------
-def m_curve_diag(b: float) -> float:
-    """-(b^4 - 38b^2 + 64)*(b^2+8)/((4-b^2)^(3/2)*(16-b^2)^(3/2)); the level
-    above which the curvature zero stays right of the wing minimizer."""
-    b2 = b * b
-    return (
-        -(b2 * b2 - 38.0 * b2 + 64.0)
-        * (b2 + 8.0)
-        / ((4.0 - b2) ** 1.5 * (16.0 - b2) ** 1.5)
-    )
-
-
 def z_inflection(gamma: float) -> float:
     """Inflection of the curvature function for gamma < 0: root of
     6g^3 z^4 + 19g^2 z^3 + 21g z^2 + 9z + g in (0, 1)."""

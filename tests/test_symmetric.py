@@ -25,7 +25,6 @@ from smile_domain.symmetric import (
     g_tilde,
     gamma_star,
     j2,
-    m_curve_diag,
     sigma_star_closed,
     z2,
     z_from_b,
@@ -370,11 +369,6 @@ def test_certify_never_reports_a_nonpositive_sigma_star():
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
-def test_m_curve_dominates_threshold():
-    for b in (0.5, 1.0, 1.5):
-        assert m_curve_diag(b) >= fukasawa_threshold_closed(b)
-
-
 def test_z_inflection_left_of_minimizer():
     for gamma in (-0.9, -0.5, -0.1):
         zi = z_inflection(gamma)
