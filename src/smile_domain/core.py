@@ -287,23 +287,23 @@ def _wing_slack(b: float, rho: float) -> float:
 
 
 def _wing_n_at(t, gamma: float, rho: float):
-    """(2*N*c, N' = P - e/s, g2/c) on the terms of _wing_terms, P = 1 + rho:
-    N*c = gamma*c + P*a + e, and g2/c is -P/2 at l = +inf."""
+    """(2*N*c, N' = P - e/s, g2/c) on the terms of _wing_terms, P = 1 + rho,
+    N*c = gamma*c + P*a + e.  Raises EvaluationDomainError where N*c <= 0."""
     a, c, e, es, _, _, _, c2s3 = t
     p = 1.0 + rho
     two_d = 2.0 * (gamma * c + (p * a + e))
+    if _any(two_d <= 0.0):
+        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
     n1 = p - es
     return two_d, n1, c2s3 - n1 * n1 / two_d
 
 
 def _wing_at(t, gamma: float, b: float, rho: float, mu: float, w: float):
     """(g2/c, h - b*g, h + b*g, Y/(2*N*c)) on the terms of _wing_terms, with
-    w = _wing_slack(b, rho) split out of 2*N*c*(h - b*g) = P*w*a + c*Y, and Y
-    gamma*(1 + w) - mu*P at l = +inf.  Raises where N*c <= 0, as at P = 0."""
+    the slack w = _wing_slack(b, rho) split out of 2*N*c*(h - b*g) =
+    P*w*a + c*Y, where Y is regular: gamma*(1 + w) - mu*P at l = +inf."""
     a, c, _, es, q, qr, eqr, _ = t
     two_d, n1, g2c = _wing_n_at(t, gamma, rho)
-    if _any(two_d <= 0.0):
-        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
     p = 1.0 + rho
     y = ((gamma * (1.0 + w) - p * mu) + (1.0 + w) * q + (2.0 - w) * qr
          + (mu + b * gamma / 2.0) * es + b / 2.0 * eqr)

@@ -112,9 +112,9 @@ def g2_zeros(gamma: float, rho: float) -> G2Zeros:
 # ---------------------------------------------------------------------------
 def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, float]:
     """(argsup, sup) of f on the right wing (l2, infinity) of the given
-    shape, scanned on the u-grid right of l2: argsup = +inf where u = 0,
-    whose value is the limit (0 off the wing-slope bound), is the best
-    point, else Brent's search runs in u between that point's neighbours.
+    shape, scanned on the u-grid right of l2.  Where the first point, u = 0,
+    is the best, its value, the limit of f (0 off the wing-slope bound), is
+    the supremum and argsup = +inf; otherwise Brent's search runs in u.
     """
     w = _wing_slack(b, rho)
 
