@@ -526,3 +526,29 @@ def test_wing_slope_against_two(rho, k, expected):
     assert wing_slope(slope / (1.0 + rho), rho) == expected
     if rho < 1.0:  # left wing slope b*(1 - rho), the right wing at -rho
         assert wing_slope(slope / (1.0 - rho), -rho) == expected
+
+
+@pytest.mark.parametrize(
+    "rho, gamma, mu", [(0.0, 1.0, 0.5), (0.6, 0.8, -0.75), (0.25, 0.5, 0.1), (1.0, 0.3, -1.0)]
+)
+def test_wing_chart_on_the_bound_out_to_l_1e30(rho, gamma, mu):
+    # sigma_floor through the u = 1/l step at b = 2/(1 + rho), where
+    # h - b*g = u*Y/(2*N*u) and u cancels, against mpmath on the exact bound
+    from mpmath import mp, mpf, sqrt as msqrt
+
+    b = 2.0 / (1.0 + rho)
+    w = core._wing_slack(b, rho)
+    assert w == 0.0
+    with mp.workdps(60):
+        bm = 2 / (1 + mpf(rho))
+        for u in [10.0 ** -k for k in range(31)] + [0.0]:
+            g2c, _, hp, yd = core._wing_at(core._wing_terms(u), gamma, b, rho, mu, w)
+            if u == 0.0:  # the limit 1/(gamma/P - mu)
+                ref = 1 / (gamma / (1 + mpf(rho)) - mu)
+            else:
+                l = 1 / mpf(u)
+                s = msqrt(l * l + 1)
+                n, n1 = gamma + rho * l + s, rho + l / s
+                h, g = 1 - n1 * (l + mu) / (2 * n), n1 / 4
+                ref = -bm * (1 / s**3 - n1 * n1 / (2 * n)) / (2 * (h - bm * g) * (h + bm * g))
+            assert -b / 2.0 * g2c / (yd * hp) == pytest.approx(float(ref), rel=1e-14), u

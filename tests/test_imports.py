@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,12 @@ def test_scanner_flags_only_unused_names():
 def test_no_unused_module_level_imports(path):
     unused = unused_imports(path.read_text(), is_init=path.name == "__init__.py")
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_mpmath():
+    # numpy is the only runtime dependency; scipy and mpmath are test tools
+    code = "import sys, smile_domain.cli; print([m for m in ('scipy', 'mpmath') if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -305,25 +305,13 @@ def test_sigma_star_extremal_limit_of_rounded_shape():
     "gamma, q", [(1.0, 0.5), (0.3, -0.7), (4.0, 0.0), (GAMMA_NEAR_UNIT_Q, -0.9999999)]
 )
 def test_sigma_star_extremal_tail_needs_no_search(monkeypatch, gamma, q):
-    # on the wing-slope bound a scan that peaks among its last points
-    # returns the limit without Brent's search, and the same result as the
-    # search that the tail shortcut skips
+    # on the wing-slope bound the wing scan's best point is its first, u = 0,
+    # the point at infinity: its value is the limit, returned with no search
     calls = []
-    maximize, tail = oracle.maximize, oracle._TAIL_POINTS
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return maximize(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "maximize", counting)
-    monkeypatch.setattr(oracle, "_TAIL_POINTS", 0)
-    searched = sigma_star(gamma, 2.0, 0.0, q * gamma)
-    assert calls
-    calls.clear()
-    monkeypatch.setattr(oracle, "_TAIL_POINTS", tail)
+    monkeypatch.setattr(oracle, "maximize", lambda *args, **kwargs: calls.append(args))
     res = sigma_star(gamma, 2.0, 0.0, q * gamma)
-    assert res == searched
     assert res.side == "limit_at_infinity"
+    assert res.sigma_star == pytest.approx(1.0 / (gamma - abs(q * gamma)), rel=1e-14)
     assert not calls
 
 
@@ -336,15 +324,18 @@ def test_sigma_floor_scalar_infinite_where_g1_rounds_to_zero():
     assert sigma_floor(l, nsvi) == arr[0] == math.inf
 
 
-def test_wing_offsets_are_numpy_geomspace():
-    rng = np.random.default_rng(5)
-    nears = (10.0 ** rng.uniform(-12.0, 4.0, 900)).tolist()
-    for rho in np.linspace(-0.999, 0.999, 50).tolist():
-        for gamma in (-0.3 * math.sqrt((1.0 - rho) * (1.0 + rho)), 1.5):
-            nears.append(1e-8 * max(1.0, abs(oracle._right_zero(gamma, rho))))
-    for near in nears:
-        expected = np.geomspace(near, 1e8, 512)
-        assert oracle._wing_offsets(near).tobytes() == expected.tobytes(), near
+def test_wing_grid_ends_at_the_point_at_infinity():
+    # the zero of g2 and the wing scan share one grid in u = 1/l: from u = 0,
+    # l = +inf, to l = 1e-6, with the terms of its points built once
+    us = oracle._U_GRID
+    assert us[0] == 0.0 and us[-1] == 1e6 and np.all(np.diff(us) > 0.0)
+    a, c = oracle._U_TERMS[:2]
+    assert (a[0], c[0]) == (1.0, 0.0)
+    assert np.allclose(c[1:] / a[1:], us[1:], rtol=1e-15, atol=0.0)
+    assert np.all(np.maximum(a, c) == 1.0)
+    for term in (us, *oracle._U_TERMS):
+        assert term.shape == us.shape
+        assert not term.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -361,6 +352,62 @@ def test_oracle_builds_no_grid_per_call(monkeypatch, gamma, b, rho, mu):
     assert sigma_star(gamma, b, rho, mu).sigma_star > 0.0
     assert mu_interval(gamma, b, rho).contains(mu)
     assert -1.0 <= fukasawa_threshold(b, rho) <= 0.0
+
+
+# ---------------------------------------------------------------------------
+# near |rho| = 1: the wing reaches past any fixed end in l
+# ---------------------------------------------------------------------------
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _mp_sup(gamma, b, rho, mu):
+    """Supremum of f over both wings in mpmath (60 digits): 20 points per
+    decade of u = 1/l in [1e-20, 1e4], then golden section between the
+    best point's neighbours; the left wing is the mirror's right one."""
+    from mpmath import mp, mpf, sqrt as msqrt
+
+    with mp.workdps(60):
+        def f(u, r, m):
+            l = 1 / u
+            s = msqrt(l * l + 1)
+            n, n1 = gamma + r * l + s, r + l / s
+            h, g = 1 - n1 * (l + m) / (2 * n), n1 / 4
+            return -b * (1 / s**3 - n1 * n1 / (2 * n)) / (2 * (h - b * g) * (h + b * g))
+
+        best = mpf(0)
+        for r, m in ((mpf(rho), mpf(mu)), (-mpf(rho), -mpf(mu))):
+            us = [mpf(10) ** (mpf(k) / 20) for k in range(-400, 81)]
+            vals = [f(u, r, m) for u in us]
+            i = max(range(len(us)), key=vals.__getitem__)
+            lo, hi = us[max(i - 1, 0)], us[min(i + 1, len(us) - 1)]
+            for _ in range(150):
+                x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+                lo, hi = (lo, x2) if f(x1, r, m) > f(x2, r, m) else (x1, hi)
+            best = max(best, f((lo + hi) / 2, r, m))
+        return float(best)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0.3, 0.5, 1.0 - 1e-14, 0.0), (2.0, 0.5, 1.0 - 1e-12, 1.0),
+     (0.3, 0.5, -1.0 + 1e-14, 0.0), (2.0, 0.99, 1.0 - 1e-12, -5.0)],
+)
+def test_sigma_star_near_unit_rho_matches_an_mpmath_supremum(shape):
+    # the zero of g2 on the wing of correlation near -1 lies 1e9 to 1e10
+    # past the smile minimum; u = 0 ends its bracket, so sigma* returns,
+    # within a tenth of the benchmark's GAP_TOL = 1e-6 of the reference
+    assert sigma_star(*shape).sigma_star == pytest.approx(_mp_sup(*shape), rel=1e-7)
+
+
+def test_durrleman_check_sees_an_argsup_past_l_1e6():
+    # the seed-1 ssvi / rho_to_1 census draw: sigma* is attained at l about
+    # -1.07e7, where the density dips below 0 just below sigma* only
+    p = SsviParams(theta=1090667.5587381928, phi=1.3876410324361598e-06, rho=-0.9999999999999898)
+    res = sigma_star(p.gamma, p.b, p.rho, p.mu)
+    assert res.argsup_l < -1e6
+    for factor, negative in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+        shape = NormalizedSvi(p.gamma, p.b, p.rho, p.mu, res.sigma_star * factor)
+        assert (durrleman_check(shape.to_raw()).min_value < 0.0) == negative
 
 
 # ---------------------------------------------------------------------------

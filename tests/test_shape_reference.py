@@ -1,6 +1,7 @@
-"""The shape functions and the density check against reference copies of
-their direct expressions, which recompute sqrt(l^2+1), l*l*(1-rho^2), s*s,
-2N and b*g wherever they appear: the outputs must agree bit for bit."""
+"""The shape functions against reference copies of their direct expressions,
+which recompute sqrt(l^2+1), l*l*(1-rho^2), s*s, 2N and b*g wherever they
+appear: the outputs must agree bit for bit.  The density check, which runs
+in u = 1/l beyond |l| = 50, is held to the direct expressions on its grid."""
 
 from __future__ import annotations
 
@@ -108,14 +109,19 @@ def ref_l_minus_curve(l, b, rho):
     return s**3 * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
 
 
-def ref_durrleman(p):
+def ref_density(p):
+    """The density functional on the check's grid: the direct expressions
+    at every finite l, and the limit G1 = w*(2 - w)/4 of each wing at
+    l = +-inf, w being its slack 1 - b*(1 +- rho)/2; a flat wing of
+    |rho| = 1 has no value there, which the check counts as +inf."""
     nsvi = p.normalized()
     ls = oracle._DENSITY_GRID
-    h, g, g2v = ref_hgg2(ls, nsvi)
+    h, g, g2v = ref_hgg2(ls[1:-1], nsvi)
     b = nsvi.b
-    vals = (h - b * g) * (h + b * g) + b * g2v / (2.0 * nsvi.sigma)
-    i = int(np.argmin(vals))
-    return float(vals[i]), float(ls[i])
+    ends = [(1.0 - b * (1.0 + r) / 2.0) * (1.0 + b * (1.0 + r) / 2.0) / 4.0
+            if r > -1.0 else math.inf for r in (-nsvi.rho, nsvi.rho)]
+    inner = (h - b * g) * (h + b * g) + b * g2v / (2.0 * nsvi.sigma)
+    return np.concatenate([ends[:1], inner, ends[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +135,20 @@ def _outcome(fn, *args):
         return type(exc)
     outs = out if isinstance(out, tuple) else (out,)
     return [(type(v), np.asarray(v, dtype=np.float64).tobytes()) for v in outs]
+
+
+def _same_nan(v: bytes) -> bytes:
+    """The bytes of an array with every NaN made the same NaN: its sign and
+    payload carry nothing."""
+    x = np.frombuffer(v, dtype=np.float64)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def _array_outcome(fn, l, *args):
+    """The outcome of fn on the 1-element array [l] as floats, NaNs alike."""
+    with np.errstate(all="ignore"):
+        outcome = _outcome(fn, np.array([l]), *args)
+    return [(float, _same_nan(v)) for _, v in outcome]
 
 
 def _pairs(rho):
@@ -155,9 +175,15 @@ def test_array_outputs_equal_the_reference_bit_for_bit(rho):
 
 @pytest.mark.parametrize("rho", RHOS)
 def test_scalar_outputs_equal_the_reference_bit_for_bit(rho):
+    # where a power of s overflows, the direct expressions raise
+    # OverflowError, and a float returns what a 1-element array returns
     for fn, ref, args in _pairs(rho):
         for l in L_SCALARS:
-            assert _outcome(fn, l, *args) == _outcome(ref, l, *args), (fn.__name__, l)
+            got, expected = _outcome(fn, l, *args), _outcome(ref, l, *args)
+            if expected is OverflowError:
+                got = [(t, _same_nan(v)) for t, v in got]
+                expected = _array_outcome(fn, l, *args)
+            assert got == expected, (fn.__name__, l)
 
 
 @pytest.mark.parametrize("rho", RHOS)
@@ -166,14 +192,30 @@ def test_durrleman_check_equals_the_reference(rho):
     for sigma in (0.05, 1.0, 20.0):
         raw = NormalizedSvi(gamma=gamma, b=B, rho=rho, mu=MU, sigma=sigma).to_raw()
         report = oracle.durrleman_check(raw)
-        assert (report.min_value, report.argmin_l) == ref_durrleman(raw)
+        vals = ref_density(raw)
+        i = int(np.argmin(vals))
+        assert report.min_value == pytest.approx(vals[i], rel=1e-12, abs=1e-15)
+        assert report.argmin_l == oracle._DENSITY_GRID[i]
         assert report.n_points == len(oracle._DENSITY_GRID)
 
 
 def test_density_terms_are_read_only_constants():
-    assert oracle._DENSITY_TERMS[0] is oracle._DENSITY_GRID
-    for term in oracle._DENSITY_TERMS:
-        assert term.shape == oracle._DENSITY_GRID.shape
+    # the grid: 4001 uniform l on [-50, 50], and beyond, 500 log-spaced
+    # u = 1/l on each side down to u = 0, l = +-inf; the terms of its right
+    # half-line are built once, for the pair (a, c) with l = a/c
+    ls = oracle._DENSITY_GRID
+    assert len(ls) == 4001 + 2 * 501
+    assert ls[0] == -math.inf and ls[-1] == math.inf
+    assert np.array_equal(ls, -ls[::-1]) and np.all(np.diff(ls) > 0.0)
+    assert np.allclose(np.diff(ls[501:-501]), 0.025, rtol=0.0, atol=1e-12)
+    assert ls[-2] == 1e10
+    half = ls[len(ls) // 2:]
+    a, c = oracle._HALF_TERMS[:2]
+    assert np.allclose(a[:-1] / c[:-1], half[:-1], rtol=1e-15, atol=0.0)
+    assert (a[-1], c[-1]) == (1.0, 0.0)
+    assert not ls.flags.writeable
+    for term in oracle._HALF_TERMS:
+        assert term.shape == half.shape
         assert not term.flags.writeable
 
 
