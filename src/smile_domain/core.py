@@ -281,6 +281,14 @@ def _wing_terms(u):
     return a, c, e, es, q, q * a / s, q * es, c * c / (s * s * s)
 
 
+# The wing grid, u = 1/l from u = 0 (l = +inf) to l = 1e-6, and its terms, built
+# once: the oracle's zero of g2 and wing scan, and fukasawa's root l-, use it.
+_U_GRID = np.append(0.0, np.geomspace(1e-16, 1e6, 551))
+_U_TERMS = _wing_terms(_U_GRID)
+for _term in (_U_GRID, *_U_TERMS):
+    _term.flags.writeable = False
+
+
 def _wing_slack(b: float, rho: float) -> float:
     """The right wing's slack 1 - b*(1 + rho)/2, or 0 where it is "on"."""
     return 0.0 if wing_slope(b, rho) == "on" else 1.0 - b * (1.0 + rho) / 2.0

@@ -27,14 +27,18 @@ from .core import (
     EvaluationDomainError,
     InvalidParamsError,
     NoRootError,
+    _U_GRID,
+    _U_TERMS,
     _any,
     _l_terms,
     _n_funcs_at,
     _pow,
+    _wing_n_at,
+    _wing_terms,
     n_funcs,
     wing_slope,
 )
-from .roots import brentq, grid_root
+from .roots import brentq
 
 __all__ = [
     "FukasawaInterval",
@@ -45,12 +49,6 @@ __all__ = [
     "fukasawa_threshold",
 ]
 
-_SCAN_POINTS = 128
-_SCAN_FAR = 1.0e8
-_SCAN_NEAR = 1.0e-6
-# offsets below the grid's first point; they do not depend on the shape
-_SCAN_OFFSETS = np.geomspace(_SCAN_NEAR, _SCAN_FAR - _SCAN_NEAR, _SCAN_POINTS)
-_SCAN_OFFSETS.flags.writeable = False
 _THRESHOLD_XTOL = 1e-10
 
 
@@ -83,7 +81,13 @@ def l_minus_curve(l, b: float, rho: float):
     return _pow(t[1], 3) * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
 
 
-def _validate_level(gamma: float, rho: float) -> None:
+def _validate(gamma: float, b: float, rho: float) -> None:
+    if not all(map(math.isfinite, (gamma, b, rho))):
+        raise InvalidParamsError(f"non-finite gamma={gamma}, b={b} or rho={rho}")
+    if abs(rho) > 1.0:
+        raise InvalidParamsError(f"|rho| must be <= 1, got {rho}")
+    if b < 0.0:
+        raise InvalidParamsError(f"b must be >= 0, got {b}")
     root = math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
     if abs(rho) < 1.0:
         if gamma + root <= 0.0:
@@ -94,37 +98,43 @@ def _validate_level(gamma: float, rho: float) -> None:
         raise InvalidParamsError(f"gamma={gamma} must be >= 0 when |rho| = 1")
 
 
-def _scan_grid(rho: float):
-    """Log-spaced grid on which the root l- is bracketed: from just below
-    min(l*, 0), with l* = -rho/sqrt(1-rho^2) the smile minimum, out to
-    about 1e8 below that start (l = -1e8 for rho <= 0).
+def _level_at(t, gamma: float, b: float, rho: float):
+    """(c/s)^3*(l_minus_curve(-1/u, b, rho) - gamma) on the wing terms t of
+    u: the level curve on the mirrored right wing, N' = -n1, with the same
+    sign and root.  At u = 0, l = -inf, it is (1-rho)^2*(2 - b*(1-rho))/4."""
+    two_d, n1, _ = _wing_n_at(t, gamma, -rho)
+    return n1 * n1 * (2.0 - b * n1) / 4.0 - t[7] * two_d / 2.0
 
-    For rho > 0 the grid starts next to the minimum l* < 0.  For rho <= 0
-    the minimum l* >= 0 is far right (at +infinity for rho = -1), and the
-    grid starts next to l = 0 instead, where the level curve is
-    rho^2*(2 + b*rho)/4 - 1 <= rho^2/2 - 1 <= -sqrt(1 - rho^2) < gamma
-    (at rho = -1, -(2 + b)/4 < 0 <= gamma).  The root is unique, so it lies
-    below the start, and the first sign change brackets it.  For |l-| of
-    order 1 that is about halfway along the grid (near point 56 of 128);
-    the whole grid is one array evaluation, so that position costs nothing.
-    """
-    start = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) if rho > 0.0 else 0.0
-    return start - _SCAN_NEAR - _SCAN_OFFSETS
+
+def _u_root(f, end: float) -> float:
+    """Root in u of f(wing terms) on the first sign change of the grid below
+    end, else between its last point and a finite end.  xtol = 1e-14*lo^2
+    in u is 1e-14 in l = 1/u at the bracket's lower end lo."""
+    n = int(np.searchsorted(_U_GRID, end))
+    sgn = np.sign(f(tuple(t[:n] for t in _U_TERMS)))
+    i = np.flatnonzero(sgn[1:] != sgn[:-1])
+    if i.size:
+        lo, hi = float(_U_GRID[i[0]]), float(_U_GRID[i[0] + 1])
+    elif end < math.inf:
+        lo, hi = float(_U_GRID[n - 1]), end
+    else:
+        raise NoRootError("no sign change on the wing grid")
+    return brentq(lambda u: f(_wing_terms(u)), lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
 
 
 def solve_l_minus(gamma: float, b: float, rho: float) -> float:
     """Unique root of l_minus_curve(., b, rho) = gamma below the minimum.
 
-    The curve minus gamma is negative at the start of the scan grid (next
-    to min(l*, 0)) and diverges to +infinity on the far left; Brent's method
-    on the grid's first sign change takes about 8 scalar evaluations, at
-    rho = -1 as for every other rho < 1.  Past a grid with no sign change
-    (rho within about 1e-12 of 1) the scan goes on to |l| = 1e100 or so.
+    It is taken in u = -1/l on the wing grid, from u = 0, l = -inf, where
+    the curve minus gamma is positive, to l = -1e-6, or for rho > 0 to the
+    minimum u* = sqrt(1-rho^2)/rho (N' = 0), where it is negative: no root
+    lies past the grid.  Brent's method takes about 8 scalar evaluations.
 
-    Raises NoRootError in the degenerate case b*(1 - rho) = 2, where the
-    curve no longer diverges on the left and the root escapes to -infinity.
+    Raises InvalidParamsError where mu_interval does, EvaluationDomainError
+    at rho = 1 and NoRootError in the degenerate case b*(1 - rho) = 2, where
+    the curve no longer diverges on the left and the root escapes to -inf.
     """
-    _validate_level(gamma, rho)
+    _validate(gamma, b, rho)
     if rho >= 1.0:
         raise EvaluationDomainError("no domain below the minimum for rho = 1")
     if wing_slope(b, -rho) != "inside":
@@ -132,19 +142,8 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
         raise NoRootError(
             f"left root removed at b*(1-rho)={b * (1.0 - rho)}", degenerate_case=tag
         )
-
-    def level(t):
-        return l_minus_curve(t, b, rho) - gamma
-
-    grid = _scan_grid(rho)
-    l = grid_root(level, grid, xtol=1e-14)
-    if l is None:  # s^3 overflows a little past |l| = 1e102
-        l = grid_root(level, np.geomspace(grid[-1], 1e92 * grid[-1], 93), xtol=1e-14)
-    if l is None:
-        raise NoRootError(
-            f"no sign change for gamma={gamma}, b={b}, rho={rho}"
-        )
-    return l
+    end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho if rho > 0.0 else math.inf
+    return -1.0 / _u_root(lambda t: _level_at(t, gamma, b, rho), end)
 
 
 def mu_lower_curve(l, gamma, b: float, rho: float):
@@ -177,11 +176,7 @@ def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
     strike-inverted shape, negated.  Emptiness is reported through the
     interval itself, never by an exception.
     """
-    if abs(rho) > 1.0:
-        raise InvalidParamsError(f"mu_interval requires |rho| <= 1, got {rho}")
-    _validate_level(gamma, rho)
-    if b < 0.0:
-        raise InvalidParamsError(f"b must be >= 0, got {b}")
+    _validate(gamma, b, rho)
     if wing_slope(b, abs(rho)) == "beyond":
         raise InvalidParamsError(
             f"wing slope b*(1+|rho|)={b * (1.0 + abs(rho))} exceeds 2"
@@ -211,7 +206,7 @@ def fukasawa_threshold(b: float, rho: float) -> float:
     The interval's width upper - lower is continuous and increasing in
     gamma, and its zero is the threshold, found by Brent's method to
     within ``_THRESHOLD_XTOL``; at rho = 0 inside the wing-slope bound it
-    is one root in l instead (see ``_threshold_decorrelated``).
+    is one root in u = -1/l instead (see ``_threshold_decorrelated``).
     """
     floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
 
@@ -224,31 +219,27 @@ def fukasawa_threshold(b: float, rho: float) -> float:
         return floor
     if rho == 0.0 and wing_slope(b, 0.0) == "inside":
         return _threshold_decorrelated(b)
-    hi = 0.5
-    while width(hi) <= 0.0:  # gamma > 0 is always admissible
-        hi *= 2.0
-        if hi > 64.0:
-            raise NoRootError(f"interval never opens for b={b}, rho={rho}")
-    return brentq(width, lo, hi, xtol=_THRESHOLD_XTOL)
+    return brentq(width, lo, 0.5, xtol=_THRESHOLD_XTOL)  # every gamma > 0 opens it
 
 
 def _threshold_decorrelated(b: float) -> float:
     """fukasawa_threshold(b, 0) for b inside the wing-slope bound.
 
     At rho = 0 the interval is (lower, -lower) and opens where its lower end
-    crosses 0.  Along the scan grid, the level whose root l- is l is
-    gamma(l) = l_minus_curve(l, b, 0) and the lower end at that level is
-    mu_lower_curve(l, gamma(l), b, 0), both explicit, so the threshold is
-    gamma at one root in l, with no solve for l- inside it.  The lower end
-    is negative on the far left and the first sign change from there is
-    taken: gamma(l) is not monotone next to the minimum, where it dips
-    below -1 near l = -0.2.
+    crosses 0.  On the wing terms of u = -1/l, with N' = -n1 and r = s/c,
+    the level whose root l- is l is gamma = r*(r^2*n1^2*(2 - b*n1)/4 - 1)
+    and its lower end, times (c/s)^3, is n1*(2-b*n1)*(b*n1-4)/8 + a*c^2/s^3.
+    So the threshold is gamma at one root in u, the first sign change from
+    u = 0, where the end is (2-b)*(b-4)/8 < 0: gamma is not monotone next to
+    the minimum.  gamma is read from the root's own terms, so the rounding
+    of 2 - b*n1 next to b = 2 cancels (through l_minus_curve(-1/u) it is
+    1.7e-8 off the closed form at b = 2 - 6.7e-6).
     """
 
-    def lower(l):
-        return mu_lower_curve(l, l_minus_curve(l, b, 0.0), b, 0.0)
+    def lower(t):
+        n1 = 1.0 - t[3]
+        return n1 * (2.0 - b * n1) * (b * n1 - 4.0) / 8.0 + t[0] * t[7]
 
-    l = grid_root(lower, _scan_grid(0.0)[::-1], xtol=1e-14)
-    if l is None:
-        raise NoRootError(f"interval never opens for b={b}, rho=0")
-    return l_minus_curve(l, b, 0.0)
+    a, c, e, es = _wing_terms(_u_root(lower, math.inf))[:4]
+    r, n1 = (a + e) / c, 1.0 - es
+    return r * (r * r * n1 * n1 * (2.0 - b * n1) / 4.0 - 1.0)

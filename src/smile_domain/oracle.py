@@ -23,9 +23,12 @@ from .core import (
     BOUNDARY_TOL,
     EvaluationDomainError,
     FukasawaViolation,
+    InvalidParamsError,
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
+    _U_GRID,
+    _U_TERMS,
     _wing_at,
     _wing_n_at,
     _wing_slack,
@@ -76,11 +79,6 @@ class DensityReport:
 # ---------------------------------------------------------------------------
 # Zeros of g2
 # ---------------------------------------------------------------------------
-# u = 1/l from u = 0, l = +inf, up to l = 1e-6, left of every zero of g2
-_U_GRID = np.append(0.0, np.geomspace(1e-16, 1e6, 551))
-_U_TERMS = _wing_terms(_U_GRID)
-
-
 def _right_zero(gamma: float, rho: float) -> float:
     """Unique zero l2 > 0 of g2 right of the smile minimum, in u = 1/l: the
     grid brackets it, as g2 > 0 on [0, l2) and g2/u = -(1 + rho)/2 at u = 0."""
@@ -152,14 +150,16 @@ def maximize_f_on_interval(nsvi: NormalizedSvi, side: str) -> tuple[float, float
 def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult:
     """Numerical minimal arbitrage-free sigma for shape (gamma, b, rho, mu).
 
-    Requires the wing conditions of mu_interval to hold (RogerLeeViolation
-    or FukasawaViolation otherwise).  Side-selection shortcuts: a
-    decorrelated smile only needs the side matching the sign of mu; |rho| = 1,
-    which has g2 < 0 on one wing only, and a smile with
-    gamma = sqrt(1-rho^2) and mu at the minimum only need the side matching
-    the sign of rho.  Everything else searches both sides and keeps the
-    larger supremum.
+    Requires finite inputs and the wing conditions of mu_interval
+    (InvalidParamsError, RogerLeeViolation or FukasawaViolation otherwise).
+    Side-selection shortcuts: a decorrelated smile only needs the side
+    matching the sign of mu; |rho| = 1, which has g2 < 0 on one wing only,
+    and a smile with gamma = sqrt(1-rho^2) and mu at the minimum only need
+    the side matching the sign of rho.  Everything else searches both sides
+    and keeps the larger supremum.
     """
+    if not all(map(math.isfinite, (gamma, b, rho, mu))):
+        raise InvalidParamsError(f"non-finite shape {(gamma, b, rho, mu)}")
     if b <= 0.0:
         raise EvaluationDomainError("sigma_star requires b > 0")
     if wing_slope(b, abs(rho)) == "beyond":
@@ -207,7 +207,7 @@ with np.errstate(divide="ignore"):
     _HALF = np.concatenate([_HALF_L, 1.0 / _HALF_U])
     _HALF_TERMS = _wing_terms(np.concatenate([1.0 / _HALF_L, _HALF_U]))
 _DENSITY_GRID = np.concatenate([-_HALF[:0:-1], _HALF])
-for _term in (_U_GRID, *_U_TERMS, _DENSITY_GRID, *_HALF_TERMS):  # built once
+for _term in (_DENSITY_GRID, *_HALF_TERMS):  # built once
     _term.flags.writeable = False
 
 

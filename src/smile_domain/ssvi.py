@@ -74,7 +74,7 @@ X_M2_RHO0 = math.sqrt(math.sqrt(7.0) / 18.0 + 7.0 / 9.0)
 _L_MAX = 1.0e8
 _EDGE = 1e-12
 _FROM_RAW_TOL = 1e-9
-_SCAN_ROWS = 64  # x-rows per block of the uniqueness scan
+_BLOCK_ROWS = 64  # x-rows per block of the uniqueness scan
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +534,7 @@ def scan_uniqueness(rho_steps: int = 1000, x_steps: int = 1000) -> UniquenessRep
     """Grid scan of the uniqueness target over rho in [0, 0.999] and
     x in [x_m2(1), 0.999] at the extremal wing level.
 
-    The grid is evaluated in blocks of ``_SCAN_ROWS`` x-rows, each row
+    The grid is evaluated in blocks of ``_BLOCK_ROWS`` x-rows, each row
     broadcast against every rho, and each block is reduced before the next
     one is computed, so memory stays at one block instead of the whole
     grid.  Every value is bit for bit the one of a full meshgrid evaluation,
@@ -550,8 +550,8 @@ def scan_uniqueness(rho_steps: int = 1000, x_steps: int = 1000) -> UniquenessRep
     x = np.linspace(X_M2_RHO1, 0.999, x_steps)
     min_value, arg_x, arg_rho = math.inf, 0, 0
     negative_count = 0
-    for start in range(0, x_steps, _SCAN_ROWS):
-        vals = uniqueness_target(x[start:start + _SCAN_ROWS, None], rho[None, :])
+    for start in range(0, x_steps, _BLOCK_ROWS):
+        vals = uniqueness_target(x[start:start + _BLOCK_ROWS, None], rho[None, :])
         ix, ir = np.unravel_index(int(np.argmin(vals)), vals.shape)
         if vals[ix, ir] < min_value:  # strict: an earlier block keeps a tie
             min_value, arg_x, arg_rho = float(vals[ix, ir]), start + int(ix), int(ir)

@@ -14,10 +14,12 @@ from smile_domain import (
     l_minus_curve,
     mu_interval,
     mu_lower_curve,
+    sigma_star,
     solve_l_minus,
 )
 from smile_domain import fukasawa
-from smile_domain.roots import RTOL, grid_root
+from smile_domain.core import _U_GRID, _wing_n_at, _wing_terms
+from smile_domain.roots import RTOL
 from smile_domain.symmetric import fukasawa_threshold_closed
 
 
@@ -117,16 +119,16 @@ def test_vanishing_bound_via_mirrored_curve():
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 5.0])
 def test_solve_l_minus_budget_at_rho_minus_one(monkeypatch, gamma):
-    # the scan grid starts next to l = 0, so Brent's method polishes a
-    # short bracket instead of bisecting one 1e7 wide (49-51 evaluations)
+    # the grid's terms are built once, so Brent's method alone evaluates the
+    # chart's level curve on scalars, and polishes a short bracket
     scalar_calls = []
 
-    def counted(l, b, rho):
-        if np.ndim(l) == 0:
-            scalar_calls.append(l)
-        return l_minus_curve(l, b, rho)
+    def counted(t, gamma, rho):
+        if np.ndim(t[0]) == 0:
+            scalar_calls.append(t[0])
+        return _wing_n_at(t, gamma, rho)
 
-    monkeypatch.setattr(fukasawa, "l_minus_curve", counted)
+    monkeypatch.setattr(fukasawa, "_wing_n_at", counted)
     for b in np.linspace(0.01, 0.99, 99).tolist():
         scalar_calls.clear()
         l = solve_l_minus(gamma, b, -1.0)
@@ -134,77 +136,88 @@ def test_solve_l_minus_budget_at_rho_minus_one(monkeypatch, gamma):
         assert 0 < len(scalar_calls) <= 12
 
 
-@pytest.mark.parametrize("rho", [-1.0, -1.0 + 1e-14, -0.5, -1e-3, 0.0])
+def test_chart_solves_build_no_grid(monkeypatch):
+    # the wing grid's terms are built at import: a solve computes no array
+    # of terms, and Brent's scalar steps take math.hypot
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built per call")
+
+    monkeypatch.setattr(np, "hypot", refuse)
+    monkeypatch.setattr(np, "geomspace", refuse)
+    for rho in (-0.5, 0.0, 0.5):
+        assert solve_l_minus(0.3, 0.8, rho) < 0.0
+    assert -1.0 < fukasawa_threshold(1.2, 0.0) < 0.0
+
+
+@pytest.mark.parametrize("rho", [-1.0, -1.0 + 1e-14, -0.5, -1e-3, 0.0, 0.5, 1.0 - 1e-14])
 def test_scan_grid_starts_below_the_level(rho):
-    # the first grid point has the curve below every admissible level, so
-    # the grid's first sign change brackets the root l-
+    # the chart's level curve is positive at u = 0, l = -inf, and negative at
+    # the grid's inner end, l = -1e-6, or for rho > 0 at the minimum u*; so
+    # the grid's first sign change, or else [last point, u*], brackets l-
     floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
-    start = fukasawa._scan_grid(rho)[0]
-    assert start < 0.0
+    end = -floor / rho if rho > 0.0 else float(_U_GRID[-1])
+    first, last = _wing_terms(0.0), _wing_terms(end)
     for frac in (0.0, 0.5, 0.999):
-        b = frac * 2.0 / (1.0 - rho)
+        b = frac * 2.0 / (1.0 + abs(rho))
         for gamma in floor + np.geomspace(1e-12, 50.0, 40):
-            assert l_minus_curve(start, b, rho) - gamma < 0.0
+            assert fukasawa._level_at(first, gamma, b, rho) > 0.0
+            assert fukasawa._level_at(last, gamma, b, rho) < 0.0
 
 
-def _per_call_scan_grid(rho):
-    # the grid as it was built on every solve before its offsets became a
-    # module constant
-    start = -rho / math.sqrt((1.0 - rho) * (1.0 + rho)) if rho > 0.0 else 0.0
-    upper = start - 1e-6
-    return upper - np.geomspace(1e-6, upper + 1e8, 128)
+_UNIT_RHO = [(0.3, 0.5, 1.0 - 1e-14), (2.0, 0.5, 1.0 - 1e-12), (0.3, 0.5, -1.0 + 1e-14),
+             (2.0, 0.01, 1.0 - 1e-12), (2.0, 0.99, 1.0 - 1e-12)]
 
 
-@pytest.mark.parametrize("rho", [0.0, -0.0, -1e-300, -0.5, -1.0 + 1e-14, -1.0])
-def test_scan_grid_unchanged_for_nonpositive_rho(rho):
-    grid = fukasawa._scan_grid(rho)
-    assert grid.tobytes() == _per_call_scan_grid(rho).tobytes()
-    assert grid.flags.writeable and not fukasawa._SCAN_OFFSETS.flags.writeable
-
-
-def test_scan_grid_roots_for_positive_rho_within_the_solver_tolerance():
-    # for rho > 0 the far end moved from l = -1e8 to 1e8 below the start, so
-    # the bracket, and the root in its last bits, can differ: over this
-    # sweep 558 of 1035 roots are bitwise equal and the rest lie within
-    # 4.3 solver tolerances.  Within 1e-9 of the floor the level curve is
-    # flat and the roots differ up to 1.5e-8 relative, so there the residual
-    # is checked instead (at most 2.0e-12 on this sweep).
-    for rho in np.linspace(0.005, 0.995, 67).tolist() + [1e-12, 1.0 - 1e-10]:
-        floor = -math.sqrt((1.0 - rho) * (1.0 + rho))
-        for frac in (0.01, 0.3, 0.999):
-            b = frac * 2.0 / (1.0 + rho)
-            for gamma in (floor + 1e-9, floor / 2.0, 0.0, 0.3, 2.0):
-                def f(l):
-                    return l_minus_curve(l, b, rho) - gamma
-
-                old = grid_root(f, _per_call_scan_grid(rho), xtol=1e-14)
-                new = solve_l_minus(gamma, b, rho)
-                assert mu_interval(gamma, b, rho).lower == mu_lower_curve(new, gamma, b, rho)
-                if gamma == floor + 1e-9:
-                    assert abs(f(new)) <= 1e-11
-                else:
-                    assert abs(new - old) <= 8.0 * (1e-14 + RTOL * abs(old))
-
-
-@pytest.mark.parametrize(
-    "gamma, b, rho",
-    [(0.3, 0.5, 1.0 - 1e-14), (2.0, 0.5, 1.0 - 1e-12), (0.3, 0.5, -1.0 + 1e-14),
-     (2.0, 0.01, 1.0 - 1e-12), (2.0, 0.99, 1.0 - 1e-12)],
-)
+@pytest.mark.parametrize("gamma, b, rho", _UNIT_RHO)
 def test_interval_with_a_root_beyond_the_scan_grid(gamma, b, rho):
-    # within about 1e-12 of |rho| = 1 the root l- of the solve at rho
-    # (or at -rho, for the mirrored upper end) lies past the grid's far end
+    # within about 1e-12 of |rho| = 1 the root l- of the solve at rho (or at
+    # -rho, for the mirrored upper end) lies past a fixed l-grid of 1e8
     iv = mu_interval(gamma, b, rho)
     assert math.isfinite(iv.lower) and math.isfinite(iv.upper)
     assert iv.lower < iv.upper
     r = abs(rho)
     l = solve_l_minus(gamma, b, r)
-    assert l < fukasawa._scan_grid(r)[-1]
     tol = 1e-14 + RTOL * abs(l)
     assert l_minus_curve(l - tol, b, r) - gamma >= 0.0 >= l_minus_curve(l + tol, b, r) - gamma
     assert abs(l_minus_curve(l, b, r) - gamma) <= 1e-12 * max(1.0, gamma)
     end = mu_lower_curve(l, gamma, b, r)
     assert (iv.lower if rho > 0.0 else -iv.upper) == end
+
+
+def _mp_level_root(gamma, b, rho, l):
+    """Root of l_minus_curve = gamma in mpmath (50 digits), in its algebraic
+    form, from l; and the level's residual at l itself."""
+    from mpmath import findroot, mp, mpf, sqrt as msqrt
+
+    with mp.workdps(50):
+        g, bb, r = mpf(gamma), mpf(b), mpf(rho)
+
+        def f(x):
+            s = msqrt(x * x + 1)
+            return (r * s + x) ** 2 * (s * (0.5 + bb * r / 4) + bb * x / 4) - (r * x + s) - g
+
+        return float(findroot(f, mpf(l))), float(f(mpf(l)))
+
+
+def test_solve_l_minus_matches_an_mpmath_root():
+    # the roots in u = -1/l against 50 digits, up to 0.999 of the slope bound
+    # (within 7e-14 relative on this sweep); within 1e-9 of the floor the
+    # curve is flat and only the residual is judged (at most 5.6e-12)
+    cases = [(g, b, abs(rho)) for g, b, rho in _UNIT_RHO]
+    for rho in [s * r for r in np.linspace(0.005, 0.995, 12).tolist() for s in (1.0, -1.0)] + [
+        1.0 - 1e-10, -0.99
+    ]:
+        floor = -math.sqrt((1.0 - rho) * (1.0 + rho))
+        for frac in (0.01, 0.3, 0.999):
+            b = frac * 2.0 / (1.0 + abs(rho))
+            cases += [(g, b, rho) for g in (floor + 1e-9, floor / 2.0, 0.0, 0.3, 2.0)]
+    for gamma, b, rho in cases:
+        l = solve_l_minus(gamma, b, rho)
+        ref, residual = _mp_level_root(gamma, b, rho, l)
+        if gamma - 1e-9 <= -math.sqrt((1.0 - rho) * (1.0 + rho)):
+            assert abs(residual) <= 1e-11
+        else:
+            assert abs(l - ref) <= 1e-13 * abs(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +293,19 @@ def test_interval_rejects_bad_params():
         mu_interval(0.5, 0.5, 1.5)  # |rho| > 1
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [(solve_l_minus, (0.3, 0.5, -1.5)), (solve_l_minus, (0.3, -0.5, 0.2)),
+     (mu_interval, (math.nan, 0.5, 0.2)), (mu_interval, (math.inf, 0.5, 0.2)),
+     (sigma_star, (math.nan, 0.5, 0.2, 0.0)), (sigma_star, (0.3, 0.5, 0.2, math.nan))],
+    ids=["solve_rho", "solve_b", "interval_nan", "interval_inf", "oracle_nan_gamma", "oracle_nan_mu"],
+)
+def test_invalid_inputs_are_invalid_params(fn, args):
+    # not a solver error, a missing root, or arbitrage claimed for a NaN
+    with pytest.raises(InvalidParamsError):
+        fn(*args)
+
+
 # ---------------------------------------------------------------------------
 # threshold
 # ---------------------------------------------------------------------------
@@ -296,6 +322,15 @@ def test_threshold_tight_to_closed_form_decorrelated():
         for b in np.linspace(0.05, 1.95, 39)
     )
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("d", [1.1e-4, 1.6e-5, 6.7e-6, 3.4e-8, 2.8e-10])
+def test_threshold_decorrelated_next_to_the_bound(d):
+    # gamma at the root comes from the root's own chart terms, so the
+    # rounding of 2 - b*n1 cancels; read through l_minus_curve(-1/u) it is
+    # 1.7e-8 off at d = 6.7e-6
+    b = 2.0 - d
+    assert abs(fukasawa_threshold(b, 0.0) - fukasawa_threshold_closed(b)) <= 1e-10
 
 
 def test_threshold_decorrelated_is_the_closed_form():

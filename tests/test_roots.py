@@ -12,6 +12,7 @@ import pytest
 import scipy.optimize
 
 from smile_domain import NormalizedSvi, fukasawa, oracle, ssvi, symmetric
+from smile_domain.core import _wing_terms
 from smile_domain.roots import RTOL, brentq, grid_root, maximize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -77,13 +78,20 @@ def test_matches_scipy_on_symmetric_sextic(gamma):
     [(0.5, 1.0, 0.0), (0.2, 0.5, -0.4), (1.5, 1.2, 0.3), (0.05, 0.3, 0.7)],
 )
 def test_matches_scipy_on_fukasawa_level_curve(gamma, b, rho):
-    def f(l):
-        return fukasawa.l_minus_curve(l, b, rho) - gamma
+    def f(u):
+        return fukasawa._level_at(_wing_terms(u), gamma, b, rho)
 
-    grid = fukasawa._scan_grid(rho)
-    hi, lo = _grid_bracket(f, grid)
-    root = _same_root(f, lo, hi, xtol=1e-14)
-    assert root == fukasawa.solve_l_minus(gamma, b, rho)
+    lo, hi = _grid_bracket(f, _fukasawa_grid(rho))
+    root = _same_root(f, lo, hi, xtol=1e-14 * lo * lo)
+    assert -1.0 / root == fukasawa.solve_l_minus(gamma, b, rho)
+
+
+def _fukasawa_grid(rho):
+    # the wing grid, cut at the minimum u* for rho > 0, which ends the last bracket
+    if rho <= 0.0:
+        return oracle._U_GRID
+    end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho
+    return np.append(oracle._U_GRID[oracle._U_GRID < end], end)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +173,14 @@ def test_grid_root_matches_scipy_on_the_ordered_pair(rho, reverse):
 def test_grid_root_matches_scipy_on_a_descending_grid():
     gamma, b, rho = 0.2, 0.5, -0.4
 
-    def f(l):
-        return fukasawa.l_minus_curve(l, b, rho) - gamma
+    def f(u):
+        return fukasawa._level_at(_wing_terms(u), gamma, b, rho)
 
-    grid = fukasawa._scan_grid(rho)
-    hi, lo = _grid_bracket(f, grid)
-    root = grid_root(f, grid, xtol=1e-14)
-    assert root == scipy.optimize.brentq(f, lo, hi, xtol=1e-14)
-    assert root == fukasawa.solve_l_minus(gamma, b, rho)
+    grid = _fukasawa_grid(rho)
+    lo, hi = _grid_bracket(f, grid)
+    root = grid_root(f, grid[::-1], xtol=1e-14 * lo * lo)
+    assert root == scipy.optimize.brentq(f, lo, hi, xtol=1e-14 * lo * lo)
+    assert -1.0 / root == fukasawa.solve_l_minus(gamma, b, rho)
 
 
 def test_grid_root_evaluates_the_grid_once():
