@@ -109,7 +109,7 @@ def _level_at(t, gamma: float, b: float, rho: float):
 def _u_root(f, end: float) -> float:
     """Root in u of f(wing terms) on the first sign change of the grid below
     end, else between its last point and a finite end.  xtol = 1e-14*lo^2
-    in u is 1e-14 in l = 1/u at the bracket's lower end lo."""
+    in u is 1e-14 in |l| = 1/u at the bracket's lower end lo > 0."""
     n = int(np.searchsorted(_U_GRID, end))
     sgn = np.sign(f(tuple(t[:n] for t in _U_TERMS)))
     i = np.flatnonzero(sgn[1:] != sgn[:-1])

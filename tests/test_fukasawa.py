@@ -123,10 +123,10 @@ def test_solve_l_minus_budget_at_rho_minus_one(monkeypatch, gamma):
     # chart's level curve on scalars, and polishes a short bracket
     scalar_calls = []
 
-    def counted(t, gamma, rho):
+    def counted(t, level, rho):
         if np.ndim(t[0]) == 0:
             scalar_calls.append(t[0])
-        return _wing_n_at(t, gamma, rho)
+        return _wing_n_at(t, level, rho)
 
     monkeypatch.setattr(fukasawa, "_wing_n_at", counted)
     for b in np.linspace(0.01, 0.99, 99).tolist():
@@ -334,7 +334,7 @@ def test_threshold_decorrelated_next_to_the_bound(d):
 
 
 def test_threshold_decorrelated_is_the_closed_form():
-    # at rho = 0 the threshold is one root in l, with no nested solve
+    # at rho = 0 the threshold is one root in u = -1/l, with no nested solve
     worst = max(
         abs(fukasawa_threshold(float(b), 0.0) - fukasawa_threshold_closed(float(b)))
         for b in np.linspace(0.05, 1.95, 96)
