@@ -10,10 +10,10 @@ below the smile minimum; the mirrored root (rho -> -rho) gives the upper
 endpoint.  On the wing-slope boundaries b*(1 -+ rho) = 2 the corresponding
 root escapes to -infinity and the endpoint degenerates to the limit value
 -+ b*gamma/2.  At |rho| = 1 one wing has no condition and the interval is
-one-sided: (-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  The
-interval is non-empty iff gamma exceeds a threshold depending on (b, rho)
-only, computed here as the root of the interval's width, which increases
-in gamma.
+one-sided: (-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  It is
+non-empty iff gamma exceeds a threshold in (b, rho) alone, the root of its
+width, which increases in gamma.  Roots l- are found in u = -1/l on the
+oracle's wing grid, where l = -inf is the grid point u = 0.
 """
 
 from __future__ import annotations
