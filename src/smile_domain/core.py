@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .roots import brentq
+
 __all__ = [
     "BOUNDARY_TOL",
     "SmileDomainError",
@@ -282,11 +284,27 @@ def _wing_terms(u):
 
 
 # The wing grid, u = 1/l from u = 0 (l = +inf) to l = 1e-6, and its terms, built
-# once: the oracle's zero of g2 and wing scan, and fukasawa's root l-, use it.
+# once: the oracle's wing scan and zeros of g2, and fukasawa's root l-, use it.
 _U_GRID = np.append(0.0, np.geomspace(1e-16, 1e6, 551))
 _U_TERMS = _wing_terms(_U_GRID)
 for _term in (_U_GRID, *_U_TERMS):
     _term.flags.writeable = False
+
+
+def _u_root(f, end: float) -> float:
+    """Root in u of f(wing terms) on the first sign change of the grid below
+    end, else between its last point and a finite end.  xtol = 1e-14*lo^2
+    in u is 1e-14 in |l| = 1/u at the bracket's lower end lo > 0."""
+    n = int(np.searchsorted(_U_GRID, end))
+    sgn = np.sign(f(tuple(t[:n] for t in _U_TERMS)))
+    i = np.flatnonzero(sgn[1:] != sgn[:-1])
+    if i.size:
+        lo, hi = float(_U_GRID[i[0]]), float(_U_GRID[i[0] + 1])
+    elif end < math.inf:
+        lo, hi = float(_U_GRID[n - 1]), end
+    else:
+        raise NoRootError("no sign change on the wing grid")
+    return brentq(lambda u: f(_wing_terms(u)), lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
 
 
 def _wing_slack(b: float, rho: float) -> float:

@@ -21,18 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     EvaluationDomainError,
     InvalidParamsError,
     NoRootError,
-    _U_GRID,
-    _U_TERMS,
     _any,
     _l_terms,
     _n_funcs_at,
     _pow,
+    _u_root,
     _wing_n_at,
     _wing_terms,
     n_funcs,
@@ -104,22 +101,6 @@ def _level_at(t, gamma: float, b: float, rho: float):
     sign and root.  At u = 0, l = -inf, it is (1-rho)^2*(2 - b*(1-rho))/4."""
     two_d, n1, _ = _wing_n_at(t, gamma, -rho)
     return n1 * n1 * (2.0 - b * n1) / 4.0 - t[7] * two_d / 2.0
-
-
-def _u_root(f, end: float) -> float:
-    """Root in u of f(wing terms) on the first sign change of the grid below
-    end, else between its last point and a finite end.  xtol = 1e-14*lo^2
-    in u is 1e-14 in |l| = 1/u at the bracket's lower end lo > 0."""
-    n = int(np.searchsorted(_U_GRID, end))
-    sgn = np.sign(f(tuple(t[:n] for t in _U_TERMS)))
-    i = np.flatnonzero(sgn[1:] != sgn[:-1])
-    if i.size:
-        lo, hi = float(_U_GRID[i[0]]), float(_U_GRID[i[0] + 1])
-    elif end < math.inf:
-        lo, hi = float(_U_GRID[n - 1]), end
-    else:
-        raise NoRootError("no sign change on the wing grid")
-    return brentq(lambda u: f(_wing_terms(u)), lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
 
 
 def solve_l_minus(gamma: float, b: float, rho: float) -> float:

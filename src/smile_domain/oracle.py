@@ -2,9 +2,10 @@
 
 sigma* is the supremum of the pointwise requirement f = -b*g2/(2*G1) over
 the two wing intervals where g2 < 0.  Each admissible side is searched with
-a dense scan in u = 1/l followed by Brent's bounded maximization.  The scan
-ends at u = 0, the point at infinity: on the wing-slope boundaries
-b*(1 +- rho) = 2 the supremum may be attained only there, as the limit of f.
+one scan in u = 1/l, which also reads the wing off the sign of g2, followed
+by Brent's bounded maximization.  The scan ends at u = 0, the point at
+infinity: on the wing-slope boundaries b*(1 +- rho) = 2 the supremum may be
+attained only there, as the limit of f.
 Every closed-form family domain in this package is validated against this
 oracle.
 
@@ -24,11 +25,13 @@ from .core import (
     EvaluationDomainError,
     FukasawaViolation,
     InvalidParamsError,
+    NoRootError,
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
     _U_GRID,
     _U_TERMS,
+    _u_root,
     _wing_at,
     _wing_n_at,
     _wing_slack,
@@ -37,7 +40,7 @@ from .core import (
     wing_slope,
 )
 from .fukasawa import mu_interval
-from .roots import grid_root, maximize
+from .roots import maximize
 
 __all__ = [
     "G2Zeros",
@@ -80,13 +83,9 @@ class DensityReport:
 # Zeros of g2
 # ---------------------------------------------------------------------------
 def _right_zero(gamma: float, rho: float) -> float:
-    """Unique zero l2 > 0 of g2 right of the smile minimum, in u = 1/l: the
-    grid brackets it, as g2 > 0 on [0, l2) and g2/u = -(1 + rho)/2 at u = 0."""
-
-    def g2u(u):
-        return _wing_n_at(_U_TERMS if u is _U_GRID else _wing_terms(u), gamma, rho)[2]
-
-    return 1.0 / grid_root(g2u, _U_GRID, xtol=1e-300, rtol=8.9e-16)
+    """Unique zero l2 > 0 of g2 right of the smile minimum, for g2_zeros: the
+    wing grid's root, as g2 > 0 on [0, l2) and g2/c = -(1 + rho)/2 at u = 0."""
+    return 1.0 / _u_root(lambda t: _wing_n_at(t, gamma, rho)[2], math.inf)
 
 
 def g2_zeros(gamma: float, rho: float) -> G2Zeros:
@@ -110,22 +109,25 @@ def g2_zeros(gamma: float, rho: float) -> G2Zeros:
 # ---------------------------------------------------------------------------
 def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, float]:
     """(argsup, sup) of f on the right wing (l2, infinity) of the given
-    shape, scanned on the u-grid right of l2.  Where the first point, u = 0,
-    is the best, its value, the limit of f (0 off the wing-slope bound), is
-    the supremum and argsup = +inf; otherwise Brent's search runs in u.
+    shape, from one pass over the u-grid: the wing is the run of points from
+    u = 0, where g2/c = -(1 + rho)/2, on which g2 < 0.  Where u = 0 is the
+    best, its value, the limit of f (0 off the wing-slope bound), is the
+    supremum and argsup = +inf; otherwise Brent's search runs in u.
     """
     w = _wing_slack(b, rho)
 
-    def f(t):  # on the bound (w = 0) h - b*g = c*Y/(2*N*c), and c cancels
+    def f(t):  # (g2/c, f); on the bound (w = 0) h - b*g = c*Y/(2*N*c), and c cancels
         g2c, hm, hp, yd = _wing_at(t, gamma, b, rho, mu, w)
-        return _ratio(-b / 2.0 * t[1] * g2c, hm * hp) if w else _ratio(-b / 2.0 * g2c, yd * hp)
+        return g2c, _ratio(-b / 2.0 * t[1] * g2c, hm * hp) if w else _ratio(-b / 2.0 * g2c, yd * hp)
 
-    n = int(np.searchsorted(_U_GRID, 1.0 / _right_zero(gamma, rho)))
-    vals = f(tuple(t[:n] for t in _U_TERMS))
-    i = int(np.argmax(vals))
+    g2c, vals = f(_U_TERMS)
+    n = int(np.argmin(g2c < 0.0))  # the first point off the wing
+    if g2c[n] < 0.0:  # g2 has one zero right of the smile minimum
+        raise NoRootError("g2 has no zero on the wing grid")
+    i = int(np.argmax(vals[:n]))
     if vals[0] >= vals[i] * (1.0 - 1e-15):  # u = 0 wins a tie within rounding
         return math.inf, float(vals[0])
-    arg, sup = maximize(lambda u: f(_wing_terms(u)), _U_GRID[i - 1], _U_GRID[i + 1])
+    arg, sup = maximize(lambda u: f(_wing_terms(u))[1], _U_GRID[i - 1], _U_GRID[i + 1])
     return 1.0 / arg, sup
 
 
@@ -177,23 +179,21 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
     if abs(rho) >= 1.0 or (
         abs(gamma - root) <= 1e-12 and abs(mu + rho / root) <= 1e-9
     ):
-        sides = ["right"] if rho >= 0.0 else ["left"]
+        signs = (1.0,) if rho >= 0.0 else (-1.0,)
     elif abs(rho) <= BOUNDARY_TOL:
-        sides = ["right"] if mu >= 0.0 else ["left"]
+        signs = (1.0,) if mu >= 0.0 else (-1.0,)
     else:
-        sides = ["right", "left"]
+        signs = (1.0, -1.0)
 
-    nsvi = NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=1.0)
-    best_sup = -math.inf
-    best_arg = math.nan
-    best_side = ""
-    for side in sides:
-        arg, sup = maximize_f_on_interval(nsvi, side)
+    best_sup, best_arg = -math.inf, math.nan
+    for s in signs:  # s = -1 searches the left wing as the mirror's right one
+        arg, sup = _wing_sup(gamma, b, s * rho, s * mu)
         if sup > best_sup:
-            best_sup, best_arg, best_side = sup, arg, side
+            best_sup, best_arg = sup, s * arg
+    side = "right" if best_arg > 0.0 else "left"
     if math.isinf(best_arg):
-        best_side = "limit_at_infinity"
-    return SigmaStarResult(best_sup, best_arg, best_side)
+        side = "limit_at_infinity"
+    return SigmaStarResult(best_sup, best_arg, side)
 
 
 # ---------------------------------------------------------------------------

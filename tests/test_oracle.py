@@ -237,31 +237,65 @@ _SSVI_UP = SsviParams(theta=1.8, phi=1.0, rho=0.5)
 _SSVI_DOWN = SsviParams(theta=1.8, phi=1.0, rho=-0.5)
 
 
-@pytest.mark.parametrize(
-    "shape, zeros",
-    [
-        ((0.3, 1.2, 0.0, 0.0), 1),
-        ((1.0, 2.0, 0.0, 0.5), 1),
-        ((_SSVI_UP.gamma, _SSVI_UP.b, _SSVI_UP.rho, _SSVI_UP.mu), 1),
-        ((_SSVI_DOWN.gamma, _SSVI_DOWN.b, _SSVI_DOWN.rho, _SSVI_DOWN.mu), 1),
-        ((0.0, 0.5, 1.0, -1.0), 1),
-        ((0.0, 0.5, -1.0, 1.0), 1),
-        ((0.5, 1.0, 0.3, -0.1), 2),
-    ],
-    ids=["symmetric", "extremal", "ssvi-up", "ssvi-down", "vanishing-up",
-         "vanishing-down", "both-wings"],
-)
+_SEARCH_SHAPES = [
+    ((0.3, 1.2, 0.0, 0.0), 1),
+    ((1.0, 2.0, 0.0, 0.5), 1),
+    ((_SSVI_UP.gamma, _SSVI_UP.b, _SSVI_UP.rho, _SSVI_UP.mu), 1),
+    ((_SSVI_DOWN.gamma, _SSVI_DOWN.b, _SSVI_DOWN.rho, _SSVI_DOWN.mu), 1),
+    ((0.0, 0.5, 1.0, -1.0), 1),
+    ((0.0, 0.5, -1.0, 1.0), 1),
+    ((0.5, 1.0, 0.3, -0.1), 2),
+]
+_SEARCH_IDS = ["symmetric", "extremal", "ssvi-up", "ssvi-down", "vanishing-up",
+               "vanishing-down", "both-wings"]
+
+
+@pytest.mark.parametrize("shape, zeros", _SEARCH_SHAPES, ids=_SEARCH_IDS)
 def test_sigma_star_solves_one_g2_zero_per_wing(monkeypatch, shape, zeros):
+    # each searched wing is one _wing_sup call, whose scan also finds its zero
     rhos = []
-    right_zero = oracle._right_zero
+    wing_sup = oracle._wing_sup
 
-    def counting(gamma, rho):
+    def counting(gamma, b, rho, mu):
         rhos.append(rho)
-        return right_zero(gamma, rho)
+        return wing_sup(gamma, b, rho, mu)
 
-    monkeypatch.setattr(oracle, "_right_zero", counting)
+    monkeypatch.setattr(oracle, "_wing_sup", counting)
     sigma_star(*shape)
     assert len(rhos) == zeros
+
+
+def test_sigma_star_never_solves_for_the_g2_zero(monkeypatch):
+    before = [sigma_star(*shape) for shape, _ in _SEARCH_SHAPES]
+
+    def refuse(gamma, rho):
+        raise AssertionError("sigma_star solved for a zero of g2")
+
+    monkeypatch.setattr(oracle, "_right_zero", refuse)
+    assert [sigma_star(*shape) for shape, _ in _SEARCH_SHAPES] == before
+
+
+@pytest.mark.parametrize("rho", [-(1.0 - 1e-12), -0.7, 0.0, 0.4, 1.0 - 1e-12, 1.0])
+def test_wing_scan_ends_at_the_g2_zero(monkeypatch, rho):
+    # the run of g2 < 0 that _wing_sup scans from u = 0 ends where the grid
+    # passes the solved zero l2, inside and on the wing-slope bound and
+    # within 1e-9 of the level floor
+    scans = []
+    wing_at = oracle._wing_at
+
+    def recording(t, *args):
+        out = wing_at(t, *args)
+        if t is oracle._U_TERMS:
+            scans.append(out[0])
+        return out
+
+    monkeypatch.setattr(oracle, "_wing_at", recording)
+    floor = -math.sqrt((1.0 - rho) * (1.0 + rho))
+    for gamma in (floor + 1e-9, floor + 1e-3, 0.5, 40.0):
+        for b in (0.5, 2.0 / (1.0 + rho)):
+            oracle._wing_sup(gamma, b, rho, 0.0)
+            u2 = 1.0 / oracle._right_zero(gamma, rho)
+            assert np.argmin(scans.pop() < 0.0) == np.searchsorted(oracle._U_GRID, u2)
 
 
 @pytest.mark.parametrize(
