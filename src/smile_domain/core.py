@@ -149,6 +149,9 @@ class NormalizedSvi:
     sigma: float
 
     def __post_init__(self):
+        vals = (self.gamma, self.b, self.rho, self.mu, self.sigma)
+        if not all(map(math.isfinite, vals)):
+            raise InvalidParamsError(f"non-finite normalized parameters: {vals}")
         if self.b < 0.0 or abs(self.rho) > 1.0 or self.sigma <= 0.0:
             raise InvalidParamsError(
                 f"invalid normalized parameters b={self.b}, rho={self.rho}, "

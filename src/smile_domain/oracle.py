@@ -39,7 +39,7 @@ from .core import (
     _wing_terms,
     wing_slope,
 )
-from .fukasawa import mu_interval
+from .fukasawa import _validate, mu_interval
 from .roots import maximize
 
 __all__ = [
@@ -92,8 +92,11 @@ def g2_zeros(gamma: float, rho: float) -> G2Zeros:
     """Zeros l1 < 0 < l2 of g2; single-sided for |rho| = 1.
 
     The left zero is obtained from the right zero of the strike-inverted
-    smile, an exact symmetry of g2.
+    smile, an exact symmetry of g2.  Raises InvalidParamsError for a
+    non-finite input, |rho| > 1 or a level gamma on or below the floor
+    -sqrt(1 - rho^2) (below 0 at |rho| = 1), as mu_interval does.
     """
+    _validate(gamma, 0.0, rho)
     if rho >= 1.0:
         return G2Zeros(l1=None, l2=_right_zero(gamma, 1.0))
     if rho <= -1.0:

@@ -69,6 +69,15 @@ def test_raw_params_validation():
     RawSviParams(a=0.04, b=0.0, rho=0.0, m=0.0, sigma=1.0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "b", "rho", "mu", "sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_normalized_params_reject_non_finite(field, value):
+    fields = dict(gamma=0.5, b=1.0, rho=0.3, mu=0.0, sigma=1.0)
+    fields[field] = value
+    with pytest.raises(InvalidParamsError):
+        NormalizedSvi(**fields)
+
+
 def test_normalization_round_trip():
     p = RawSviParams(a=0.04, b=0.4, rho=-0.6, m=0.1, sigma=0.3)
     q = p.normalized().to_raw()

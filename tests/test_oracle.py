@@ -37,6 +37,16 @@ def _g2_at(l, gamma, rho):
 # ---------------------------------------------------------------------------
 # g2 zeros
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "gamma, rho",
+    [(math.nan, 0.3), (math.inf, 0.3), (0.3, math.nan), (0.3, 1.5), (-1.0, 0.0), (-5.0, 0.0)],
+    ids=["nan-level", "inf-level", "nan-rho", "rho-beyond-1", "level-on-floor", "level-below-floor"],
+)
+def test_g2_zeros_rejects_invalid_input(gamma, rho):
+    with pytest.raises(InvalidParamsError):
+        g2_zeros(gamma, rho)
+
+
 def test_g2_zeros_vanishing():
     z = g2_zeros(0.0, 1.0)
     assert z.l1 is None
