@@ -3,7 +3,9 @@
 ``run`` records the outputs of ``certify_op`` and ``audit_op`` from
 ``bench/workloads.py`` over the interior pools (3000 draws) and the edge-band
 census draws (360 for certify, 180 for audit) of each seed, one JSON file
-per tree; an operation that raises is recorded as its error type.
+per tree; an operation that raises is recorded as its error type.  Each
+audit item also records where ``oracle.sigma_star`` puts the supremum, its
+``argsup_l`` and ``side`` (or the error type), as ``argsup.*`` keys.
 ``compare`` reads two such files and prints, for each output key, how many
 values changed and the largest absolute and relative drift, then every
 outcome change (a value on one side, an error on the other, or two
@@ -42,6 +44,15 @@ def _flat(doc, prefix: str = "") -> dict:
     return out
 
 
+def _argsup(W, d) -> dict:
+    """The oracle's argsup and side on the draw's shape."""
+    try:
+        res = W.oracle.sigma_star(*W.shape(d))
+    except Exception as exc:  # noqa: BLE001 - the outcome is the record
+        return {"argsup.error": type(exc).__name__}
+    return {"argsup.l": res.argsup_l, "argsup.side": res.side}
+
+
 def record(seeds) -> dict:
     """{item id: flat output or {"error": type name}} for every operation."""
     sys.path.insert(0, str(BENCH))
@@ -56,6 +67,8 @@ def record(seeds) -> dict:
                     item = f"{name}/seed{seed}/{'census' if edge else 'pool'}/{k}/{d.family}/{d.kind}"
                     try:
                         out[item] = _flat(op(d))
+                        if name == "audit":
+                            out[item].update(_argsup(W, d))
                     except Exception as exc:  # noqa: BLE001 - the outcome is the record
                         out[item] = {"error": type(exc).__name__}
     return out
