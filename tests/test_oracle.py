@@ -287,25 +287,27 @@ def test_sigma_star_never_solves_for_the_g2_zero(monkeypatch):
 
 @pytest.mark.parametrize("rho", [-(1.0 - 1e-12), -0.7, 0.0, 0.4, 1.0 - 1e-12, 1.0])
 def test_wing_scan_ends_at_the_g2_zero(monkeypatch, rho):
-    # the run of g2 < 0 that _wing_sup scans from u = 0 ends where the grid
-    # passes the solved zero l2, inside and on the wing-slope bound and
+    # the run of g2 < 0 that _wing_sup takes its argmax over ends where the
+    # grid passes the solved zero l2, inside and on the wing-slope bound and
     # within 1e-9 of the level floor
-    scans = []
-    wing_at = oracle._wing_at
+    runs = []
 
-    def recording(t, *args):
-        out = wing_at(t, *args)
-        if t is oracle._U_TERMS:
-            scans.append(out[0])
-        return out
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(oracle, "_wing_at", recording)
+        def argmax(self, vals):
+            runs.append(len(vals))
+            return np.argmax(vals)
+
+    monkeypatch.setattr(oracle, "np", Recording())
     floor = -math.sqrt((1.0 - rho) * (1.0 + rho))
     for gamma in (floor + 1e-9, floor + 1e-3, 0.5, 40.0):
         for b in (0.5, 2.0 / (1.0 + rho)):
             oracle._wing_sup(gamma, b, rho, 0.0)
             u2 = 1.0 / oracle._right_zero(gamma, rho)
-            assert np.argmin(scans.pop() < 0.0) == np.searchsorted(oracle._U_GRID, u2)
+            assert runs.pop() == np.searchsorted(oracle._U_GRID, u2)
+            assert not runs
 
 
 @pytest.mark.parametrize(
