@@ -7,9 +7,9 @@ same interpolate/extrapolate/bisect rules, so it returns the same float for
 the same objective, bracket and tolerances.  Keeping it in-house keeps SciPy,
 whose import costs more than a whole certification, off the import path.
 
-``grid_root`` is ``brentq`` on the first bracket that a grid scan finds:
-every one-dimensional root of the family modules and the oracle is one
-``grid_root`` or one ``brentq`` call.
+``grid_root`` is ``brentq`` on the first bracket that a scan of a
+``linspace`` grid finds; roots on the ``u = 1/l`` wing grid go through
+``core._u_root``, which brackets the same way on its precomputed terms.
 
 ``maximize`` is Brent's bounded method for the maximum of a function on an
 interval (Brent 1973, ch. 5): golden-section steps safeguarding parabolic
