@@ -40,7 +40,6 @@ from .oracle import (
     SigmaStarResult,
     durrleman_check,
     g2_zeros,
-    maximize_f_on_interval,
     sigma_star,
 )
 from . import extremal, ssvi, symmetric, vanishing
@@ -80,7 +79,6 @@ __all__ = [
     "hgg2_prime",
     "l_minus_curve",
     "make_certificate",
-    "maximize_f_on_interval",
     "mu_interval",
     "mu_lower_curve",
     "n_funcs",

@@ -26,7 +26,6 @@ from .core import (
     FukasawaViolation,
     InvalidParamsError,
     NoRootError,
-    NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
     _U_GRID,
@@ -47,7 +46,6 @@ __all__ = [
     "SigmaStarResult",
     "DensityReport",
     "g2_zeros",
-    "maximize_f_on_interval",
     "sigma_star",
     "durrleman_check",
 ]
@@ -132,24 +130,6 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
         return math.inf, float(vals[0])
     arg, sup = maximize(lambda u: f(_wing_terms(u))[1], _U_GRID[i - 1], _U_GRID[i + 1])
     return 1.0 / arg, sup
-
-
-def maximize_f_on_interval(nsvi: NormalizedSvi, side: str) -> tuple[float, float]:
-    """(argsup, sup) of f = -b*g2/(2*G1) on one wing interval.
-
-    side "right" searches l > l2, side "left" searches l < l1 as the right
-    wing of the strike-inverted shape, through the exact symmetry
-    f(l; rho, mu) = f(-l; -rho, -mu).  An argsup of +-inf signals a supremum
-    attained only in the limit, which happens exactly on the wing-slope
-    boundary of that side.
-    """
-    g, b, rho, mu = nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu
-    if side == "right":
-        return _wing_sup(g, b, rho, mu)
-    if side == "left":
-        arg, sup = _wing_sup(g, b, -rho, -mu)
-        return -arg, sup
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult:

@@ -7,9 +7,9 @@ same interpolate/extrapolate/bisect rules, so it returns the same float for
 the same objective, bracket and tolerances.  Keeping it in-house keeps SciPy,
 whose import costs more than a whole certification, off the import path.
 
-``grid_root`` is ``brentq`` on the first bracket that a scan of a
-``linspace`` grid finds; roots on the ``u = 1/l`` wing grid go through
-``core._u_root``, which brackets the same way on its precomputed terms.
+Each family's single non-closed-form root is one ``brentq`` call on the
+bracket it knows; the one grid scan for a bracket is ``core._u_root`` on the
+``u = 1/l`` wing grid, which calls ``brentq`` on the first sign change.
 
 ``maximize`` is Brent's bounded method for the maximum of a function on an
 interval (Brent 1973, ch. 5): golden-section steps safeguarding parabolic
@@ -20,14 +20,13 @@ bracket-width stopping rule.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
-import numpy as np
-
-__all__ = ["RTOL", "brentq", "grid_root", "maximize"]
+__all__ = ["RTOL", "brentq", "maximize"]
 
 # smallest relative tolerance brentq accepts
-RTOL = 4.0 * float(np.finfo(float).eps)
+RTOL = 4.0 * sys.float_info.epsilon
 
 # golden-section fraction (3 - sqrt(5))/2 of the larger part of a bracket
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -182,21 +181,3 @@ def maximize(
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     return x, -fx
-
-
-def grid_root(f: Callable, grid, xtol: float, rtol: float = RTOL) -> float | None:
-    """``brentq`` root of ``f`` between the first two neighbours of ``grid``
-    where its sign changes, or None when the signs never change.
-
-    ``f`` is evaluated once on the whole grid (it must take an array), then
-    with floats by ``brentq`` on that pair in increasing order, so the grid
-    may run either way.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    sgn = np.sign(f(grid))
-    idx = np.flatnonzero(sgn[1:] != sgn[:-1])
-    if not idx.size:
-        return None
-    i = int(idx[0])
-    lo, hi = sorted((float(grid[i]), float(grid[i + 1])))
-    return brentq(f, lo, hi, xtol=xtol, rtol=rtol)

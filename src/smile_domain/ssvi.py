@@ -39,7 +39,7 @@ from .core import (
     sigma_floor,
     wing_slope,
 )
-from .roots import brentq, grid_root
+from .roots import brentq
 
 __all__ = [
     "SsviParams",
@@ -262,18 +262,22 @@ def _phi_num(x, rho: float):
 def l_bar_zero(rho: float) -> float:
     """Left end of the critical-point sweep: the b -> 0 critical point.
 
-    Root of a one-dimensional function on (max(x2, rho), 1), the only
-    ingredient of the SSVI domain without a closed form; +inf at rho = 1.
+    The root x of _phi_num on [max(x2, rho) + 1e-12, 1 - 1e-14], by one
+    brentq, as l = x/sqrt(1 - x^2): the only ingredient of the SSVI domain
+    without a closed form.  _phi_num is negative at the left end and
+    positive at 1 with one sign change between; where the ends share a sign
+    the bracket has collapsed and EvaluationDomainError is raised.  +inf at
+    rho >= 1 - 1e-12.
     """
     if not 0.0 <= rho <= 1.0:
         raise EvaluationDomainError(f"rho must lie in [0, 1], got {rho}")
     if rho >= 1.0 - 1e-12:
         return math.inf
     lo = max(x_of_rho(rho), rho) + _EDGE
-    hi = 1.0 - 1e-14
-    x = grid_root(lambda t: _phi_num(t, rho), np.linspace(lo, hi, 256), xtol=1e-15)
-    if x is None:
-        raise EvaluationDomainError(f"no sweep endpoint bracket for rho={rho}")
+    try:
+        x = brentq(lambda t: _phi_num(t, rho), lo, 1.0 - 1e-14, xtol=1e-15)
+    except ValueError as exc:
+        raise EvaluationDomainError(f"no sweep endpoint bracket for rho={rho}") from exc
     return x / math.sqrt((1.0 - x) * (1.0 + x))
 
 

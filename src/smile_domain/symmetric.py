@@ -31,7 +31,7 @@ from .core import (
     sigma_floor,
     wing_slope,
 )
-from .roots import brentq, grid_root
+from .roots import brentq
 
 __all__ = [
     "SymmetricParams",
@@ -231,18 +231,14 @@ def gamma_star(u: float, branch: int = 1) -> float:
 
 def z_star_zero(gamma: float) -> float:
     """Critical point of the sigma requirement in the b -> 0 limit: the
-    only root of the sextic _p_num in (0, z2(gamma))."""
-    def fn(z):
-        return _p_num(z, gamma)
-
-    lo, hi = _EDGE, z2(gamma) - _EDGE
-    # p_num(0) = -1 < 0 and p_num > 0 at z2
-    if fn(hi) > 0.0:
-        return brentq(fn, lo, hi, xtol=1e-15)
-    z = grid_root(fn, np.linspace(lo, hi, 512), xtol=1e-15)
-    if z is None:
-        raise EvaluationDomainError(f"no critical-point root for gamma={gamma}")
-    return z
+    only root of the sextic _p_num in (0, z2(gamma)), by one brentq on
+    [1e-12, z2 - 1e-12].  p_num(0) = -1 < 0 and p_num > 0 at z2, but next to
+    gamma = -1 the rounding of z2 can leave p_num <= 0 at the right end: a
+    zero there is the root, and otherwise EvaluationDomainError is raised."""
+    try:
+        return brentq(lambda z: _p_num(z, gamma), _EDGE, z2(gamma) - _EDGE, xtol=1e-15)
+    except ValueError as exc:
+        raise EvaluationDomainError(f"no critical-point root for gamma={gamma}") from exc
 
 
 def z_star_at_g_tilde(gamma: float) -> float:

@@ -169,7 +169,7 @@ def subdomain_bound(b: float) -> float:
     """Explicit sufficient sigma level for mu <= 0: b times the depth of
     the curvature well over the worst-case wing factor (1-b^2)/4."""
     if not 0.0 < b < 1.0:
-        raise EvaluationDomainError(f"subdomain bound requires 0 < b < 1")
+        raise EvaluationDomainError(f"subdomain bound requires 0 < b < 1, got b={b}")
     return _SUBDOMAIN_COEF * b / (1.0 - b * b)
 
 

@@ -16,7 +16,6 @@ from smile_domain import (
     fukasawa_threshold,
     g2_zeros,
     hgg2,
-    maximize_f_on_interval,
     mu_interval,
     sigma_star,
     sigma_floor,
@@ -227,20 +226,19 @@ def test_sigma_star_inversion_invariance():
 
 def test_reciprocity_at_supremum():
     nsvi = NormalizedSvi(gamma=0.5, b=1.0, rho=0.3, mu=-0.1, sigma=1.0)
-    arg, sup = maximize_f_on_interval(nsvi, "right")
+    arg, sup = oracle._wing_sup(nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu)
     dual = sigma_floor_dual(arg, nsvi)
     assert sup == pytest.approx(nsvi.b / (2.0 * dual), rel=1e-9)
     assert sigma_floor(arg, nsvi) == pytest.approx(sup, rel=1e-12)
 
 
 def test_maximize_side_dispatch():
-    nsvi = NormalizedSvi(gamma=0.5, b=1.0, rho=0.0, mu=0.3, sigma=1.0)
-    arg_r, sup_r = maximize_f_on_interval(nsvi, "right")
-    arg_l, sup_l = maximize_f_on_interval(nsvi, "left")
-    assert arg_r > 0 > arg_l
+    # side s searches the right wing of (gamma, b, s*rho, s*mu), as sigma_star does
+    gamma, b, rho, mu = 0.5, 1.0, 0.0, 0.3
+    arg_r, sup_r = oracle._wing_sup(gamma, b, rho, mu)
+    arg_l, sup_l = oracle._wing_sup(gamma, b, -rho, -mu)
+    assert arg_r > 0 and arg_l > 0  # -arg_l on the given shape
     assert sup_r > sup_l  # supremum sits on the side matching sign(mu)
-    with pytest.raises(ValueError):
-        maximize_f_on_interval(nsvi, "middle")
 
 
 _SSVI_UP = SsviParams(theta=1.8, phi=1.0, rho=0.5)

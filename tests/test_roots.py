@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from smile_domain import NormalizedSvi, fukasawa, oracle, ssvi, symmetric
-from smile_domain.core import _wing_terms
-from smile_domain.roots import RTOL, brentq, grid_root, maximize
+from smile_domain import NoRootError, fukasawa, oracle, ssvi, symmetric
+from smile_domain.core import _U_GRID, _u_root, _wing_terms
+from smile_domain.roots import RTOL, brentq, maximize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,21 +56,22 @@ def test_matches_scipy_where_steps_divide_by_zero():
 
 @pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.8, 0.95])
 def test_matches_scipy_on_ssvi_sweep_endpoint(rho):
+    # l_bar_zero's whole bracket, as l_bar_zero solves it
     def f(x):
         return ssvi._phi_num(x, rho)
 
-    grid = np.linspace(max(ssvi.x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, 256)
-    lo, hi = _grid_bracket(f, grid)
-    _same_root(f, lo, hi, xtol=1e-15)
+    x = _same_root(f, max(ssvi.x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, xtol=1e-15)
+    assert x / math.sqrt((1.0 - x) * (1.0 + x)) == ssvi.l_bar_zero(rho)
 
 
 @pytest.mark.parametrize("gamma", [-0.9, -0.3, 0.0, 0.5, 2.0])
 def test_matches_scipy_on_symmetric_sextic(gamma):
+    # z_star_zero's whole bracket, as z_star_zero solves it
     def f(z):
         return symmetric._p_num(z, gamma)
 
-    lo, hi = _grid_bracket(f, np.linspace(1e-12, symmetric.z2(gamma) - 1e-12, 512))
-    _same_root(f, lo, hi, xtol=1e-15)
+    z = _same_root(f, 1e-12, symmetric.z2(gamma) - 1e-12, xtol=1e-15)
+    assert z == symmetric.z_star_zero(gamma)
 
 
 @pytest.mark.parametrize(
@@ -132,75 +133,72 @@ def test_zero_at_an_endpoint_returns_it_without_iterating():
 
 
 # ---------------------------------------------------------------------------
-# grid scan plus brentq
+# the wing grid's scan plus brentq: core._u_root
 # ---------------------------------------------------------------------------
+def _on_grid(vals):
+    """f on the wing terms: piecewise linear in u through vals at the first
+    grid points, and the last value beyond them."""
+    def f(t):
+        u = t[1] / t[0]  # the terms hold (a, c) with u = c/a
+        return np.interp(u, _U_GRID[: len(vals)], vals)
+
+    return f
+
+
 @pytest.mark.parametrize(
     "vals, expected",
     [
         ([-2.0, -1.0, 1.0, -1.0], 1),
         ([3.0, 2.0, 1.0], None),
         ([-1.0, 0.0, 1.0], 0),
-        ([], None),
+        ([0.0, 0.0], None),  # a zero value alone is no sign change
     ],
 )
 def test_first_sign_change(vals, expected):
-    # grid_root solves on the first pair of neighbours whose signs differ
-    grid = np.arange(float(len(vals)))
-
-    def f(x):
-        return np.interp(x, grid, vals) if vals else x  # empty grid: no values
-
-    root = grid_root(f, grid, xtol=1e-15)
+    # _u_root solves on the first pair of neighbours whose signs differ
+    f = _on_grid(vals)
     if expected is None:
-        assert root is None
+        with pytest.raises(NoRootError):
+            _u_root(f, math.inf)
     else:
-        assert root == brentq(f, grid[expected], grid[expected + 1], xtol=1e-15)
+        lo, hi = _U_GRID[expected], _U_GRID[expected + 1]
+        g = lambda u: f(_wing_terms(u))  # noqa: E731
+        assert _u_root(f, math.inf) == brentq(g, lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
-def test_grid_root_matches_scipy_on_the_ordered_pair(rho, reverse):
-    def f(x):
-        return ssvi._phi_num(x, rho)
+def test_u_root_brackets_the_last_point_and_a_finite_end():
+    # no sign change below the end: the bracket runs from the last grid
+    # point below it to the end itself
+    lo = float(_U_GRID[300])
+    end = 0.5 * (lo + _U_GRID[301])
+    root = 0.5 * (lo + end)
 
-    grid = np.linspace(max(ssvi.x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, 256)
-    lo, hi = _grid_bracket(f, grid)
-    root = grid_root(f, grid[::-1] if reverse else grid, xtol=1e-15, rtol=8.9e-16)
-    assert type(root) is float
-    assert root == scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    def f(t):
+        return t[1] / t[0] - root
 
-
-def test_grid_root_matches_scipy_on_a_descending_grid():
-    gamma, b, rho = 0.2, 0.5, -0.4
-
-    def f(u):
-        return fukasawa._level_at(_wing_terms(u), gamma, b, rho)
-
-    grid = _fukasawa_grid(rho)
-    lo, hi = _grid_bracket(f, grid)
-    root = grid_root(f, grid[::-1], xtol=1e-14 * lo * lo)
-    assert root == scipy.optimize.brentq(f, lo, hi, xtol=1e-14 * lo * lo)
-    assert -1.0 / root == fukasawa.solve_l_minus(gamma, b, rho)
+    assert _u_root(f, end) == brentq(lambda u: f(_wing_terms(u)), lo, end, xtol=1e-14 * lo * lo)
+    assert _u_root(f, end) == pytest.approx(root, rel=1e-14)
 
 
-def test_grid_root_evaluates_the_grid_once():
+def test_u_root_evaluates_the_grid_once():
     arrays = []
 
-    def f(x):
-        if np.ndim(x):
-            arrays.append(len(x))
-        return np.cos(x)
+    def f(t):
+        if np.ndim(t[0]):
+            arrays.append(len(t[0]))
+        return np.cos(t[1] / t[0])
 
-    root = grid_root(f, np.linspace(0.0, 3.0, 50), xtol=1e-15)
-    assert root == pytest.approx(math.pi / 2, abs=1e-15)
-    assert arrays == [50]
+    assert _u_root(f, math.inf) == pytest.approx(math.pi / 2, rel=1e-15)
+    assert arrays == [len(_U_GRID)]
     arrays.clear()
-    assert grid_root(f, np.linspace(0.0, 1.0, 20), xtol=1e-15) is None
-    assert arrays == [20]
+    end = float(_U_GRID[200])
+    with pytest.raises(ValueError, match="different signs"):  # cos > 0 up to the end
+        _u_root(f, end)
+    assert arrays == [200]
 
 
-def test_grid_root_brackets_the_first_sign_change_of_any_values():
-    # +-0, NaN, infinities and subnormals: the pair grid_root solves on is
+def test_u_root_brackets_the_first_sign_change_of_any_values():
+    # +-0, NaN, infinities and subnormals: the pair _u_root solves on is
     # the first one where np.diff(np.sign(values)) != 0
     rng = np.random.default_rng(7)
     pool = np.array([1.0, -1.0, 0.0, -0.0, 2.0, np.nan, np.inf, -np.inf, 1e-310])
@@ -210,20 +208,21 @@ def test_grid_root_brackets_the_first_sign_change_of_any_values():
 
     for _ in range(2000):
         vals = rng.choice(pool, rng.integers(0, 10))
-        grid = np.arange(float(len(vals)))
+        grid_vals = np.append(vals, np.full(len(_U_GRID) - len(vals), vals[-1] if len(vals) else 1.0))
 
-        def f(x):
-            if np.ndim(x):
-                return vals
-            raise Bracket(x)
+        def f(t):
+            if np.ndim(t[0]):
+                return grid_vals
+            raise Bracket(t[1] / t[0])
 
-        idx = np.flatnonzero(np.diff(np.sign(vals)) != 0)
+        idx = np.flatnonzero(np.diff(np.sign(grid_vals)) != 0)
         if not idx.size:
-            assert grid_root(f, grid, xtol=1e-15) is None
+            with pytest.raises(NoRootError):
+                _u_root(f, math.inf)
             continue
         with pytest.raises(Bracket) as lo:
-            grid_root(f, grid, xtol=1e-15)
-        assert lo.value.args[0] == grid[idx[0]]
+            _u_root(f, math.inf)
+        assert lo.value.args[0] == _U_GRID[idx[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +316,7 @@ def test_maximize_evaluations_on_the_oracle_objective(monkeypatch):
     monkeypatch.setattr(oracle, "maximize", counting)
     for gamma, b, rho, mu in [(0.5, 1.0, 0.3, 0.1), (0.8, 1.0, 0.0, 0.4),
                               (0.2, 0.6, -0.5, -0.3)]:
-        nsvi = NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=1.0)
-        oracle.maximize_f_on_interval(nsvi, "right")
+        oracle._wing_sup(gamma, b, rho, mu)
     assert len(counts) == 3
     assert max(counts) <= 30
 

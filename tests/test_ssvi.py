@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from smile_domain import (
+    EvaluationDomainError,
     InvalidParamsError,
     NormalizedSvi,
     RogerLeeViolation,
     durrleman_check,
     hgg2,
-    maximize_f_on_interval,
     mu_interval,
+    oracle,
     sigma_star,
     ssvi,
 )
@@ -151,6 +152,40 @@ def test_l_bar_zero_bracket_signs():
         assert _phi_num(1.0 - 1e-12, rho) > 0
 
 
+def test_l_bar_zero_bracket_has_one_sign_change():
+    # sign-change count of _phi_num on a dense grid over l_bar_zero's bracket:
+    # one, or none where the bracket has collapsed next to rho = 1
+    from smile_domain.ssvi import _phi_num
+
+    for rho, changes in [(0.0, 1), (0.3, 1), (0.6, 1), (0.9, 1), (0.99, 1), (0.999, 1),
+                         (1.0 - 1e-9, 0)]:
+        grid = np.linspace(max(x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, 20_000)
+        assert int(np.sum(np.diff(np.sign(_phi_num(grid, rho))) != 0)) == changes
+    with pytest.raises(EvaluationDomainError, match="no sweep endpoint bracket"):
+        l_bar_zero(1.0 - 1e-9)
+
+
+def _phi_num_mp(x, rho):
+    from mpmath import sqrt as msqrt
+
+    rb = msqrt((1 - rho) * (1 + rho))
+    sx = msqrt((1 - x) * (1 + x))
+    u = 1 + rho * x + sx * rb
+    return -2 * u * u * sx * (x * sx * (3 * rb + sx) + x + rho) + (x + rho) ** 3 * (sx + rb)
+
+
+def test_l_bar_zero_matches_a_50_digit_root():
+    from mpmath import findroot, mp, mpf, sqrt as msqrt
+
+    with mp.workdps(50):
+        for rho in [*np.linspace(0.0, 0.99, 12), 0.995, 0.999]:
+            r = mpf(float(rho))
+            lo = max(x_of_rho(float(rho)), float(rho)) + 1e-12
+            x = findroot(lambda t: _phi_num_mp(t, r), (mpf(lo), mpf(1.0 - 1e-14)), solver="anderson")
+            exact = x / msqrt((1 - x) * (1 + x))
+            assert l_bar_zero(float(rho)) == pytest.approx(float(exact), rel=1e-13)
+
+
 def test_b_star_independent_formula():
     # b*^2 = h*p/(g*q) with p, q from finite-difference derivatives
     rho, l = 0.0, 5.0
@@ -236,8 +271,8 @@ def test_b_to_0_end_resolves_what_the_residual_cannot(monkeypatch):
     # sign over the bracket: l_bar is the critical point, checked with one
     # _pq evaluation there
     calls = _pq_outside_brentq(monkeypatch)
-    lbar = l_bar_zero(0.15)
-    assert l_from_b(1e-13, 0.15) == lbar
+    lbar = l_bar_zero(0.3)
+    assert l_from_b(1e-13, 0.3) == lbar
     assert calls.count(lbar) == 1
 
 
@@ -275,8 +310,8 @@ def test_oracle_prefers_right_side_for_nonnegative_rho():
         rho = rng.uniform(0.0, 0.9)
         b = rng.uniform(0.2, 0.95) * 2.0 / (1.0 + rho)
         shape = _shape(rho, b)
-        _, sup_r = maximize_f_on_interval(shape, "right")
-        _, sup_l = maximize_f_on_interval(shape, "left")
+        _, sup_r = oracle._wing_sup(shape.gamma, b, rho, shape.mu)
+        _, sup_l = oracle._wing_sup(shape.gamma, b, -rho, -shape.mu)
         assert sup_r >= sup_l - 1e-12
 
 

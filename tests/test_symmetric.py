@@ -145,6 +145,17 @@ def test_z_star_zero_is_unique_root():
         assert int(np.sum(np.diff(np.sign(vals)) != 0)) == 1
 
 
+def test_z_star_zero_at_its_edges_next_to_gamma_minus_one():
+    # the rounding of z2 leaves _p_num at 0 on the right end of the bracket,
+    # which is then the root; a step closer it is negative there, and no root
+    # is bracketed
+    gamma = -1.0 + 1e-8
+    assert _p_num(z2(gamma) - 1e-12, gamma) == 0.0
+    assert z_star_zero(gamma) == z2(gamma) - 1e-12
+    with pytest.raises(EvaluationDomainError, match="no critical-point root"):
+        z_star_zero(-1.0 + 1e-11)
+
+
 def test_z_star_at_g_tilde_known_form():
     gt = g_tilde(-0.5)
     expected = math.sqrt((4 - gt * gt) * (16 - gt * gt)) / (gt * gt + 8)

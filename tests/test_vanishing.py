@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smile_domain import InvalidParamsError, durrleman_check, sigma_star
+from smile_domain import EvaluationDomainError, InvalidParamsError, durrleman_check, sigma_star
 from smile_domain.vanishing import (
     VanishingParams,
     certify,
@@ -143,6 +143,12 @@ def test_subdomain_examples():
 
 def test_subdomain_bound_diverges():
     assert subdomain_bound(1.0 - 1e-9) > 1e6
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, 1.5, -0.25])
+def test_subdomain_bound_names_the_b_it_rejects(b):
+    with pytest.raises(EvaluationDomainError, match=rf"0 < b < 1, got b={b}$"):
+        subdomain_bound(b)
 
 
 def test_subdomain_implies_certified():
