@@ -135,16 +135,6 @@ def test_zero_at_an_endpoint_returns_it_without_iterating():
 # ---------------------------------------------------------------------------
 # the wing grid's scan plus brentq: core._u_root
 # ---------------------------------------------------------------------------
-def _on_grid(vals):
-    """f on the wing terms: piecewise linear in u through vals at the first
-    grid points, and the last value beyond them."""
-    def f(t):
-        u = t[1] / t[0]  # the terms hold (a, c) with u = c/a
-        return np.interp(u, _U_GRID[: len(vals)], vals)
-
-    return f
-
-
 @pytest.mark.parametrize(
     "vals, expected",
     [
@@ -155,15 +145,18 @@ def _on_grid(vals):
     ],
 )
 def test_first_sign_change(vals, expected):
-    # _u_root solves on the first pair of neighbours whose signs differ
-    f = _on_grid(vals)
+    # _u_root solves on the first pair of neighbours whose signs differ; f is
+    # piecewise linear in u = c/a through vals at the first grid points
+    def f(t):
+        return np.interp(t[1] / t[0], _U_GRID[: len(vals)], vals)
+
     if expected is None:
         with pytest.raises(NoRootError):
             _u_root(f, math.inf)
     else:
-        lo, hi = _U_GRID[expected], _U_GRID[expected + 1]
-        g = lambda u: f(_wing_terms(u))  # noqa: E731
-        assert _u_root(f, math.inf) == brentq(g, lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
+        lo, hi = float(_U_GRID[expected]), float(_U_GRID[expected + 1])
+        root = brentq(lambda u: f(_wing_terms(u)), lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
+        assert _u_root(f, math.inf) == root
 
 
 def test_u_root_brackets_the_last_point_and_a_finite_end():
