@@ -95,6 +95,43 @@ def _fukasawa_grid(rho):
     return np.append(oracle._U_GRID[oracle._U_GRID < end], end)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
+def test_grid_root_matches_scipy_on_the_ordered_pair(rho, reverse):
+    # a 256-point grid over l_bar_zero's bracket, scanned in either order,
+    # has one sign change; the root on that pair, taken in the scan's order,
+    # is scipy's, and l_bar_zero's one brentq on the whole bracket lands on it
+    def f(x):
+        return ssvi._phi_num(x, rho)
+
+    grid = np.linspace(max(ssvi.x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, 256)
+    if reverse:
+        grid = grid[::-1]
+    signs = np.sign(f(grid))
+    assert np.count_nonzero(signs[:-1] != signs[1:]) == 1
+    a, b = _grid_bracket(f, grid)
+    root = _same_root(f, a, b, xtol=1e-15, rtol=8.9e-16)
+    assert min(a, b) < root < max(a, b)
+    l = ssvi.l_bar_zero(rho)
+    x = l / math.sqrt(1.0 + l * l)
+    assert x == pytest.approx(root, rel=0, abs=2.0 * (1e-15 + 8.9e-16))
+
+
+def test_grid_root_matches_scipy_on_a_descending_grid():
+    # the wing grid scanned from its far end meets the one sign change that
+    # core._u_root meets from u = 0, and solve_l_minus returns its root
+    gamma, b, rho = 0.2, 0.5, -0.4
+
+    def f(u):
+        return fukasawa._level_at(_wing_terms(u), gamma, b, rho)
+
+    grid = _fukasawa_grid(rho)
+    hi, lo = _grid_bracket(f, grid[::-1])
+    assert (lo, hi) == _grid_bracket(f, grid)
+    root = _same_root(f, lo, hi, xtol=1e-14 * lo * lo)
+    assert -1.0 / root == fukasawa.solve_l_minus(gamma, b, rho)
+
+
 # ---------------------------------------------------------------------------
 # error contract
 # ---------------------------------------------------------------------------
