@@ -188,18 +188,21 @@ def fukasawa_threshold(b: float, rho: float) -> float:
     gamma, and its zero is the threshold, found by Brent's method to
     within ``_THRESHOLD_XTOL``; at rho = 0 inside the wing-slope bound it
     is one root in u = -1/l instead (see ``_threshold_decorrelated``).
+    Where the interval is already open at floor + 1e-12, just above the
+    floor -sqrt(1 - rho^2) of gamma, the threshold is the floor.
     """
     floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
+    lo = floor + 1e-12
+    if rho == 0.0 and wing_slope(b, 0.0) == "inside":
+        root = _threshold_decorrelated(b)
+        return floor if root < lo else root
 
     def width(g: float) -> float:
         iv = mu_interval(g, b, rho)
         return iv.upper - iv.lower
 
-    lo = floor + 1e-12
     if width(lo) > 0.0:
         return floor
-    if rho == 0.0 and wing_slope(b, 0.0) == "inside":
-        return _threshold_decorrelated(b)
     return brentq(width, lo, 0.5, xtol=_THRESHOLD_XTOL)  # every gamma > 0 opens it
 
 

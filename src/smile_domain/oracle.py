@@ -190,7 +190,20 @@ with np.errstate(divide="ignore"):
     _HALF = np.concatenate([_HALF_L, 1.0 / _HALF_U])
     _HALF_TERMS = _wing_terms(np.concatenate([1.0 / _HALF_L, _HALF_U]))
 _DENSITY_GRID = np.concatenate([-_HALF[:0:-1], _HALF])
-for _term in (_DENSITY_GRID, *_HALF_TERMS):  # built once
+
+
+def _density_columns():
+    """The shape-free grid columns, one per row, of the density functional's
+    two linear parts: 2*N*c = (2*gamma, 2*P, 2) @ _D_COLS and 2*N*c*(h - b*g)
+    = (P*w, gamma*(1 + w) - P*mu, 1 + w, 2 - w, mu + b*gamma/2, b/2) @ _M_COLS
+    on the half-line, with P = 1 + rho and w = _wing_slack(b, rho); and
+    c*c^2/s^3, the term of c*g2 that does not depend on the shape."""
+    a, c, e, es, q, qr, eqr, c2s3 = _HALF_TERMS
+    return np.stack([c, a, e]), np.stack([a, c, c * q, c * qr, c * es, c * eqr]), c * c2s3
+
+
+_D_COLS, _M_COLS, _CC2S3 = _density_columns()
+for _term in (_DENSITY_GRID, *_HALF_TERMS, _D_COLS, _M_COLS, _CC2S3):  # built once
     _term.flags.writeable = False
 
 
@@ -201,7 +214,11 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
 
     Nonnegativity of this functional is equivalent to absence of butterfly
     arbitrage; this check is deliberately independent of the supremum search
-    so the two can validate each other.
+    so the two can validate each other.  The right half-line (rho, mu) and
+    the left one, the mirror's right half-line (-rho, -mu), are the two rows
+    of one evaluation on the wing terms: 2*N*c and 2*N*c*(h - b*g) are each
+    one matrix product of shape coefficients with the grid's columns.
+    Raises EvaluationDomainError where N <= 0 on the grid.
     """
     if p.b <= 0.0:
         # flat smile: the functional is identically 1
@@ -209,14 +226,24 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
     nsvi = p.normalized()
     gamma, b, rho, mu = nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu
     k = b / (2.0 * nsvi.sigma)
-    halves = []
-    for side in (1.0, -1.0):  # the left half-line is the mirror's right one
-        # a flat wing of |rho| = 1 (P = 0) has N*u = 0 at u = 0: +inf there
-        t = _HALF_TERMS if side * rho > -1.0 else tuple(x[:-1] for x in _HALF_TERMS)
-        g2c, hm, hp, _ = _wing_at(t, gamma, b, side * rho, side * mu, _wing_slack(b, side * rho))
-        vals = hm * hp + k * t[1] * g2c
-        halves.append(vals if t is _HALF_TERMS else np.append(vals, math.inf))
-    vals = np.concatenate([halves[1][:0:-1], halves[0]])
+    d_coef, m_coef = [], []
+    for r, m in ((rho, mu), (-rho, -mu)):
+        p1, w = 1.0 + r, _wing_slack(b, r)
+        d_coef.append((2.0 * gamma, 2.0 * p1, 2.0))
+        m_coef.append((p1 * w, gamma * (1.0 + w) - p1 * m, 1.0 + w, 2.0 - w,
+                       m + b * gamma / 2.0, b / 2.0))
+    d = np.array(d_coef) @ _D_COLS
+    p_col = np.array([[1.0 + rho], [1.0 - rho]])
+    # a flat wing of |rho| = 1 (P = 0) has N*c = 0 at u = 0: +inf there
+    flat = p_col[:, 0] == 0.0
+    d[flat, -1] = 1.0
+    if (d <= 0.0).any():
+        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
+    hm = (np.array(m_coef) @ _M_COLS) / d  # h - b*g
+    n1 = p_col - _HALF_TERMS[3]  # N'
+    vals = hm * (hm + b / 2.0 * n1) + k * (_CC2S3 - _HALF_TERMS[1] * (n1 * n1) / d)
+    vals[flat, -1] = math.inf
+    vals = np.concatenate([vals[1, :0:-1], vals[0]])
     i = int(np.argmin(vals))
     return DensityReport(
         min_value=float(vals[i]), argmin_l=float(_DENSITY_GRID[i]), n_points=len(vals)

@@ -18,7 +18,7 @@ from smile_domain import (
     solve_l_minus,
 )
 from smile_domain import fukasawa
-from smile_domain.core import _U_GRID, _wing_n_at, _wing_terms
+from smile_domain.core import _U_GRID, _u_root, _wing_n_at, _wing_terms
 from smile_domain.roots import RTOL
 from smile_domain.symmetric import fukasawa_threshold_closed
 
@@ -345,15 +345,42 @@ def test_threshold_decorrelated_is_the_closed_form():
 @pytest.mark.parametrize("b, rho", [(0.1, 0.0), (1.0, 0.0), (1.9, 0.0), (2.0, 0.0),
                                     (0.9, -0.6), (1.2, 0.3), (0.5, 0.8)])
 def test_threshold_mu_interval_calls(monkeypatch, b, rho):
-    calls = []
+    calls, roots = [], []
 
     def counted(*args):
         calls.append(args)
         return mu_interval(*args)
 
+    def counted_root(*args):
+        roots.append(args)
+        return _u_root(*args)
+
     monkeypatch.setattr(fukasawa, "mu_interval", counted)
+    monkeypatch.setattr(fukasawa, "_u_root", counted_root)
     fukasawa_threshold(b, rho)
-    assert 0 < len(calls) <= 16
+    if rho == 0.0 and b < 2.0:
+        # decorrelated inside the wing-slope bound: one root in u, no interval
+        assert (len(calls), len(roots)) == (0, 1)
+    else:
+        assert 0 < len(calls) <= 16
+
+
+def _two_step_threshold(b):
+    # the decorrelated threshold as probe, then root: the floor where the
+    # interval is open just above it, else the root in u
+    floor = -1.0
+    if not mu_interval(floor + 1e-12, b, 0.0).is_empty:
+        return floor
+    return fukasawa._threshold_decorrelated(b)
+
+
+def test_threshold_decorrelated_equals_the_two_step_result():
+    # inside the wing-slope bound only: on it (2 - b <= 2e-10) the threshold
+    # takes the width's root as for any rho
+    bs = np.random.default_rng(20).uniform(0.0, 2.0, 60).tolist() + [1e-14, 1e-7, 2.0 - 2e-10]
+    for b in bs:
+        assert fukasawa.wing_slope(b, 0.0) == "inside"
+        assert fukasawa_threshold(b, 0.0) == _two_step_threshold(b), b
 
 
 def test_threshold_boundary_values():

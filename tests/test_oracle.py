@@ -22,6 +22,7 @@ from smile_domain import (
     sigma_floor_dual,
 )
 from smile_domain import oracle, ssvi, symmetric, vanishing
+from smile_domain.core import _wing_at, _wing_slack
 from smile_domain.extremal import ExtremalParams, sigma_bound
 from smile_domain.ssvi import SsviParams
 from smile_domain.symmetric import SymmetricParams
@@ -488,6 +489,60 @@ def test_durrleman_flags_sub_boundary():
 def test_durrleman_black_scholes_case():
     rep = durrleman_check(RawSviParams(a=0.2, b=0.0, rho=0.0, m=0.0, sigma=1.0))
     assert rep.min_value == 1.0
+
+
+def _density_on_wing_at(raw):
+    """The density functional on the check's grid with each half-line one
+    core._wing_at evaluation, the left one as the mirror's right half-line;
+    a flat wing of |rho| = 1 is +inf at u = 0, where its N*c is 0."""
+    nsvi = raw.normalized()
+    gamma, b, rho, mu = nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu
+    halves = []
+    for side in (1.0, -1.0):
+        t = oracle._HALF_TERMS if side * rho > -1.0 else tuple(x[:-1] for x in oracle._HALF_TERMS)
+        g2c, hm, hp, _ = _wing_at(t, gamma, b, side * rho, side * mu, _wing_slack(b, side * rho))
+        vals = hm * hp + b / (2.0 * nsvi.sigma) * t[1] * g2c
+        halves.append(vals if t is oracle._HALF_TERMS else np.append(vals, math.inf))
+    return np.concatenate([halves[1][:0:-1], halves[0]])
+
+
+def _density_shapes():
+    rng = np.random.default_rng(2014)
+    raws = []
+    for _ in range(12):
+        sigma = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        b = rng.uniform(0.02, 0.98)
+        for direction in ("upward", "downward"):
+            raws.append(VanishingParams(b=b, mu=rng.uniform(-3.0, 1.7), sigma=sigma,
+                                        direction=direction).to_raw())
+        raws.append(ExtremalParams(gamma=math.exp(rng.uniform(-2.3, 2.3)),
+                                   q=rng.uniform(-0.95, 0.95), sigma=sigma).to_raw())
+        b = rng.uniform(0.02, 1.98)
+        gamma = rng.uniform(max(fukasawa_threshold(b, 0.0) - 0.05, -0.99), 2.0)
+        raws.append(SymmetricParams(gamma=gamma, b=b, sigma=sigma).to_raw())
+        rho = rng.uniform(-0.95, 0.95)
+        phi = math.sqrt((1.0 - rho) * (1.0 + rho)) / sigma
+        b = rng.uniform(0.02, 0.98) * 2.0 / (1.0 + abs(rho))
+        raws.append(SsviParams(theta=2.0 * b / phi, phi=phi, rho=rho).to_raw())
+    for rho in (-0.9, -0.3, 0.0, 0.5, 0.99, 1.0, -1.0):  # on the wing-slope bound
+        for gamma in (0.05, 1.0):
+            b = 2.0 / (1.0 + abs(rho))
+            raws.append(NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=0.4, sigma=0.7).to_raw())
+    for rho in (1.0, -1.0):  # flat wings inside the bound
+        for gamma, b, mu in ((0.0, 0.5, -1.0), (0.3, 0.9, 2.0), (2.0, 0.2, 0.0)):
+            raws.append(NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=1.3).to_raw())
+    return raws
+
+
+def test_durrleman_check_equals_the_wing_at_evaluation():
+    # the two matrix products sum the same terms in another order
+    for raw in _density_shapes():
+        vals = _density_on_wing_at(raw)
+        i = int(np.argmin(vals))
+        report = durrleman_check(raw)
+        assert abs(report.min_value - vals[i]) <= 1e-15, raw
+        assert report.argmin_l == oracle._DENSITY_GRID[i]
+        assert report.n_points == len(vals)
 
 
 # ---------------------------------------------------------------------------

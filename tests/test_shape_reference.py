@@ -217,11 +217,18 @@ def test_density_terms_are_read_only_constants():
     for term in oracle._HALF_TERMS:
         assert term.shape == half.shape
         assert not term.flags.writeable
+    # the density check's columns, rows here, against (2*gamma, 2*P, 2) and
+    # the six coefficients of 2*N*c*(h - b*g), and the shape-free c*c^2/s^3
+    a, c, e, es, q, qr, eqr, c2s3 = oracle._HALF_TERMS
+    expected = (np.stack([c, a, e]), np.stack([a, c, c * q, c * qr, c * es, c * eqr]), c * c2s3)
+    for cols, want in zip((oracle._D_COLS, oracle._M_COLS, oracle._CC2S3), expected):
+        assert np.array_equal(cols, want)
+        assert not cols.flags.writeable
 
 
 def test_durrleman_check_recomputes_no_grid_terms(monkeypatch):
-    def no_hypot(*args, **kwargs):
-        raise AssertionError("np.hypot called")
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid terms recomputed")
 
     raws = [
         NormalizedSvi(gamma=gamma, b=b, rho=rho, mu=mu, sigma=sigma).to_raw()
@@ -231,7 +238,8 @@ def test_durrleman_check_recomputes_no_grid_terms(monkeypatch):
         ]
     ]
     expected = [oracle.durrleman_check(raw) for raw in raws]
-    monkeypatch.setattr(np, "hypot", no_hypot)
+    monkeypatch.setattr(np, "hypot", refuse)
+    monkeypatch.setattr(np, "stack", refuse)  # nor the columns built of them
     with pytest.raises(AssertionError):
         hgg2(oracle._DENSITY_GRID, raws[0].normalized())
     assert [oracle.durrleman_check(raw) for raw in raws] == expected
