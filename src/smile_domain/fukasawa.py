@@ -186,10 +186,11 @@ def fukasawa_threshold(b: float, rho: float) -> float:
 
     The interval's width upper - lower is continuous and increasing in
     gamma, and its zero is the threshold, found by Brent's method to
-    within ``_THRESHOLD_XTOL``; at rho = 0 inside the wing-slope bound it
-    is one root in u = -1/l instead (see ``_threshold_decorrelated``).
-    Where the interval is already open at floor + 1e-12, just above the
-    floor -sqrt(1 - rho^2) of gamma, the threshold is the floor.
+    within ``_THRESHOLD_XTOL``; where the interval is already open at
+    floor + 1e-12, the threshold is the floor -sqrt(1 - rho^2) of gamma.
+    At rho = 0 inside the wing-slope bound it is one root in u = -1/l
+    instead (see ``_threshold_decorrelated``), and the floor where that
+    root lies below floor + 1e-12, with no interval computed.
     """
     floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
     lo = floor + 1e-12
