@@ -340,6 +340,22 @@ def _wing_at(t, gamma: float, b: float, rho: float, mu: float, w: float):
     return g2c, hm, hm + b / 2.0 * n1, y / two_d
 
 
+def _wing_prime_at(t, gamma: float, rho: float, mu: float):
+    """hgg2_prime on the terms of _wing_terms, scaled to stay finite at
+    u = 0: (h, g, g2/c, h'/c, g'/c, g2'/c^2), derivatives in l, with the
+    limits (1/2, P/4, -P/2, 0, 0, P/2) there.  With M = (l + mu)*c, h'/c
+    takes N'*M - N*c as c*(P*mu - gamma - q*(M/s + 1)), free of the
+    cancellation of its two O(1) terms.  Raises EvaluationDomainError where
+    N*c <= 0."""
+    a, c, e, _, q, _, _, c2s3 = t
+    two_d, n1, g2c = _wing_n_at(t, gamma, rho)
+    s, m = a + e, a + mu * c
+    k = c * ((1.0 + rho) * mu - gamma - q * (m / s + 1.0))
+    h1 = (2.0 * n1 * k / two_d - c2s3 * m) / two_d
+    g21 = -(2.0 * n1 * g2c / two_d + 3.0 * a * c2s3 / (s * s))
+    return 1.0 - n1 * m / two_d, n1 / 4.0, g2c, h1, c2s3 / 4.0, g21
+
+
 def hgg2(l, nsvi: NormalizedSvi):
     """Auxiliary functions (h, g, g2) of the normalized smile at l.
 

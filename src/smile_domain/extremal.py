@@ -26,6 +26,8 @@ class ExtremalParams:
     sigma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma, self.q, self.sigma))):
+            raise InvalidParamsError(f"non-finite parameters: {self}")
         if self.gamma <= 0.0:
             raise InvalidParamsError(f"gamma must be > 0, got {self.gamma}")
         if not abs(self.q) < 1.0:

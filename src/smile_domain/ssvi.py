@@ -11,7 +11,10 @@ and equals sqrt(1-rho^2).  Below it, trading b for the critical point l of
 the sigma requirement gives b*(l, rho) on [l_bar(0, rho), infinity) with
 the closed-form threshold sigma*(l, rho) at the critical point; l_bar is
 the root of a one-dimensional function computed numerically, the single
-non-closed-form ingredient.  Negative rho routes through |rho| by the
+non-closed-form ingredient.  l_bar and the critical point at a given b are
+one brentq each in u = 1/l, from the point at infinity u = 0, where the
+critical-point functions scaled by the chart stay finite, so neither root
+has a cut-off for any |rho| < 1.  Negative rho routes through |rho| by the
 strike-inversion symmetry.
 
 Uniqueness of the critical point rests on a numerical scan (the target
@@ -35,7 +38,8 @@ from .core import (
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
-    hgg2_prime,
+    _wing_prime_at,
+    _wing_terms,
     sigma_floor,
     wing_slope,
 )
@@ -71,8 +75,7 @@ __all__ = [
 X_M2_RHO1 = (2.0 + math.sqrt(10.0)) / 6.0
 X_M2_RHO0 = math.sqrt(math.sqrt(7.0) / 18.0 + 7.0 / 9.0)
 
-_L_MAX = 1.0e8
-_EDGE = 1e-12
+_UTOL = 5e-324  # the u-roots stop on brentq's relative tolerance alone
 _FROM_RAW_TOL = 1e-9
 _BLOCK_ROWS = 64  # x-rows per block of the uniqueness scan
 
@@ -89,6 +92,8 @@ class SsviParams:
     rho: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.theta, self.phi, self.rho))):
+            raise InvalidParamsError(f"non-finite parameters: {self}")
         if self.theta <= 0.0 or self.phi <= 0.0:
             raise InvalidParamsError(
                 f"theta and phi must be > 0, got {self.theta}, {self.phi}"
@@ -218,67 +223,49 @@ def j2_x(x, rho: float):
 
 
 # ---------------------------------------------------------------------------
-# b* reparametrization in the l coordinate
+# b* reparametrization on the u = 1/l chart
 # ---------------------------------------------------------------------------
-def _norm_shape(rho: float) -> NormalizedSvi:
+def _pq(u, rho: float):
+    """(h, g, g2/c, p/c^2, q/c^2) for the SSVI shape at correlation rho at
+    l = 1/u, c = min(u, 1): the critical-point functions p = h*g2' - 2*h'*g2
+    and q = g*g2' - 2*g'*g2 (derivatives in l), finite at u = 0, where
+    p/c^2 = (1+rho)/4 and q/c^2 = (1+rho)^2/8."""
     root = math.sqrt((1.0 - rho) * (1.0 + rho))
-    return NormalizedSvi(gamma=root, b=1.0, rho=rho, mu=-rho / root, sigma=1.0)
-
-
-def _pq(l, rho: float):
-    """Critical-point functions p = h*g2' - 2*h'*g2 and q = g*g2' - 2*g'*g2
-    for the SSVI shape at correlation rho (derivatives in l)."""
-    h, g, g2v, h1, g1d, g21 = hgg2_prime(l, _norm_shape(rho))
-    p = h * g21 - 2.0 * h1 * g2v
-    q = g * g21 - 2.0 * g1d * g2v
-    return h, g, g2v, p, q
+    h, g, g2c, h1, g1d, g21 = _wing_prime_at(_wing_terms(u), root, rho, -rho / root)
+    return h, g, g2c, h * g21 - 2.0 * h1 * g2c, g * g21 - 2.0 * g1d * g2c
 
 
 def b_star(l: float, rho: float) -> float:
     """Curvature level whose sigma requirement is critical at l; strictly
     increasing from 0 at l_bar(0, rho) to 2/(1+rho) at infinity."""
-    h, g, _, p, q = _pq(l, rho)
-    if p * q <= 0.0:
-        raise EvaluationDomainError(
-            f"l={l} left of the critical-point sweep for rho={rho}"
-        )
-    return math.sqrt(h * p / (g * q))
-
-
-def _phi_num(x, rho: float):
-    """Numerator of the b -> 0 critical-point equation in x; negative at
-    the left bracket max(x2, rho), positive at 1."""
-    x = np.asarray(x, dtype=np.float64)
-    rb = math.sqrt((1.0 - rho) * (1.0 + rho))
-    sx = np.sqrt((1.0 - x) * (1.0 + x))
-    u = 1.0 + rho * x + sx * rb
-    v = sx + rb
-    val = -2.0 * u * u * sx * (x * sx * (3.0 * rb + sx) + x + rho) + (
-        x + rho
-    ) ** 3 * v
-    return float(val) if np.ndim(val) == 0 else val
+    if l > 0.0:
+        h, g, _, p, q = _pq(1.0 / l, rho)
+        if p * q > 0.0:
+            return math.sqrt(h * p / (g * q))
+    raise EvaluationDomainError(f"l={l} left of the critical-point sweep for rho={rho}")
 
 
 def l_bar_zero(rho: float) -> float:
     """Left end of the critical-point sweep: the b -> 0 critical point.
 
-    The root x of _phi_num on [max(x2, rho) + 1e-12, 1 - 1e-14], by one
-    brentq, as l = x/sqrt(1 - x^2): the only ingredient of the SSVI domain
-    without a closed form.  _phi_num is negative at the left end and
-    positive at 1 with one sign change between; where the ends share a sign
-    the bracket has collapsed and EvaluationDomainError is raised.  +inf at
-    rho >= 1 - 1e-12.
+    The root of p/c^2 in u = 1/l on [0, u(max(x2, rho))], by one brentq,
+    as l = 1/u: the only ingredient of the SSVI domain without a closed
+    form.  p/c^2 is (1+rho)/4 at u = 0 (l = +inf) and negative at the
+    other end, the curvature zero x2 or the smile minimum l = -mu, beyond
+    which the root lies; where the ends share a sign
+    EvaluationDomainError is raised.  +inf at rho = 1, where mu = -inf.
     """
     if not 0.0 <= rho <= 1.0:
         raise EvaluationDomainError(f"rho must lie in [0, 1], got {rho}")
-    if rho >= 1.0 - 1e-12:
+    if rho == 1.0:
         return math.inf
-    lo = max(x_of_rho(rho), rho) + _EDGE
+    x = max(x_of_rho(rho), rho)
     try:
-        x = brentq(lambda t: _phi_num(t, rho), lo, 1.0 - 1e-14, xtol=1e-15)
+        u = brentq(lambda v: _pq(v, rho)[3], 0.0, math.sqrt((1.0 - x) * (1.0 + x)) / x,
+                   xtol=_UTOL)
     except ValueError as exc:
         raise EvaluationDomainError(f"no sweep endpoint bracket for rho={rho}") from exc
-    return x / math.sqrt((1.0 - x) * (1.0 + x))
+    return 1.0 / u
 
 
 def sigma_star_closed(l: float, rho: float) -> float:
@@ -286,54 +273,45 @@ def sigma_star_closed(l: float, rho: float) -> float:
     point l; the l = inf boundary value is sqrt(1-rho^2)."""
     if math.isinf(l):
         return math.sqrt((1.0 - rho) * (1.0 + rho))
+    u = 1.0 / l
     bv = b_star(l, rho)
-    h, g, g2v, _, _ = _pq(l, rho)
+    h, g, g2c, _, _ = _pq(u, rho)
     den = 2.0 * (h * h - bv * bv * g * g)
     if den <= 0.0:
         raise EvaluationDomainError(f"nonpositive wing factor at l={l}, rho={rho}")
-    return -bv * g2v / den
+    return -bv * g2c * min(u, 1.0) / den
 
 
-def _critical_residual(l: float, b: float, rho: float) -> float:
-    """Critical-point equation h*p - b^2*g*q in l: zero at the critical
-    point of the sigma requirement at level b, and finite at the sweep
-    endpoint l_bar(0, rho)."""
-    h, g, _, p, q = _pq(l, rho)
+def _critical_residual(u: float, b: float, rho: float) -> float:
+    """Critical-point equation (h*p - b^2*g*q)/c^2 at l = 1/u: zero at the
+    critical point of the sigma requirement at level b, and finite from
+    u = 0 to the sweep endpoint u = 1/l_bar(0, rho)."""
+    h, g, _, p, q = _pq(u, rho)
     return h * p - b * b * g * q
 
 
 def l_from_b(b: float, rho: float) -> float:
-    """Invert b_star by bracket growth plus root finding on the
-    critical-point equation h*p = b^2*g*q (finite at the sweep endpoint).
+    """Invert b_star: the root in u = 1/l of the critical-point equation
+    h*p = b^2*g*q on [0, 1/l_bar(0, rho)], by one brentq, as l = 1/u.
 
-    Returns +inf when the bracket outgrows 1e8, which is the boundary
-    b = 2/(1+rho) case for all practical purposes.
+    The residual is (1+rho)/8*(1 - (b*(1+rho)/2)^2) > 0 at u = 0 and
+    -b^2*g*q < 0 at the sweep end.  +inf at rho = 1 and on the slope bound
+    b = 2/(1+rho), where the critical point is at infinity.
     """
-    if not b > 0.0 or wing_slope(b, rho) == "beyond":
+    slope = wing_slope(b, rho)
+    if not b > 0.0 or slope == "beyond":
         raise EvaluationDomainError(f"b={b} outside (0, 2/(1+rho)) for rho={rho}")
-    lbar = l_bar_zero(rho)
-    if math.isinf(lbar):
+    if rho == 1.0 or slope == "on":
         return math.inf
-
-    def fn(l: float) -> float:
-        return _critical_residual(l, b, rho)
-
-    # the residual is g*q*(b_star(l)^2 - b^2) with g*q > 0 right of lbar
-    hi = max(10.0, 2.0 * lbar)
-    while fn(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _L_MAX:
-            return math.inf
+    lbar = l_bar_zero(rho)
     try:
-        return brentq(fn, lbar, hi, xtol=1e-13, rtol=8.9e-16)
+        return 1.0 / brentq(lambda u: _critical_residual(u, b, rho), 0.0, 1.0 / lbar,
+                            xtol=_UTOL)
     except ValueError:
-        # at the b -> 0 end the residual is -b^2*g*q analytically; the
-        # opposite sign means that term is below the rounding of h*p, so
-        # the end is the critical point to working precision
-        h, g, _, p, q = _pq(lbar, rho)
-        if (h * p - b * b * g * q) * (g * q) > 0.0:
-            return lbar
-        raise
+        # the residual is positive at u = 0, so brentq's ends share a sign
+        # only where b^2*g*q is below the rounding of h*p at the sweep end:
+        # that end is the critical point to working precision
+        return lbar
 
 
 def certify(p: SsviParams) -> DomainCertificate:
@@ -353,13 +331,11 @@ def certify(p: SsviParams) -> DomainCertificate:
         # the requirement is stationary at the critical point, so its value
         # at the given b takes the root's error to second order
         l = l_from_b(p.b, ar)
+        shape = NormalizedSvi(gamma=root, b=p.b, rho=ar, mu=-ar / root, sigma=1.0)
+        sstar = sigma_floor(l, shape)
         diagnostics["l"] = l
-        if math.isinf(l):  # b this close to the slope bound: its limit
-            sstar = root
-        else:
-            shape = NormalizedSvi(gamma=root, b=p.b, rho=ar, mu=-ar / root, sigma=1.0)
-            sstar = sigma_floor(l, shape)
-            diagnostics["critical_residual"] = _critical_residual(l, p.b, ar)
+        # the chart's residual times c^2 = u^2 is the residual in l
+        diagnostics["critical_residual"] = _critical_residual(1.0 / l, p.b, ar) / (l * l)
 
     return make_certificate(
         family="ssvi",

@@ -74,6 +74,8 @@ class SymmetricParams:
     sigma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.gamma, self.b, self.sigma))):
+            raise InvalidParamsError(f"non-finite parameters: {self}")
         if self.gamma <= -1.0:
             raise InvalidParamsError(f"gamma must be > -1, got {self.gamma}")
         if not self.b > 0.0 or wing_slope(self.b, 0.0) == "beyond":

@@ -67,6 +67,8 @@ class VanishingParams:
     direction: Direction = "upward"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.b, self.mu, self.sigma))):
+            raise InvalidParamsError(f"non-finite parameters: {self}")
         if not self.b > 0.0 or wing_slope(self.b, 1.0) == "beyond":
             raise InvalidParamsError(f"b must lie in (0, 1], got {self.b}")
         if self.sigma <= 0.0:

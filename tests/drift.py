@@ -7,7 +7,9 @@ per tree; an operation that raises is recorded as its error type.  Each
 audit item also records where ``oracle.sigma_star`` puts the supremum, its
 ``argsup_l`` and ``side`` (or the error type), as ``argsup.*`` keys.
 ``compare`` reads two such files and prints, for each output key, how many
-values changed and the largest absolute and relative drift, then every
+values changed and the largest absolute and relative drift, in one table for
+the interior pools and one for the census draws (an edge draw's drift would
+hide the interior's in a mixed table), then every
 outcome change (a value on one side, an error on the other, or two
 different errors), then the oracle-audit check failures of each side.
 
@@ -97,17 +99,19 @@ def compare(old: dict, new: dict) -> None:
         if _outcome(a) != _outcome(b):
             outcomes.append(f"  {item}: {_outcome(a)} -> {_outcome(b)}")
             continue
+        op, _, where = item.split("/")[:3]
         for key in sorted(a.keys() | b.keys()):
-            op = item.split("/")[0]
-            stat = keys.setdefault(f"{op}.{key}", [0, 0, 0.0, 0.0])
+            stat = keys.setdefault((where, f"{op}.{key}"), [0, 0, 0.0, 0.0])
             stat[0] += 1
             absd, reld = _drift(a.get(key), b.get(key))
             if absd or reld:
                 stat[1] += 1
                 stat[2], stat[3] = max(stat[2], absd), max(stat[3], reld)
-    print(f"{'key':48} {'values':>7} {'changed':>8} {'max abs':>10} {'max rel':>10}")
-    for key, (n, changed, absd, reld) in sorted(keys.items()):
-        print(f"{key:48} {n:7d} {changed:8d} {absd:10.3g} {reld:10.3g}")
+    for where in ("pool", "census"):
+        print(f"{where + ' key':48} {'values':>7} {'changed':>8} {'max abs':>10} {'max rel':>10}")
+        for (side, key), (n, changed, absd, reld) in sorted(keys.items()):
+            if side == where:
+                print(f"{key:48} {n:7d} {changed:8d} {absd:10.3g} {reld:10.3g}")
     print(f"outcome changes: {len(outcomes)}", *outcomes, sep="\n")
     missing = old.keys() ^ new.keys()
     if missing:

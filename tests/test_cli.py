@@ -218,6 +218,24 @@ def test_bound_ssvi_b_to_0_end_agrees_with_oracle(capsys):
     assert doc["relative_gap"] <= 1e-9
 
 
+def test_bound_ssvi_next_to_rho_1_agrees_with_oracle(capsys):
+    # the sweep end hugs the smile minimum at 1 - rho = 1e-7, which was
+    # exit 3 with "no sweep endpoint bracket"
+    code, out = _run(
+        capsys, "bound", "ssvi", "--b", "1.0", "--rho", "0.9999999", "--oracle", "--json"
+    )
+    doc = _strict(out)
+    assert code == 0
+    assert doc["relative_gap"] <= 1e-6  # the benchmark's GAP_TOL
+
+
+def test_certify_rejects_a_non_finite_field_as_invalid_params(capsys):
+    # was exit 3, solver_failure, from the certificate's raw parameters
+    code, out = _run(capsys, "certify", "symmetric", "--gamma", "inf", "--b", "1", "--sigma", "1")
+    assert code == 2
+    assert _strict(out)["error"]["type"] == "invalid_params"
+
+
 def test_bound_ssvi_oracle_names_the_wing_of_the_given_slice(capsys):
     # the slice with rho < 0 is the strike inversion of the one with -rho
     docs = {}

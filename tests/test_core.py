@@ -243,6 +243,30 @@ def test_hgg2_prime_matches_finite_differences():
         assert (h, g, g2) == pytest.approx(hgg2(l, nsvi))
 
 
+@pytest.mark.parametrize(
+    "gamma, rho, mu", [(0.5, 0.0, 0.0), (1.2, 0.6, -2.0), (0.3, -0.4, 0.7), (1e-8, 1.0 - 1e-15, -5e7)]
+)
+def test_wing_prime_at_limits_at_infinity(gamma, rho, mu):
+    # at u = 0: (h, g, g2/c, h'/c, g'/c, g2'/c^2) = (1/2, P/4, -P/2, 0, 0, P/2)
+    p = 1.0 + rho
+    got = core._wing_prime_at(core._wing_terms(0.0), gamma, rho, mu)
+    assert got == pytest.approx((0.5, p / 4.0, -p / 2.0, 0.0, 0.0, p / 2.0), rel=2.3e-16, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "gamma, rho, mu", [(0.4, -0.6, 0.1), (1.0, 0.0, 0.0), (0.6, 0.8, -4.0 / 3.0), (0.05, 0.3, 2.0)]
+)
+def test_wing_prime_at_matches_hgg2_prime(gamma, rho, mu):
+    # the chart values times (1, 1, c, c, c, c^2) on interior points, l = 1/u
+    l = np.array([0.05, 0.3, 0.9, 1.0, 1.7, 4.0, 30.0, 300.0])
+    u = 1.0 / l
+    c = np.minimum(u, 1.0)
+    got = core._wing_prime_at(core._wing_terms(u), gamma, rho, mu)
+    ref = hgg2_prime(l, _nsvi(gamma, 1.0, rho, mu))
+    for val, scale, want in zip(got, (1.0, 1.0, c, c, c, c * c), ref):
+        np.testing.assert_allclose(val * scale, want, rtol=1e-12, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # scalar and array inputs
 # ---------------------------------------------------------------------------

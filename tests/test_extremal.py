@@ -23,6 +23,14 @@ def test_params_validation_and_mapping():
     assert n.gamma == pytest.approx(1.5) and n.mu == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize("field", ["gamma", "q", "sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(field, bad):
+    kw = {"gamma": 1.5, "q": 0.4, "sigma": 2.0, field: bad}
+    with pytest.raises(InvalidParamsError, match="non-finite"):
+        ExtremalParams(**kw)
+
+
 @pytest.mark.parametrize(
     "gamma, q, expected",
     [(1.0, 0.0, 1.0), (1.0, 0.5, 2.0), (2.0, -0.5, 1.0)],

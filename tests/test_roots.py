@@ -54,14 +54,20 @@ def test_matches_scipy_where_steps_divide_by_zero():
     _same_root(lambda x: x**3, -1.0, 2.0, xtol=5e-324, maxiter=2000)
 
 
+def _ssvi_u_end(rho):
+    # l_bar_zero's far bracket end u = 1/l at x = max(x2, rho)
+    x = max(ssvi.x_of_rho(rho), rho)
+    return math.sqrt((1.0 - x) * (1.0 + x)) / x
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.8, 0.95])
 def test_matches_scipy_on_ssvi_sweep_endpoint(rho):
-    # l_bar_zero's whole bracket, as l_bar_zero solves it
-    def f(x):
-        return ssvi._phi_num(x, rho)
+    # l_bar_zero's whole bracket in u = 1/l, as l_bar_zero solves it
+    def f(u):
+        return ssvi._pq(u, rho)[3]
 
-    x = _same_root(f, max(ssvi.x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, xtol=1e-15)
-    assert x / math.sqrt((1.0 - x) * (1.0 + x)) == ssvi.l_bar_zero(rho)
+    u = _same_root(f, 0.0, _ssvi_u_end(rho), xtol=ssvi._UTOL)
+    assert 1.0 / u == ssvi.l_bar_zero(rho)
 
 
 @pytest.mark.parametrize("gamma", [-0.9, -0.3, 0.0, 0.5, 2.0])
@@ -98,23 +104,22 @@ def _fukasawa_grid(rho):
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
 def test_grid_root_matches_scipy_on_the_ordered_pair(rho, reverse):
-    # a 256-point grid over l_bar_zero's bracket, scanned in either order,
-    # has one sign change; the root on that pair, taken in the scan's order,
-    # is scipy's, and l_bar_zero's one brentq on the whole bracket lands on it
-    def f(x):
-        return ssvi._phi_num(x, rho)
+    # a 256-point grid over l_bar_zero's bracket in u = 1/l, scanned in
+    # either order, has one sign change; the root on that pair, taken in the
+    # scan's order, is scipy's, and l_bar_zero's one brentq on the whole
+    # bracket lands on it
+    def f(u):
+        return ssvi._pq(u, rho)[3]
 
-    grid = np.linspace(max(ssvi.x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, 256)
+    grid = np.linspace(0.0, _ssvi_u_end(rho), 256)
     if reverse:
         grid = grid[::-1]
     signs = np.sign(f(grid))
     assert np.count_nonzero(signs[:-1] != signs[1:]) == 1
     a, b = _grid_bracket(f, grid)
-    root = _same_root(f, a, b, xtol=1e-15, rtol=8.9e-16)
+    root = _same_root(f, a, b, xtol=ssvi._UTOL)
     assert min(a, b) < root < max(a, b)
-    l = ssvi.l_bar_zero(rho)
-    x = l / math.sqrt(1.0 + l * l)
-    assert x == pytest.approx(root, rel=0, abs=2.0 * (1e-15 + 8.9e-16))
+    assert 1.0 / ssvi.l_bar_zero(rho) == pytest.approx(root, rel=2.0 * RTOL)
 
 
 def test_grid_root_matches_scipy_on_a_descending_grid():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from smile_domain import (
-    EvaluationDomainError,
     InvalidParamsError,
     NormalizedSvi,
     RogerLeeViolation,
@@ -81,6 +80,14 @@ def test_params_validation():
         SsviParams(theta=1.0, phi=1.0, rho=1.0)
 
 
+@pytest.mark.parametrize("field", ["theta", "phi", "rho"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(field, bad):
+    kw = {"theta": 0.3, "phi": 1.4, "rho": -0.4, field: bad}
+    with pytest.raises(InvalidParamsError, match="non-finite"):
+        SsviParams(**kw)
+
+
 # ---------------------------------------------------------------------------
 # closed forms in x
 # ---------------------------------------------------------------------------
@@ -143,26 +150,26 @@ def test_l_bar_zero_values():
     assert b_star(lbar * (1 + 1e-7), 0.5) < 1e-2
 
 
-def test_l_bar_zero_bracket_signs():
-    from smile_domain.ssvi import _phi_num
+def _u_end(rho):
+    # l_bar_zero's far bracket end u = 1/l at x = max(x2, rho)
+    x = max(x_of_rho(rho), rho)
+    return math.sqrt((1.0 - x) * (1.0 + x)) / x
 
-    for rho in (0.3, 0.5, 0.8):
-        lo = max(x_of_rho(rho), rho)
-        assert _phi_num(lo + 1e-9, rho) < 0
-        assert _phi_num(1.0 - 1e-12, rho) > 0
+
+def test_l_bar_zero_bracket_signs():
+    # p/c^2 is (1+rho)/4 at u = 0 and negative at the far end
+    for rho in (0.0, 0.3, 0.5, 0.8, 1.0 - 1e-7, 1.0 - 1e-12, math.nextafter(1.0, 0.0)):
+        assert ssvi._pq(0.0, rho)[3] == pytest.approx((1.0 + rho) / 4.0, rel=1e-15)
+        assert ssvi._pq(_u_end(rho), rho)[3] < 0
 
 
 def test_l_bar_zero_bracket_has_one_sign_change():
-    # sign-change count of _phi_num on a dense grid over l_bar_zero's bracket:
-    # one, or none where the bracket has collapsed next to rho = 1
-    from smile_domain.ssvi import _phi_num
-
-    for rho, changes in [(0.0, 1), (0.3, 1), (0.6, 1), (0.9, 1), (0.99, 1), (0.999, 1),
-                         (1.0 - 1e-9, 0)]:
-        grid = np.linspace(max(x_of_rho(rho), rho) + 1e-12, 1.0 - 1e-14, 20_000)
-        assert int(np.sum(np.diff(np.sign(_phi_num(grid, rho))) != 0)) == changes
-    with pytest.raises(EvaluationDomainError, match="no sweep endpoint bracket"):
-        l_bar_zero(1.0 - 1e-9)
+    # sign-change count of p/c^2 on a dense grid over l_bar_zero's bracket in
+    # u: one, next to rho = 1 too, where the root is the 50-digit one
+    for rho in (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - 1e-9):
+        grid = np.linspace(0.0, _u_end(rho), 20_000)
+        assert int(np.sum(np.diff(np.sign(ssvi._pq(grid, rho)[3])) != 0)) == 1
+    assert l_bar_zero(1.0 - 1e-9) == pytest.approx(_l_bar_mp(1.0 - 1e-9), rel=1e-13)
 
 
 def _phi_num_mp(x, rho):
@@ -174,16 +181,22 @@ def _phi_num_mp(x, rho):
     return -2 * u * u * sx * (x * sx * (3 * rb + sx) + x + rho) + (x + rho) ** 3 * (sx + rb)
 
 
-def test_l_bar_zero_matches_a_50_digit_root():
+def _l_bar_mp(rho):
+    # the b -> 0 critical point as the 50-digit root x of the sweep-end
+    # polynomial in x = l/sqrt(l^2+1), bracketed from max(x2, rho)
     from mpmath import findroot, mp, mpf, sqrt as msqrt
 
     with mp.workdps(50):
-        for rho in [*np.linspace(0.0, 0.99, 12), 0.995, 0.999]:
-            r = mpf(float(rho))
-            lo = max(x_of_rho(float(rho)), float(rho)) + 1e-12
-            x = findroot(lambda t: _phi_num_mp(t, r), (mpf(lo), mpf(1.0 - 1e-14)), solver="anderson")
-            exact = x / msqrt((1 - x) * (1 + x))
-            assert l_bar_zero(float(rho)) == pytest.approx(float(exact), rel=1e-13)
+        r = mpf(float(rho))
+        lo = max(mpf(x_of_rho(float(rho))), r)
+        x = findroot(lambda t: _phi_num_mp(t, r), (lo, mpf(1.0 - 1e-14)), solver="anderson")
+        return float(x / msqrt((1 - x) * (1 + x)))
+
+
+def test_l_bar_zero_matches_a_50_digit_root():
+    for rho in [*np.linspace(0.0, 0.99, 12), 0.995, 0.999, 1.0 - 1e-7, 1.0 - 1e-10, 1.0 - 1e-12]:
+        assert l_bar_zero(float(rho)) == pytest.approx(_l_bar_mp(rho), rel=1e-13)
+    assert l_bar_zero(1.0 - 1e-7) == pytest.approx(2236.07049366, rel=1e-11)
 
 
 def test_b_star_independent_formula():
@@ -231,7 +244,7 @@ def test_certify_does_not_call_b_star(monkeypatch):
 
 
 def _pq_outside_brentq(monkeypatch) -> list[float]:
-    """Points l of the _pq calls made outside brentq."""
+    """Points u of the _pq calls made outside brentq."""
     from smile_domain import ssvi
 
     inside, calls = [], []
@@ -244,10 +257,10 @@ def _pq_outside_brentq(monkeypatch) -> list[float]:
         finally:
             inside.pop()
 
-    def traced_pq(l, rho):
+    def traced_pq(u, rho):
         if not inside:
-            calls.append(l)
-        return pq(l, rho)
+            calls.append(u)
+        return pq(u, rho)
 
     monkeypatch.setattr(ssvi, "brentq", traced_brentq)
     monkeypatch.setattr(ssvi, "_pq", traced_pq)
@@ -255,25 +268,37 @@ def _pq_outside_brentq(monkeypatch) -> list[float]:
 
 
 def test_l_from_b_evaluates_l_bar_only_in_brentq(monkeypatch):
+    # both roots are one brentq each from the finite end u = 0: no residual
+    # is evaluated outside them, at l_bar or anywhere else
     calls = _pq_outside_brentq(monkeypatch)
-    for rho in (0.0, 0.5, 0.9):
-        lbar = l_bar_zero(rho)
-        for t in (1e-4, 0.5, 0.99):
+    for rho in (0.0, 0.5, 0.9, 1.0 - 1e-10):
+        l_bar_zero(rho)
+        for t in (1e-4, 0.5, 0.99, 1.0 - 1e-9):
             l_from_b(t * 2.0 / (1.0 + rho), rho)
-            assert lbar not in calls
-            # outside brentq only the grown bracket ends are evaluated
-            assert calls and all(l >= 10.0 for l in calls)
-            calls.clear()
+    assert calls == []
 
 
 def test_b_to_0_end_resolves_what_the_residual_cannot(monkeypatch):
-    # b^2*g*q is below the rounding of h*p at l_bar, so the residual has one
-    # sign over the bracket: l_bar is the critical point, checked with one
-    # _pq evaluation there
+    # b^2*g*q is below the rounding of h*p at l_bar, where that rounding is
+    # positive here, so the residual has one sign over the bracket: l_bar is
+    # the critical point, with no evaluation outside brentq
     calls = _pq_outside_brentq(monkeypatch)
-    lbar = l_bar_zero(0.3)
-    assert l_from_b(1e-13, 0.3) == lbar
-    assert calls.count(lbar) == 1
+    lbar = l_bar_zero(0.5)
+    assert l_from_b(1e-13, 0.5) == lbar
+    assert calls == []
+    assert ssvi._critical_residual(1.0 / lbar, 1e-13, 0.5) > 0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("t", [1e-6, 0.5, 1.0 - 1e-9])
+@pytest.mark.parametrize("ar", [1.0 - 1e-7, 1.0 - 1e-10, 1.0 - 1e-12, math.nextafter(1.0, 0.0)])
+def test_certify_agrees_with_the_oracle_next_to_rho_1(ar, t, sign):
+    # within the benchmark's GAP_TOL = 1e-6; at the last rho the sweep end
+    # is l = 6.7e7 and the critical l for t = 1 - 1e-9 is 1.5e12
+    p = SsviParams(theta=2.0 * t * 2.0 / (1.0 + ar), phi=1.0, rho=sign * ar)
+    n = p.normalized()
+    ref = sigma_star(n.gamma, n.b, n.rho, n.mu).sigma_star
+    assert certify(p).bounds["sigma_star"] == pytest.approx(ref, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,14 @@ def test_certify_invalid_gamma():
         SymmetricParams(gamma=-1.5, b=1.0, sigma=9.0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "b", "sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(field, bad):
+    kw = {"gamma": 0.5, "b": 1.0, "sigma": 9.0, field: bad}
+    with pytest.raises(InvalidParamsError, match="non-finite"):
+        SymmetricParams(**kw)
+
+
 def test_certify_figure_instance():
     # a=0.64, b=1.6, sigma=0.4 -> gamma = 1
     p = SymmetricParams(gamma=0.64 / (1.6 * 0.4), b=1.6, sigma=0.4)

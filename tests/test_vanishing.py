@@ -38,6 +38,14 @@ def test_params_validation():
     assert raw.rho == -1.0 and raw.a == 0.0 and raw.m == -1.0
 
 
+@pytest.mark.parametrize("field", ["b", "mu", "sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(field, bad):
+    kw = {"b": 0.5, "mu": -1.0, "sigma": 1.0, field: bad}
+    with pytest.raises(InvalidParamsError, match="non-finite"):
+        VanishingParams(**kw)
+
+
 # ---------------------------------------------------------------------------
 # mu*
 # ---------------------------------------------------------------------------
