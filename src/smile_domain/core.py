@@ -408,7 +408,8 @@ def hgg2_prime(l, nsvi: NormalizedSvi):
 def sigma_floor(l, nsvi: NormalizedSvi):
     """Pointwise sigma requirement -b*g2/(2*G1); its supremum over the
     wings is the minimal arbitrage-free sigma.  Where G1 rounds to 0 the
-    value is infinite, for a scalar l as for an array."""
+    value is infinite, for a scalar l as for an array.  Of the certifiers
+    only symmetric.certify calls it; the others use their closed forms."""
     h, g, g2v = hgg2(l, nsvi)
     b = nsvi.b
     bg = b * g

@@ -14,8 +14,9 @@ the root of a one-dimensional function computed numerically, the single
 non-closed-form ingredient.  l_bar and the critical point at a given b are
 one brentq each in u = 1/l, from the point at infinity u = 0, where the
 critical-point functions scaled by the chart stay finite, so neither root
-has a cut-off for any |rho| < 1.  Negative rho routes through |rho| by the
-strike-inversion symmetry.
+has a cut-off for any |rho| < 1.  Certification evaluates sigma*(l) at the
+given b, so the root's error enters only at second order.  Negative rho
+routes through |rho| by the strike-inversion symmetry.
 
 Uniqueness of the critical point rests on a numerical scan (the target
 functional stays positive on a dense grid); scan_uniqueness ships that
@@ -40,7 +41,6 @@ from .core import (
     RogerLeeViolation,
     _wing_prime_at,
     _wing_terms,
-    sigma_floor,
     wing_slope,
 )
 from .roots import brentq
@@ -238,10 +238,15 @@ def _pq(u, rho: float):
 def b_star(l: float, rho: float) -> float:
     """Curvature level whose sigma requirement is critical at l; strictly
     increasing from 0 at l_bar(0, rho) to 2/(1+rho) at infinity."""
+    return _b_star(l, rho)[0]
+
+
+def _b_star(l: float, rho: float):
+    """(b*(l, rho), h, g, g2/c) at u = 1/l, from one _pq call."""
     if l > 0.0:
-        h, g, _, p, q = _pq(1.0 / l, rho)
+        h, g, g2c, p, q = _pq(1.0 / l, rho)
         if p * q > 0.0:
-            return math.sqrt(h * p / (g * q))
+            return math.sqrt(h * p / (g * q)), h, g, g2c
     raise EvaluationDomainError(f"l={l} left of the critical-point sweep for rho={rho}")
 
 
@@ -268,18 +273,16 @@ def l_bar_zero(rho: float) -> float:
     return 1.0 / u
 
 
-def sigma_star_closed(l: float, rho: float) -> float:
-    """Sigma threshold -b*(l)*g2(l)/(2*(h^2 - b*(l)^2*g^2)) at the critical
-    point l; the l = inf boundary value is sqrt(1-rho^2)."""
+def sigma_star_closed(l: float, rho: float, b: float | None = None) -> float:
+    """Sigma threshold -b*g2/(2*(h^2 - b^2*g^2)) at the critical point l, b
+    by default b_star(l, rho); the l = inf boundary value is sqrt(1-rho^2)."""
     if math.isinf(l):
         return math.sqrt((1.0 - rho) * (1.0 + rho))
-    u = 1.0 / l
-    bv = b_star(l, rho)
-    h, g, g2c, _, _ = _pq(u, rho)
-    den = 2.0 * (h * h - bv * bv * g * g)
+    b, h, g, g2c = _b_star(l, rho) if b is None else (b, *_pq(1.0 / l, rho)[:3])
+    den = 2.0 * (h * h - b * b * g * g)
     if den <= 0.0:
         raise EvaluationDomainError(f"nonpositive wing factor at l={l}, rho={rho}")
-    return -bv * g2c * min(u, 1.0) / den
+    return -b * g2c * min(1.0 / l, 1.0) / den
 
 
 def _critical_residual(u: float, b: float, rho: float) -> float:
@@ -321,18 +324,16 @@ def certify(p: SsviParams) -> DomainCertificate:
     slope = wing_slope(p.b, ar)
     diagnostics: dict[str, float | str] = {"uniqueness": "numerically sustained"}
 
-    root = math.sqrt((1.0 - p.rho) * (1.0 + p.rho))
     if slope == "beyond":
         sstar = math.inf
     elif slope == "on":
-        sstar = root
+        sstar = sigma_star_closed(math.inf, ar)
         diagnostics["argsup"] = math.inf
     else:
         # the requirement is stationary at the critical point, so its value
         # at the given b takes the root's error to second order
         l = l_from_b(p.b, ar)
-        shape = NormalizedSvi(gamma=root, b=p.b, rho=ar, mu=-ar / root, sigma=1.0)
-        sstar = sigma_floor(l, shape)
+        sstar = sigma_star_closed(l, ar, p.b)
         diagnostics["l"] = l
         # the chart's residual times c^2 = u^2 is the residual in l
         diagnostics["critical_residual"] = _critical_residual(1.0 / l, p.b, ar) / (l * l)

@@ -9,10 +9,9 @@ equation of the sigma requirement is quadratic in mu.  Solving it yields a
 closed-form mu*(x) on x in ((2+b)/(4-b), 1), strictly decreasing from the
 admissible mu bound sqrt(3(1-b)) down to -infinity, and with it the exact
 threshold sigma*(x).  Certification inverts mu -> x with Brent's method
-and compares sigma against the sigma requirement of the given smile at
-that critical point.  The requirement is stationary there, so the root's
-error enters sigma* only at second order; sigma*(x) itself would carry
-it at first order through mu*(x).
+and evaluates the same closed form at that critical point for the given
+mu, not mu*(x).  The requirement is stationary there, so the root's error
+enters sigma* only at second order; at mu*(x) it would enter at first.
 
 For b = 1, a wing slope 2b on the bound 2 (``core.wing_slope``: b within
 5e-11 of 1), the wing factor degenerates and the requirement is attained
@@ -30,9 +29,7 @@ from .core import (
     BOUNDARY_TOL,
     EvaluationDomainError,
     InvalidParamsError,
-    NormalizedSvi,
     RawSviParams,
-    sigma_floor,
     wing_slope,
 )
 from .roots import brentq
@@ -137,17 +134,17 @@ def mu_star(x: float, b: float) -> float:
     return num / den
 
 
-def sigma_star_closed(x: float, b: float) -> float:
-    """Exact sigma threshold along the domain boundary, at mu = mu*(x); the
-    downward family has the same value at -mu*(x)."""
-    ms = mu_star(x, b)
+def sigma_star_closed(x: float, b: float, mu: float | None = None) -> float:
+    """Sigma threshold -b*g2/(2*G1) at the critical point x of the upward
+    smile at mu, by default mu*(x) on the domain boundary (the downward
+    family's at -mu); mu_star's domain errors hold for a given mu too."""
+    if mu is None or not (0.0 < b < 1.0 and x_plus_star(b) < x < 1.0):
+        mu = mu_star(x, b)  # outside its domain mu_star raises
     root = math.sqrt((1.0 - x) * (1.0 + x))
     num = -4.0 * b * root * (1.0 - x - 2.0 * x**2)
-    den = 4.0 * (2.0 - x - ms * root) ** 2 - b * b * (1.0 + x) ** 2
+    den = 4.0 * (2.0 - x - mu * root) ** 2 - b * b * (1.0 + x) ** 2
     if den <= 0.0:
-        raise EvaluationDomainError(
-            f"nonpositive wing factor in sigma* at x={x}, b={b}"
-        )
+        raise EvaluationDomainError(f"nonpositive wing factor in sigma* at x={x}, b={b}")
     return num / den
 
 
@@ -208,8 +205,7 @@ def certify(p: VanishingParams) -> DomainCertificate:
         # the requirement is stationary at the critical point, so its value
         # at the given mu takes the root's error to second order
         x = x_from_mu(mu_up, p.b)
-        shape = NormalizedSvi(gamma=0.0, b=p.b, rho=1.0, mu=mu_up, sigma=1.0)
-        sstar = sigma_floor(x / math.sqrt((1.0 - x) * (1.0 + x)), shape)
+        sstar = sigma_star_closed(x, p.b, mu_up)
         diagnostics["x"] = x
         diagnostics["mu_star_residual"] = mu_star(x, p.b) - mu_up
 

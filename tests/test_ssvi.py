@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from smile_domain import (
+    EvaluationDomainError,
     InvalidParamsError,
     NormalizedSvi,
     RogerLeeViolation,
@@ -241,6 +242,46 @@ def test_certify_does_not_call_b_star(monkeypatch):
             cert = certify(SsviParams(theta=2.0 * b, phi=1.0, rho=rho))
             assert math.isfinite(cert.bounds["sigma_star"])
     assert calls == []
+
+
+def test_sigma_star_closed_makes_one_pq_call(monkeypatch):
+    # b* and the threshold are read off the same terms at u = 1/l, so the
+    # default b is bit for bit b_star(l, rho)
+    from smile_domain import ssvi
+
+    ls = {rho: l_from_b(1.0 / (1.0 + rho), rho) for rho in (0.0, 0.5, 0.9)}
+    calls, pq = [], ssvi._pq
+    monkeypatch.setattr(ssvi, "_pq", lambda u, rho: calls.append(u) or pq(u, rho))
+    for rho, l in ls.items():
+        calls.clear()
+        closed = sigma_star_closed(l, rho)
+        assert calls == [1.0 / l]
+        assert sigma_star_closed(l, rho, b_star(l, rho)) == closed
+
+
+@pytest.mark.parametrize("l", [0.0, -1.0, 3.0])
+def test_sigma_star_closed_keeps_the_b_star_domain_errors(l):
+    # l <= 0, and l = 3 just left of the sweep end l_bar(0, 0.5) = 3.53,
+    # where p*q < 0
+    assert l < l_bar_zero(0.5)
+    for fn in (b_star, sigma_star_closed):
+        with pytest.raises(EvaluationDomainError, match="left of the critical-point sweep"):
+            fn(l, 0.5)
+
+
+def test_certify_calls_neither_sigma_floor_nor_normalized_svi(monkeypatch):
+    from smile_domain import core
+
+    def refuse(*args, **kw):
+        raise AssertionError("certify left the SSVI closed form")
+
+    for name in ("sigma_floor", "NormalizedSvi"):
+        monkeypatch.setattr(core, name, refuse)
+        monkeypatch.setattr(ssvi, name, refuse, raising=False)
+    for rho in (-0.6, 0.0, 0.5, 0.9):
+        for t in (1e-6, 0.5, 0.999999, 1.0):
+            b = t * 2.0 / (1.0 + abs(rho))
+            assert certify(SsviParams(theta=2.0 * b, phi=1.0, rho=rho)).bounds["sigma_star"] > 0
 
 
 def _pq_outside_brentq(monkeypatch) -> list[float]:

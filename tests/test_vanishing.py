@@ -239,6 +239,59 @@ def test_certificate_records_diagnostics():
     assert cert.conditions["roger_lee"]
 
 
+def _sigma_floor_mp(x: float, b: float, mu: float) -> float:
+    """-b*g2/(2*G1) of the upward smile (gamma = 0, rho = 1) at
+    l = x/sqrt(1-x^2), in 50-digit mpmath from the shape functions N, h, g."""
+    from mpmath import mp, mpf, sqrt as msqrt
+
+    with mp.workdps(50):
+        x, b, mu = mpf(x), mpf(b), mpf(mu)
+        l = x / msqrt(1 - x * x)
+        s = msqrt(l * l + 1)
+        n, n1, n2 = l + s, 1 + l / s, 1 / s**3
+        h, g, g2 = 1 - n1 * (l + mu) / (2 * n), n1 / 4, n2 - n1 * n1 / (2 * n)
+        return float(-b * g2 / (2 * (h * h - b * b * g * g)))
+
+
+def test_certify_sigma_star_matches_a_50_digit_floor_at_its_critical_point():
+    # seed-1 certify-mix pool draw 1130, the worst vanishing-up interior draw
+    # of seeds 1-3 for the l-chart core.sigma_floor at the same x (2.55e-12);
+    # the closed form at the given mu is within 2.1e-13
+    p = VanishingParams(b=0.3235322317295934, mu=1.424459060415498, sigma=1.0957443515315841)
+    cert = certify(p)
+    ref = _sigma_floor_mp(cert.diagnostics["x"], p.b, p.mu)
+    assert cert.bounds["sigma_star"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("direction", ["upward", "downward"])
+def test_certify_calls_neither_sigma_floor_nor_normalized_svi(monkeypatch, direction):
+    from smile_domain import core, vanishing
+
+    def refuse(*args, **kw):
+        raise AssertionError("certify left the vanishing closed form")
+
+    for name in ("sigma_floor", "NormalizedSvi"):
+        monkeypatch.setattr(core, name, refuse)
+        monkeypatch.setattr(vanishing, name, refuse, raising=False)
+    sgn = 1.0 if direction == "upward" else -1.0
+    for b in (0.1, 0.5, 0.9):
+        for mu_up in (-3.0, 0.0, 0.9 * fukasawa_bound(b)):
+            p = VanishingParams(b=b, mu=sgn * mu_up, sigma=1.0, direction=direction)
+            assert certify(p).bounds["sigma_star"] > 0
+
+
+def test_sigma_star_closed_at_a_given_mu():
+    # mu*(x) is the default mu; a given mu keeps mu*'s domain errors
+    b, x = 0.5, 0.9
+    assert sigma_star_closed(x, b, mu_star(x, b)) == sigma_star_closed(x, b)
+    assert sigma_star_closed(x, b, -1.0) == pytest.approx(_sigma_floor_mp(x, b, -1.0), rel=1e-13)
+    for xb in ((0.5, 0.5), (0.9, 1.0), (0.9, 0.0), (1.0, 0.5)):
+        with pytest.raises(EvaluationDomainError):
+            sigma_star_closed(*xb, 0.0)
+        with pytest.raises(EvaluationDomainError):
+            mu_star(*xb)
+
+
 def test_x_from_mu_takes_few_mu_star_evaluations(monkeypatch):
     import smile_domain.vanishing as van
 
