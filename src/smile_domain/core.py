@@ -356,6 +356,24 @@ def _wing_prime_at(t, gamma: float, rho: float, mu: float):
     return 1.0 - n1 * m / two_d, n1 / 4.0, g2c, h1, c2s3 / 4.0, g21
 
 
+def _critical_at(t, gamma: float, rho: float, mu: float):
+    """(h, g, g2/c, p/c^2, q/c^2) on the terms of _wing_terms: the
+    critical-point functions p = h*g2' - 2*h'*g2 and q = g*g2' - 2*g'*g2
+    (derivatives in l), finite at u = 0, where p/c^2 = P/4 and q/c^2 =
+    P^2/8, P = 1 + rho."""
+    h, g, g2c, h1, g1d, g21 = _wing_prime_at(t, gamma, rho, mu)
+    return h, g, g2c, h * g21 - 2.0 * h1 * g2c, g * g21 - 2.0 * g1d * g2c
+
+
+def _critical_residual(crit, b: float):
+    """(h*p - b^2*g*q)/c^2 from the output of _critical_at: zero at a
+    critical point of the requirement f = -b*g2/(2*G1) at level b, and of
+    the sign of df/du, P/8*(1 - (b*P/2)^2) > 0 at u = 0 inside the slope
+    bound."""
+    h, g, _, p, q = crit
+    return h * p - b * b * g * q
+
+
 def hgg2(l, nsvi: NormalizedSvi):
     """Auxiliary functions (h, g, g2) of the normalized smile at l.
 
@@ -384,8 +402,11 @@ def g1(l, nsvi: NormalizedSvi):
 def hgg2_prime(l, nsvi: NormalizedSvi):
     """Values and first l-derivatives of (h, g, g2).
 
-    Returns (h, g, g2, h', g', g2').  Used by the critical-point machinery
-    that trades the curvature parameter b for the minimizer location.
+    Returns (h, g, g2, h', g', g2'): the l-chart reference pinned by
+    test_shape_reference.py.  The library uses _wing_prime_at and
+    _critical_at in u = 1/l: in the far wing h' here cancels, off 60-digit
+    mpmath by 1.7e-11 to 8.9e-11 relative at l = 1e5 and 3.2e-8 to 4.0e-7
+    at l = 1e9 on four shapes, against 4.4e-16 in the chart.
     """
     t = _l_terms(l)
     n, n1, n2 = _n_funcs_at(t, nsvi.gamma, nsvi.rho)

@@ -3,9 +3,10 @@
 sigma* is the supremum of the pointwise requirement f = -b*g2/(2*G1) over
 the two wing intervals where g2 < 0.  Each admissible side is searched with
 one scan in u = 1/l, which also reads the wing off the sign of g2, followed
-by Brent's bounded maximization.  The scan ends at u = 0, the point at
-infinity: on the wing-slope boundaries b*(1 +- rho) = 2 the supremum may be
-attained only there, as the limit of f.
+by one brentq on the critical-point residual, of the sign of df/du, across
+the scan's best point.  The scan ends at u = 0, the point at infinity: on
+the wing-slope boundaries b*(1 +- rho) = 2 the supremum may be attained
+only there, as the limit of f.
 Every closed-form family domain in this package is validated against this
 oracle.
 
@@ -30,6 +31,8 @@ from .core import (
     RogerLeeViolation,
     _U_GRID,
     _U_TERMS,
+    _critical_at,
+    _critical_residual,
     _u_root,
     _wing_at,
     _wing_n_at,
@@ -39,7 +42,7 @@ from .core import (
     wing_slope,
 )
 from .fukasawa import _validate, mu_interval
-from .roots import maximize
+from .roots import brentq
 
 __all__ = [
     "G2Zeros",
@@ -113,7 +116,9 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     shape, from one pass over the u-grid: the wing is the run of points from
     u = 0, where g2/c = -(1 + rho)/2, on which g2 < 0.  Where u = 0 is the
     best, its value, the limit of f (0 off the wing-slope bound), is the
-    supremum and argsup = +inf; otherwise Brent's search runs in u.
+    supremum and argsup = +inf; otherwise argsup is the root in u of the
+    critical-point residual, which has the sign of df/du, between the best
+    grid point's neighbours, and the supremum is f there.
     """
     w = _wing_slack(b, rho)
 
@@ -128,8 +133,14 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     i = int(np.argmax(vals[:n]))
     if vals[0] >= vals[i] * (1.0 - 1e-15):  # u = 0 wins a tie within rounding
         return math.inf, float(vals[0])
-    arg, sup = maximize(lambda u: f(_wing_terms(u))[1], _U_GRID[i - 1], _U_GRID[i + 1])
-    return 1.0 / arg, sup
+    try:  # xtol at the smallest subnormal: only the relative tolerance stops it
+        u = brentq(lambda u: _critical_residual(_critical_at(_wing_terms(u), gamma, rho, mu), b),
+                   _U_GRID[i - 1], _U_GRID[i + 1], xtol=5e-324)
+    except ValueError:
+        # the residual keeps its sign across a pole of f, where G1 = 0 on
+        # the wing: a shape outside mu_interval, which sigma_star rejects
+        return 1.0 / _U_GRID[i], float(vals[i])
+    return 1.0 / u, float(f(_wing_terms(u))[1])
 
 
 def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult:

@@ -39,7 +39,8 @@ from .core import (
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
-    _wing_prime_at,
+    _critical_at,
+    _critical_residual as _core_residual,
     _wing_terms,
     wing_slope,
 )
@@ -226,13 +227,10 @@ def j2_x(x, rho: float):
 # b* reparametrization on the u = 1/l chart
 # ---------------------------------------------------------------------------
 def _pq(u, rho: float):
-    """(h, g, g2/c, p/c^2, q/c^2) for the SSVI shape at correlation rho at
-    l = 1/u, c = min(u, 1): the critical-point functions p = h*g2' - 2*h'*g2
-    and q = g*g2' - 2*g'*g2 (derivatives in l), finite at u = 0, where
-    p/c^2 = (1+rho)/4 and q/c^2 = (1+rho)^2/8."""
+    """core._critical_at for the SSVI shape at correlation rho at l = 1/u:
+    (h, g, g2/c, p/c^2, q/c^2), c = min(u, 1)."""
     root = math.sqrt((1.0 - rho) * (1.0 + rho))
-    h, g, g2c, h1, g1d, g21 = _wing_prime_at(_wing_terms(u), root, rho, -rho / root)
-    return h, g, g2c, h * g21 - 2.0 * h1 * g2c, g * g21 - 2.0 * g1d * g2c
+    return _critical_at(_wing_terms(u), root, rho, -rho / root)
 
 
 def b_star(l: float, rho: float) -> float:
@@ -245,7 +243,7 @@ def _b_star(l: float, rho: float):
     """(b*(l, rho), h, g, g2/c) at u = 1/l, from one _pq call."""
     if l > 0.0:
         h, g, g2c, p, q = _pq(1.0 / l, rho)
-        if p * q > 0.0:
+        if p > 0.0 and q > 0.0:
             return math.sqrt(h * p / (g * q)), h, g, g2c
     raise EvaluationDomainError(f"l={l} left of the critical-point sweep for rho={rho}")
 
@@ -286,11 +284,9 @@ def sigma_star_closed(l: float, rho: float, b: float | None = None) -> float:
 
 
 def _critical_residual(u: float, b: float, rho: float) -> float:
-    """Critical-point equation (h*p - b^2*g*q)/c^2 at l = 1/u: zero at the
-    critical point of the sigma requirement at level b, and finite from
+    """core._critical_residual at l = 1/u for the SSVI shape: finite from
     u = 0 to the sweep endpoint u = 1/l_bar(0, rho)."""
-    h, g, _, p, q = _pq(u, rho)
-    return h * p - b * b * g * q
+    return _core_residual(_pq(u, rho), b)
 
 
 def l_from_b(b: float, rho: float) -> float:

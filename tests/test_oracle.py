@@ -259,6 +259,74 @@ _SEARCH_IDS = ["symmetric", "extremal", "ssvi-up", "ssvi-down", "vanishing-up",
                "vanishing-down", "both-wings"]
 
 
+def _symmetric_critical(rng):
+    # an interior symmetric shape and the certifier's critical point z, as l
+    while True:
+        gamma = rng.uniform(-0.99, 3.0)
+        b = rng.uniform(0.05, 0.97) * symmetric.g_tilde(gamma)
+        z = symmetric.certify(SymmetricParams(gamma=gamma, b=b, sigma=1.0)).diagnostics.get("z")
+        if z is not None:
+            return (gamma, b, 0.0, 0.0), math.sqrt((1.0 - z) * (1.0 + z)) / z
+
+
+def _vanishing_critical(sign):
+    # an interior vanishing shape of direction sign(rho) and the certifier's
+    # critical point x, as l; the downward smile is the upward one's mirror
+    def draw(rng):
+        b = rng.uniform(0.05, 0.98)
+        mu_up = vanishing.fukasawa_bound(b) - rng.uniform(0.05, 3.0)
+        direction = "upward" if sign > 0.0 else "downward"
+        x = vanishing.certify(VanishingParams(b, sign * mu_up, 1.0, direction)).diagnostics["x"]
+        return (0.0, b, sign, sign * mu_up), sign * x / math.sqrt((1.0 - x) * (1.0 + x))
+
+    return draw
+
+
+def _ssvi_critical(rng):
+    # an interior SSVI slice and the certifier's critical point l in |rho|
+    rho = rng.uniform(-0.9, 0.9)
+    p = SsviParams(theta=rng.uniform(0.1, 0.97) * 4.0 / (1.0 + abs(rho)), phi=1.0, rho=rho)
+    return (p.gamma, p.b, p.rho, p.mu), math.copysign(ssvi.certify(p).diagnostics["l"], rho)
+
+
+@pytest.mark.parametrize(
+    "draw, seed",
+    [(_symmetric_critical, 31), (_vanishing_critical(1.0), 37),
+     (_vanishing_critical(-1.0), 41), (_ssvi_critical, 43)],
+    ids=["symmetric", "vanishing-up", "vanishing-down", "ssvi"],
+)
+def test_argsup_is_the_certifiers_critical_point(draw, seed):
+    # the oracle's root of the critical-point residual and each certifier's
+    # own root, in z, x and l, are the same stationary point; symmetric and
+    # vanishing solve independent bodies, while SSVI's certifier evaluates
+    # the same core._critical_at, so its case is a consistency check only
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        shape, l = draw(rng)
+        assert sigma_star(*shape).argsup_l == pytest.approx(l, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, zeros", _SEARCH_SHAPES, ids=_SEARCH_IDS)
+def test_sigma_star_search_reaches_the_mpmath_supremum(monkeypatch, shape, zeros):
+    # the requirement at the residual's root is the supremum to rounding,
+    # and never below the best value of the wing scans it refines
+    runs = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argmax(self, vals):
+            runs.append(np.max(vals))
+            return np.argmax(vals)
+
+    monkeypatch.setattr(oracle, "np", Recording())
+    sup = sigma_star(*shape).sigma_star
+    assert len(runs) == zeros
+    assert sup >= max(runs)
+    assert sup == pytest.approx(_mp_sup(*shape), rel=2e-15)
+
+
 @pytest.mark.parametrize("shape, zeros", _SEARCH_SHAPES, ids=_SEARCH_IDS)
 def test_sigma_star_solves_one_g2_zero_per_wing(monkeypatch, shape, zeros):
     # each searched wing is one _wing_sup call, whose scan also finds its zero
@@ -310,6 +378,20 @@ def test_wing_scan_ends_at_the_g2_zero(monkeypatch, rho):
 
 
 @pytest.mark.parametrize(
+    "shape", [(-0.999999999, 0.5, 0.0, 0.0), (-0.714142841854285, 0.5, -0.7, 0.0)]
+)
+def test_wing_sup_returns_the_scan_point_across_a_pole(shape):
+    # off mu_interval G1 vanishes on the wing, so f has a pole next to the
+    # scan's best point and the critical-point residual keeps its sign
+    # across the bracket: the scan's best point is returned unrefined
+    with pytest.raises(FukasawaViolation):
+        sigma_star(*shape)
+    arg, sup = oracle._wing_sup(*shape)
+    assert arg in 1.0 / oracle._U_GRID[1:]
+    assert sup == pytest.approx(sigma_floor(arg, NormalizedSvi(*shape, sigma=1.0)), rel=1e-9)
+
+
+@pytest.mark.parametrize(
     "gamma, b, mu",
     [(0.0, 0.5, 1.0), (0.5, 0.8, 0.5), (0.3, 0.6, 0.0), (0.0, 1.0, 2.0), (1.0, 1.0, -0.2)],
 )
@@ -353,7 +435,7 @@ def test_sigma_star_extremal_tail_needs_no_search(monkeypatch, gamma, q):
     # on the wing-slope bound the wing scan's best point is its first, u = 0,
     # the point at infinity: its value is the limit, returned with no search
     calls = []
-    monkeypatch.setattr(oracle, "maximize", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(oracle, "brentq", lambda *args, **kwargs: calls.append(args))
     res = sigma_star(gamma, 2.0, 0.0, q * gamma)
     assert res.side == "limit_at_infinity"
     assert res.sigma_star == pytest.approx(1.0 / (gamma - abs(q * gamma)), rel=1e-14)

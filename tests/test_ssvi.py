@@ -269,6 +269,18 @@ def test_sigma_star_closed_keeps_the_b_star_domain_errors(l):
             fn(l, 0.5)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+@pytest.mark.parametrize("l", [0.5, 1.0, 2.0])
+def test_b_star_refuses_both_p_and_q_negative(l, rho):
+    # far left of the sweep end p and q are both negative: their ratio is
+    # positive, but h*p/(g*q) there would put b* above the slope bound
+    # 2/(1+rho) (4.13 at rho = 0, l = 0.5) and the threshold below 0
+    assert ssvi._pq(1.0 / l, rho)[3] < 0.0 and ssvi._pq(1.0 / l, rho)[4] < 0.0
+    for fn in (b_star, sigma_star_closed):
+        with pytest.raises(EvaluationDomainError, match="left of the critical-point sweep"):
+            fn(l, rho)
+
+
 def test_certify_calls_neither_sigma_floor_nor_normalized_svi(monkeypatch):
     from smile_domain import core
 
