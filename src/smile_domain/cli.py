@@ -9,9 +9,14 @@ family does not read is an invalid input; ``bound`` exits 0, with an
 infinite sigma* on arbitrage, or 2 and 3 as ``certify`` does; ``sample``
 exits 0, 1 when a sample fails its certificate, or 2 and 3 as ``certify``
 does, and a reversed range or one outside its sampler's domain is an
-invalid input; ``scan-uniqueness`` exits 0 when the scan finds uniqueness,
-1 when it does not, and 2 for a step count below 1.
+invalid input, and so is a negative ``--count``; ``scan-uniqueness`` exits 0
+when the scan finds uniqueness, 1 when it does not, and 2 for a step count
+below 1.
 Identical invocations (including --seed) produce byte-identical output.
+numpy is imported only where an array is built: by ``sample``,
+``scan-uniqueness``, ``--oracle``, the symmetric family's ``certify`` and
+``bound``, and the tables ``ssvi-n-curves``, ``symmetric-zstar`` and
+``symmetric-zstar-wide``.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import extremal, ssvi, symmetric, vanishing
 from .certificates import DomainCertificate, json_value
@@ -40,6 +44,9 @@ from .oracle import durrleman_check, sigma_star
 from .ssvi import SsviParams
 from .symmetric import SymmetricParams
 from .vanishing import VanishingParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA = "smile-domain/1"
 
@@ -289,6 +296,10 @@ def cmd_bound(args) -> int:
 # sample
 # ---------------------------------------------------------------------------
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        return _failure(InvalidParamsError(f"--count must be >= 0, got {args.count}"))
+    import numpy as np
+
     fam = FAMILIES[args.family]
     rng = np.random.default_rng(args.seed)
     samples = []
@@ -318,10 +329,16 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) for num >= 2, by its arithmetic:
+    i*step + start, and stop itself last."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def _rows_vanishing_domains():
     yield ["b", "subdomain_sigma", "sigma_star_at_mu_zero", "sigma_star_mid", "sigma_star_x099"]
-    for b in np.arange(0.05, 0.951, 0.05):
-        b = round(float(b), 2)
+    for b in (i / 20.0 for i in range(1, 20)):
         x_zero = vanishing.x_from_mu(0.0, b)
         x_mid = 0.5 * (x_zero + 0.99)
         yield [
@@ -335,24 +352,20 @@ def _rows_vanishing_domains():
 
 def _rows_symmetric_zstar(gamma_hi: float, n: int):
     yield ["gamma", "z_at_b0", "z_at_bmax"]
-    for g in np.linspace(-0.9999, gamma_hi, n):
-        g = float(g)
+    for g in _linspace(-0.9999, gamma_hi, n):
         yield [g, symmetric.z_star_zero(g), symmetric.z_star_at_g_tilde(g)]
 
 
 def _rows_symmetric_j1prime():
     yield ["gamma", "z_inflection", "j1_slope_at_b2"]
-    for g in np.linspace(-0.999, -0.001, 100):
-        g = float(g)
+    for g in _linspace(-0.999, -0.001, 100):
         zi = symmetric.z_inflection(g)
         yield [g, zi, symmetric.j1_slope(zi, g, 2.0)]
 
 
 def _rows_gamma_admissibility():
     yield ["u", "ratio_gamma_plus", "ratio_gamma_minus"]
-    us = np.concatenate([np.linspace(-0.98, -0.02, 60), np.linspace(0.02, 3.0, 60)])
-    for u in us:
-        u = float(u)
+    for u in _linspace(-0.98, -0.02, 60) + _linspace(0.02, 3.0, 60):
         gp = symmetric.gamma_star(u)
         gm = symmetric.gamma_star(u, branch=-1)  # NaN where it does not exist
         rm = gm * symmetric.z2(gm) / u if u < 0.0 and gm > -1.0 else ""
@@ -360,6 +373,8 @@ def _rows_gamma_admissibility():
 
 
 def _rows_ssvi_n_curves():
+    import numpy as np
+
     rhos = (0.0, 0.25, 0.5, 0.75, 0.999)
     yield ["x"] + [f"n_rho_{r}" for r in rhos]
     xs = np.linspace(ssvi.X_M2_RHO1, 0.999, 200)
@@ -377,8 +392,7 @@ def _rows_ssvi_gj_vs_b():
     yield ["rho", "b", "gj_sigma", "subdomain_sigma", "sigma_star"]
     for rho in (0.3, 0.7):
         bmax = 2.0 / (1.0 + rho)
-        for b in np.linspace(0.05, bmax - 0.05, 40):
-            b = float(b)
+        for b in _linspace(0.05, bmax - 0.05, 40):
             yield [rho, b] + _ssvi_bound_rows(rho, b)
 
 
@@ -386,8 +400,7 @@ def _rows_ssvi_gj_vs_rho():
     yield ["b", "rho", "gj_sigma", "subdomain_sigma", "sigma_star"]
     for b in (1.0, 1.5):
         rho_max = min(0.99, 2.0 / b - 1.0)
-        for rho in np.linspace(0.01, rho_max - 0.01, 40):
-            rho = float(rho)
+        for rho in _linspace(0.01, rho_max - 0.01, 40):
             yield [b, rho] + _ssvi_bound_rows(rho, b)
 
 

@@ -11,14 +11,17 @@ Absence of butterfly arbitrage is equivalent to nonnegativity of
 ``G1 + b*g2/(2*sigma)``, where G1, g2 (and the auxiliary h, g) depend only
 on the shape parameters (gamma, b, rho, mu).  Everything in this module is
 a pure function of its arguments and safe to call from multiple threads.
+
+numpy is imported where an array is built or reduced, never at import: a
+scalar takes the pure-Python branch of each function, so a closed-form
+certification runs without it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .roots import brentq
 
@@ -199,12 +202,29 @@ class NormalizedSvi:
 # ---------------------------------------------------------------------------
 # The shape functions have one body each for a scalar l and an array of them.
 # Only these helpers look at the type: a Python number stays a Python float,
-# as the scalar solvers call them, and never becomes a 0-d array.
+# as the scalar solvers call them, and never becomes a 0-d array, and its
+# branch needs no numpy.
 def _hypot1(l):
-    return math.hypot(l, 1.0) if isinstance(l, (float, int)) else np.hypot(l, 1.0)
+    if isinstance(l, (float, int)):
+        return math.hypot(l, 1.0)
+    import numpy as np
+
+    return np.hypot(l, 1.0)
+
+
+def _sqrt(x):
+    if isinstance(x, (float, int)):
+        return math.sqrt(x)
+    import numpy as np
+
+    return np.sqrt(x)
 
 
 def _select(cond, a, b):
+    if isinstance(cond, bool):
+        return a if cond else b
+    import numpy as np
+
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
@@ -224,12 +244,16 @@ def _ratio(num, den):
     """num/den, infinite where den is 0, for a scalar as for an array."""
     if not _any(den == 0.0):
         return num / den
+    import numpy as np
+
     with np.errstate(divide="ignore"):
         return np.divide(num, den)
 
 
 def total_variance(p: RawSviParams, k):
     """Total variance w(k) of the raw SVI smile; vectorized in k."""
+    import numpy as np
+
     d = np.asarray(k, dtype=np.float64) - p.m
     w = p.a + p.b * (p.rho * d + np.hypot(d, p.sigma))
     return float(w) if w.ndim == 0 else w
@@ -286,25 +310,43 @@ def _wing_terms(u):
     return a, c, e, es, q, q * a / s, q * es, c * c / (s * s * s)
 
 
-# The wing grid, u = 1/l from u = 0 (l = +inf) to l = 1e-6, and its terms, built
-# once: the oracle's wing scan and zeros of g2, and fukasawa's root l-, use it.
-_U_GRID = np.append(0.0, np.geomspace(1e-16, 1e6, 551))
-_U_TERMS = _wing_terms(_U_GRID)
-for _term in (_U_GRID, *_U_TERMS):
-    _term.flags.writeable = False
+@functools.cache
+def _u_grid():
+    """The wing grid, u = 1/l from u = 0 (l = +inf) to l = 1e-6, and its
+    terms, built once, on first use, read-only: the oracle's wing scan and
+    fukasawa's root l- use it.  The module attributes _U_GRID and _U_TERMS
+    name the two parts."""
+    import numpy as np
+
+    grid = np.append(0.0, np.geomspace(1e-16, 1e6, 551))
+    terms = _wing_terms(grid)
+    for term in (grid, *terms):
+        term.flags.writeable = False
+    return grid, terms
+
+
+def __getattr__(name: str):
+    if name == "_U_GRID":
+        return _u_grid()[0]
+    if name == "_U_TERMS":
+        return _u_grid()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _u_root(f, end: float) -> float:
     """Root in u of f(wing terms) on the first sign change of the grid below
     end, else between its last point and a finite end.  xtol = 1e-14*lo^2
     in u is 1e-14 in |l| = 1/u at the bracket's lower end lo > 0."""
-    n = int(np.searchsorted(_U_GRID, end))
-    sgn = np.sign(f(tuple(t[:n] for t in _U_TERMS)))
+    import numpy as np
+
+    grid, terms = _u_grid()
+    n = int(np.searchsorted(grid, end))
+    sgn = np.sign(f(tuple(t[:n] for t in terms)))
     i = np.flatnonzero(sgn[1:] != sgn[:-1])
     if i.size:
-        lo, hi = float(_U_GRID[i[0]]), float(_U_GRID[i[0] + 1])
+        lo, hi = float(grid[i[0]]), float(grid[i[0] + 1])
     elif end < math.inf:
-        lo, hi = float(_U_GRID[n - 1]), end
+        lo, hi = float(grid[n - 1]), end
     else:
         raise NoRootError("no sign change on the wing grid")
     return brentq(lambda u: f(_wing_terms(u)), lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))

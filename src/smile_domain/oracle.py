@@ -11,15 +11,15 @@ Every closed-form family domain in this package is validated against this
 oracle.
 
 durrleman_check is the independent second route: it verifies nonnegativity
-of G1 + b*g2/(2*sigma) directly on a wide grid.
+of G1 + b*g2/(2*sigma) directly on a wide grid.  Both grids are built on
+first use, numpy with them, so importing this module costs no array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     BOUNDARY_TOL,
@@ -29,10 +29,9 @@ from .core import (
     NoRootError,
     RawSviParams,
     RogerLeeViolation,
-    _U_GRID,
-    _U_TERMS,
     _critical_at,
     _critical_residual,
+    _u_grid,
     _u_root,
     _wing_at,
     _wing_n_at,
@@ -120,13 +119,16 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     critical-point residual, which has the sign of df/du, between the best
     grid point's neighbours, and the supremum is f there.
     """
+    import numpy as np
+
+    grid, terms = _u_grid()
     w = _wing_slack(b, rho)
 
     def f(t):  # (g2/c, f); on the bound (w = 0) h - b*g = c*Y/(2*N*c), and c cancels
         g2c, hm, hp, yd = _wing_at(t, gamma, b, rho, mu, w)
         return g2c, _ratio(-b / 2.0 * t[1] * g2c, hm * hp) if w else _ratio(-b / 2.0 * g2c, yd * hp)
 
-    g2c, vals = f(_U_TERMS)
+    g2c, vals = f(terms)
     n = int(np.argmin(g2c < 0.0))  # the first point off the wing
     if g2c[n] < 0.0:  # g2 has one zero right of the smile minimum
         raise NoRootError("g2 has no zero on the wing grid")
@@ -135,11 +137,11 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
         return math.inf, float(vals[0])
     try:  # xtol at the smallest subnormal: only the relative tolerance stops it
         u = brentq(lambda u: _critical_residual(_critical_at(_wing_terms(u), gamma, rho, mu), b),
-                   _U_GRID[i - 1], _U_GRID[i + 1], xtol=5e-324)
+                   grid[i - 1], grid[i + 1], xtol=5e-324)
     except ValueError:
         # the residual keeps its sign across a pole of f, where G1 = 0 on
         # the wing: a shape outside mu_interval, which sigma_star rejects
-        return 1.0 / _U_GRID[i], float(vals[i])
+        return 1.0 / grid[i], float(vals[i])
     return 1.0 / u, float(f(_wing_terms(u))[1])
 
 
@@ -193,29 +195,40 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
 # ---------------------------------------------------------------------------
 # Independent density check
 # ---------------------------------------------------------------------------
-# the right half-line: 2001 uniform l on [0, 50], then 500 log-spaced
-# u = 1/l from 1/50 down to 1e-10 and u = 0; the left one is its mirror
-_HALF_L = np.linspace(0.0, 50.0, 2001)
-_HALF_U = np.append(np.geomspace(0.02, 1e-10, 501)[1:], 0.0)
-with np.errstate(divide="ignore"):
-    _HALF = np.concatenate([_HALF_L, 1.0 / _HALF_U])
-    _HALF_TERMS = _wing_terms(np.concatenate([1.0 / _HALF_L, _HALF_U]))
-_DENSITY_GRID = np.concatenate([-_HALF[:0:-1], _HALF])
-
-
-def _density_columns():
-    """The shape-free grid columns, one per row, of the density functional's
-    two linear parts: 2*N*c = (2*gamma, 2*P, 2) @ _D_COLS and 2*N*c*(h - b*g)
+@functools.cache
+def _density_grid():
+    """The density check's grid and its shape-free columns, built once, on
+    first use, read-only: (_DENSITY_GRID, _HALF_TERMS, _D_COLS, _M_COLS,
+    _CC2S3), each also a module attribute.  The right half-line is 2001
+    uniform l on [0, 50], then 500 log-spaced u = 1/l from 1/50 down to
+    1e-10 and u = 0; the left one is its mirror, and _HALF_TERMS are its
+    wing terms.  The columns are those of the density functional's two
+    linear parts: 2*N*c = (2*gamma, 2*P, 2) @ _D_COLS and 2*N*c*(h - b*g)
     = (P*w, gamma*(1 + w) - P*mu, 1 + w, 2 - w, mu + b*gamma/2, b/2) @ _M_COLS
     on the half-line, with P = 1 + rho and w = _wing_slack(b, rho); and
-    c*c^2/s^3, the term of c*g2 that does not depend on the shape."""
-    a, c, e, es, q, qr, eqr, c2s3 = _HALF_TERMS
-    return np.stack([c, a, e]), np.stack([a, c, c * q, c * qr, c * es, c * eqr]), c * c2s3
+    _CC2S3 = c*c^2/s^3, the term of c*g2 that does not depend on the shape."""
+    import numpy as np
+
+    half_l = np.linspace(0.0, 50.0, 2001)
+    half_u = np.append(np.geomspace(0.02, 1e-10, 501)[1:], 0.0)
+    with np.errstate(divide="ignore"):
+        half = np.concatenate([half_l, 1.0 / half_u])
+        terms = _wing_terms(np.concatenate([1.0 / half_l, half_u]))
+    grid = np.concatenate([-half[:0:-1], half])
+    a, c, e, es, q, qr, eqr, c2s3 = terms
+    cols = (np.stack([c, a, e]), np.stack([a, c, c * q, c * qr, c * es, c * eqr]), c * c2s3)
+    for term in (grid, *terms, *cols):
+        term.flags.writeable = False
+    return (grid, terms, *cols)
 
 
-_D_COLS, _M_COLS, _CC2S3 = _density_columns()
-for _term in (_DENSITY_GRID, *_HALF_TERMS, _D_COLS, _M_COLS, _CC2S3):  # built once
-    _term.flags.writeable = False
+_DENSITY_NAMES = ("_DENSITY_GRID", "_HALF_TERMS", "_D_COLS", "_M_COLS", "_CC2S3")
+
+
+def __getattr__(name: str):
+    if name in _DENSITY_NAMES:
+        return _density_grid()[_DENSITY_NAMES.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def durrleman_check(p: RawSviParams) -> DensityReport:
@@ -234,6 +247,9 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
     if p.b <= 0.0:
         # flat smile: the functional is identically 1
         return DensityReport(min_value=1.0, argmin_l=0.0, n_points=1)
+    import numpy as np
+
+    grid, half_terms, d_cols, m_cols, cc2s3 = _density_grid()
     nsvi = p.normalized()
     gamma, b, rho, mu = nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu
     k = b / (2.0 * nsvi.sigma)
@@ -243,19 +259,19 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
         d_coef.append((2.0 * gamma, 2.0 * p1, 2.0))
         m_coef.append((p1 * w, gamma * (1.0 + w) - p1 * m, 1.0 + w, 2.0 - w,
                        m + b * gamma / 2.0, b / 2.0))
-    d = np.array(d_coef) @ _D_COLS
+    d = np.array(d_coef) @ d_cols
     p_col = np.array([[1.0 + rho], [1.0 - rho]])
     # a flat wing of |rho| = 1 (P = 0) has N*c = 0 at u = 0: +inf there
     flat = p_col[:, 0] == 0.0
     d[flat, -1] = 1.0
     if (d <= 0.0).any():
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    hm = (np.array(m_coef) @ _M_COLS) / d  # h - b*g
-    n1 = p_col - _HALF_TERMS[3]  # N'
-    vals = hm * (hm + b / 2.0 * n1) + k * (_CC2S3 - _HALF_TERMS[1] * (n1 * n1) / d)
+    hm = (np.array(m_coef) @ m_cols) / d  # h - b*g
+    n1 = p_col - half_terms[3]  # N'
+    vals = hm * (hm + b / 2.0 * n1) + k * (cc2s3 - half_terms[1] * (n1 * n1) / d)
     vals[flat, -1] = math.inf
     vals = np.concatenate([vals[1, :0:-1], vals[0]])
     i = int(np.argmin(vals))
     return DensityReport(
-        min_value=float(vals[i]), argmin_l=float(_DENSITY_GRID[i]), n_points=len(vals)
+        min_value=float(vals[i]), argmin_l=float(grid[i]), n_points=len(vals)
     )

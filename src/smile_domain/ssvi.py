@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .certificates import DomainCertificate, make_certificate
 from .core import (
     BOUNDARY_TOL,
@@ -41,6 +39,8 @@ from .core import (
     RogerLeeViolation,
     _critical_at,
     _critical_residual as _core_residual,
+    _select,
+    _sqrt,
     _wing_terms,
     wing_slope,
 )
@@ -184,18 +184,16 @@ def l2_closed(rho: float) -> float:
 
 
 def _rho_of_m2(x):
-    """Value of rho whose curvature minimizer sits at x; strictly monotone
-    on [X_M2_RHO1, X_M2_RHO0]."""
-    x = np.asarray(x, dtype=np.float64)
+    """Value of rho whose curvature minimizer sits at x, a float or an
+    array; strictly monotone on [X_M2_RHO1, X_M2_RHO0]."""
     x2 = x * x
     inner = 36.0 * x2 * x2 - 24.0 * x2 + 1.0
-    val = x * (
+    return x * (
         -12.0 * x2 * x2
         + 16.0 * x2
         - 5.0
-        + 2.0 * (1.0 - x2) * np.sqrt(np.maximum(inner, 0.0))
+        + 2.0 * (1.0 - x2) * _sqrt(_select(inner < 0.0, 0.0, inner))
     )
-    return float(val) if np.ndim(val) == 0 else val
 
 
 def m2(rho: float) -> float:
@@ -211,16 +209,15 @@ def m2(rho: float) -> float:
 
 
 def _n_x(x, rho: float):
-    sx = np.sqrt((1.0 - x) * (1.0 + x))
+    sx = _sqrt((1.0 - x) * (1.0 + x))
     return (1.0 + rho * x) / sx + math.sqrt((1.0 - rho) * (1.0 + rho))
 
 
 def j2_x(x, rho: float):
-    """Curvature function g2 expressed in the x coordinate."""
-    x = np.asarray(x, dtype=np.float64)
-    sx = np.sqrt((1.0 - x) * (1.0 + x))
-    val = sx**3 - (x + rho) ** 2 / (2.0 * _n_x(x, rho))
-    return float(val) if np.ndim(val) == 0 else val
+    """Curvature function g2 expressed in the x coordinate, x a float or an
+    array."""
+    sx = _sqrt((1.0 - x) * (1.0 + x))
+    return sx**3 - (x + rho) ** 2 / (2.0 * _n_x(x, rho))
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +427,27 @@ def lt_heston_threshold(h: HestonLtParams) -> float:
 # Uniqueness scan of the critical point
 # ---------------------------------------------------------------------------
 def _h_x(x, rho: float):
+    import numpy as np
+
     return 0.5 * (1.0 + np.sqrt((1.0 - x * x) / (1.0 - rho * rho)))
 
 
 def _h_x_d1(x, rho: float):
+    import numpy as np
+
     return -x / (2.0 * np.sqrt(1.0 - rho * rho) * np.sqrt(1.0 - x * x))
 
 
 def _h_x_d2(x, rho: float):
+    import numpy as np
+
     return -1.0 / (2.0 * np.sqrt(1.0 - rho * rho) * (1.0 - x * x) ** 1.5)
 
 
 def _d2_j2_dx2(x, rho):
     """Second x-derivative of the curvature function (symbolic form)."""
+    import numpy as np
+
     sx = np.sqrt(1.0 - x * x)
     rb = np.sqrt(1.0 - rho * rho)
     u = rho * x + rb * sx + 1.0
@@ -467,6 +472,8 @@ def _d2_j2_dx2(x, rho):
 def second_derivatives_x(x, rho, b):
     """(d2 j2/dx2, d2 J1/dx2) at (x, rho) for wing level b; J1 = h^2 - b^2 g^2
     with g = (x + rho)/4 linear in x."""
+    import numpy as np
+
     d2j2 = _d2_j2_dx2(np.asarray(x, dtype=np.float64), np.asarray(rho, dtype=np.float64))
     d2j1 = 2.0 * (
         _h_x_d1(x, rho) ** 2 + _h_x(x, rho) * _h_x_d2(x, rho) - np.asarray(b) ** 2 / 16.0
@@ -477,6 +484,8 @@ def second_derivatives_x(x, rho, b):
 def uniqueness_target(x, rho, b=None):
     """J1*d2(j2) - d2(J1)*j2; positivity on x > x_m2(1) at the extremal
     wing level b = 2/(1+rho) rules out interior maxima of the requirement."""
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64)
     rho = np.asarray(rho, dtype=np.float64)
     bv = 2.0 / (1.0 + rho) if b is None else np.asarray(b, dtype=np.float64)
@@ -523,6 +532,8 @@ def scan_uniqueness(rho_steps: int = 1000, x_steps: int = 1000) -> UniquenessRep
         raise InvalidParamsError(
             f"step counts must be >= 1, got rho_steps={rho_steps}, x_steps={x_steps}"
         )
+    import numpy as np
+
     rho = np.linspace(0.0, 0.999, rho_steps)
     x = np.linspace(X_M2_RHO1, 0.999, x_steps)
     min_value, arg_x, arg_rho = math.inf, 0, 0

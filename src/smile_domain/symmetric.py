@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .certificates import DomainCertificate, make_certificate
 from .core import (
     BOUNDARY_TOL,
@@ -161,8 +159,13 @@ def z2(gamma: float) -> float:
     return z
 
 
+# j2, eta, _p_num and _q_num take a scalar z as a 0-d array, whose powers
+# numpy may round apart from Python's, so their values stay numpy's: they
+# import it when called.
 def j2(z, gamma: float):
     """Curvature function z*(2*gamma*z^3 + 3*z^2 - 1)/(2*(gamma*z + 1))."""
+    import numpy as np
+
     z = np.asarray(z, dtype=np.float64)
     val = z * (2.0 * gamma * z**3 + 3.0 * z * z - 1.0) / (2.0 * (gamma * z + 1.0))
     return float(val) if np.ndim(val) == 0 else val
@@ -170,6 +173,8 @@ def j2(z, gamma: float):
 
 def eta(z, gamma: float):
     """Wing-factor function 1 - (1 - z^2)/(2*(1 + gamma*z))."""
+    import numpy as np
+
     z = np.asarray(z, dtype=np.float64)
     val = 1.0 - (1.0 - z * z) / (2.0 * (1.0 + gamma * z))
     return float(val) if np.ndim(val) == 0 else val
@@ -178,6 +183,8 @@ def eta(z, gamma: float):
 def _p_num(z, gamma: float):
     """Numerator of the b -> 0 critical-point function (positive factor
     4*(gamma*z+1)^3 removed)."""
+    import numpy as np
+
     z = np.asarray(z, dtype=np.float64)
     g = gamma
     val = (
@@ -194,6 +201,8 @@ def _p_num(z, gamma: float):
 def _q_num(z, gamma: float):
     """Numerator of the companion critical-point function (positive factor
     8*sqrt(1-z^2)*(gamma*z+1)^2 removed)."""
+    import numpy as np
+
     z = np.asarray(z, dtype=np.float64)
     g = gamma
     val = -(

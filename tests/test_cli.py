@@ -3,11 +3,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from smile_domain import EvaluationDomainError, cli
 from smile_domain.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, *argv):
@@ -424,6 +430,21 @@ def test_sample_closed_form_failure_exits_three(capsys):
     assert doc["error"]["type"] == "solver_failure"
 
 
+@pytest.mark.parametrize("count", ["-1", "-3"])
+def test_sample_negative_count_exits_two(capsys, count):
+    code, out = _run(capsys, "sample", "ssvi", "--count", count)
+    doc = _strict(out)
+    assert code == 2
+    assert doc["error"]["type"] == "invalid_params"
+    assert "--count" in doc["error"]["message"]
+
+
+def test_sample_zero_count_is_empty(capsys):
+    code, out = _run(capsys, "sample", "ssvi", "--count", "0")
+    assert code == 0
+    assert _strict(out)["samples"] == []
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -486,3 +507,44 @@ def test_scan_uniqueness_bad_steps_exit_two(capsys, argv):
     doc = _strict(out)
     assert doc["error"]["type"] == "invalid_params"
     assert "steps" in doc["error"]["message"]
+
+
+# ---------------------------------------------------------------------------
+# numpy stays off the closed-form path
+# ---------------------------------------------------------------------------
+NUMPY_FREE_CALLS = [
+    ["certify", "vanishing-up", "--b", "0.5", "--mu", "0.1", "--sigma", "1"],
+    ["certify", "vanishing-down", "--b", "0.5", "--mu", "-0.1", "--sigma", "0.5"],
+    ["certify", "extremal", "--gamma", "1", "--q", "0.3", "--sigma", "2"],
+    ["certify", "ssvi", "--theta", "1", "--phi", "1", "--rho", "-0.3"],
+    ["bound", "ssvi", "--b", "0.5", "--rho", "0.3", "--json"],
+    ["table", "ssvi-gj-vs-b"],
+]
+ORACLE_CALL = ["certify", "symmetric", "--gamma", "0.3", "--b", "1.2", "--sigma", "2", "--oracle"]
+
+
+def test_closed_form_calls_import_no_numpy():
+    # each call runs as python -m smile_domain, in one interpreter, with the
+    # call that evaluates the oracle's grids last: only that one loads numpy
+    script = (
+        "import contextlib, io, json, runpy, sys\n"
+        "out = []\n"
+        f"for argv in {NUMPY_FREE_CALLS + [ORACLE_CALL]!r}:\n"
+        "    sys.argv = ['smile_domain', *argv]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            runpy.run_module('smile_domain', run_name='__main__', alter_sys=True)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    numpy = any(m.split('.')[0] == 'numpy' for m in sys.modules)\n"
+        "    out.append({'code': code, 'numpy': numpy})\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert [r["code"] for r in out] == [0] * len(out)
+    assert [r["numpy"] for r in out] == [False] * len(NUMPY_FREE_CALLS) + [True]

@@ -137,11 +137,12 @@ def test_solve_l_minus_budget_at_rho_minus_one(monkeypatch, gamma):
 
 
 def test_chart_solves_build_no_grid(monkeypatch):
-    # the wing grid's terms are built at import: a solve computes no array
-    # of terms, and Brent's scalar steps take math.hypot
+    # the wing grid's terms are built once, on first use: a solve computes
+    # no array of terms, and Brent's scalar steps take math.hypot
     def refuse(*args, **kwargs):
         raise AssertionError("array built per call")
 
+    solve_l_minus(0.3, 0.8, 0.0)
     monkeypatch.setattr(np, "hypot", refuse)
     monkeypatch.setattr(np, "geomspace", refuse)
     for rho in (-0.5, 0.0, 0.5):

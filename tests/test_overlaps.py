@@ -1,11 +1,13 @@
-"""A smile in two families gets the same sigma* from both closed forms."""
+"""A smile in two families gets the same sigma* from both closed forms, and
+each certifier's sigma* is continuous across its switch to a special
+formula."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from smile_domain import extremal, ssvi, symmetric
+from smile_domain import extremal, oracle, ssvi, symmetric, vanishing
 
 # b from 1e-9 to next to the slope bound 2, denser at both ends
 _B = np.concatenate([
@@ -30,3 +32,48 @@ def test_symmetric_at_b_2_is_extremal_at_q_0():
         m = symmetric.certify(symmetric.SymmetricParams(gamma=gamma, b=2.0, sigma=1.0))
         e = extremal.certify(extremal.ExtremalParams(gamma=gamma, q=0.0, sigma=1.0))
         assert m.bounds["sigma_star"] == e.bounds["sigma_star"], gamma
+
+
+# ---------------------------------------------------------------------------
+# continuity across each certifier's switch to a special formula
+# ---------------------------------------------------------------------------
+_GAP_TOL = 1e-6  # the benchmark's relative gap between two routes
+
+
+@pytest.mark.parametrize("offset", [-2e-9, -1.01e-9, -0.99e-9, 0.99e-9, 1.01e-9, 2e-9])
+def test_symmetric_is_continuous_across_gamma_hat(offset):
+    # within 1e-9 of GAMMA_HAT the certifier takes the frozen critical point
+    # Z_HAT, outside it solves for z; both sides match the oracle (worst
+    # measured 1.1e-14)
+    gamma = symmetric.GAMMA_HAT + offset
+    cert = symmetric.certify(symmetric.SymmetricParams(gamma=gamma, b=0.3, sigma=1.0))
+    assert cert.bounds["sigma_star"] == pytest.approx(
+        oracle.sigma_star(gamma, 0.3, 0.0, 0.0).sigma_star, rel=1e-12, abs=0.0
+    )
+
+
+_SNAP = ("the wing_slope snap: within BOUNDARY_TOL of the slope bound the certifier "
+         "returns the bound's limit, which the closed form just inside it misses by "
+         "order sqrt(slack) (ROADMAP item 4)")
+
+
+@pytest.mark.xfail(strict=True, reason=_SNAP)
+def test_vanishing_is_continuous_across_b_1():
+    # 1 - b = 5.1e-11 is inside the bound: 1.999947, as the oracle (4e-11);
+    # 4.9e-11 is on it: -1/mu = 2.0 exactly
+    def sstar(b):
+        return vanishing.certify(vanishing.VanishingParams(b, -0.5, 1.0, "upward")).bounds["sigma_star"]
+
+    assert sstar(1.0 - 5.1e-11) == pytest.approx(sstar(1.0 - 4.9e-11), rel=_GAP_TOL, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason=_SNAP)
+def test_ssvi_is_continuous_across_the_slope_bound():
+    # at rho = -0.7, b*(1 + |rho|) = 2 - 1.01e-10 is inside the bound (the
+    # oracle agrees within 4e-11) and 2 - 0.99e-10 is on it, sqrt(1 - rho^2):
+    # the two differ by 1.4e-5
+    def sstar(slack):
+        b = (2.0 - slack) / 1.7
+        return ssvi.certify(ssvi.SsviParams(theta=2.0 * b, phi=1.0, rho=-0.7)).bounds["sigma_star"]
+
+    assert sstar(1.01e-10) == pytest.approx(sstar(0.99e-10), rel=_GAP_TOL, abs=0.0)

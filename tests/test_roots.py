@@ -96,9 +96,9 @@ def test_matches_scipy_on_fukasawa_level_curve(gamma, b, rho):
 def _fukasawa_grid(rho):
     # the wing grid, cut at the minimum u* for rho > 0, which ends the last bracket
     if rho <= 0.0:
-        return oracle._U_GRID
+        return _U_GRID
     end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho
-    return np.append(oracle._U_GRID[oracle._U_GRID < end], end)
+    return np.append(_U_GRID[_U_GRID < end], end)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
