@@ -325,11 +325,12 @@ def _u_grid():
     return grid, terms
 
 
+_U_NAMES = ("_U_GRID", "_U_TERMS")
+
+
 def __getattr__(name: str):
-    if name == "_U_GRID":
-        return _u_grid()[0]
-    if name == "_U_TERMS":
-        return _u_grid()[1]
+    if name in _U_NAMES:
+        return _u_grid()[_U_NAMES.index(name)]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
