@@ -89,7 +89,8 @@ def wing_slope(b: float, rho: float) -> str:
     bound 2, within BOUNDARY_TOL: "inside", "on" or "beyond".  The left
     wing is wing_slope(b, -rho), the steeper one wing_slope(b, abs(rho)).
     Every sub-SVI domain ends at this bound: b = 2 for symmetric smiles,
-    b = 1 for vanishing ones and b = 2/(1 + |rho|) for SSVI slices."""
+    b = 1 for vanishing ones and b = 2/(1 + |rho|) for SSVI slices.  It
+    decides verdicts and flags; values follow _wing_slack."""
     slope = b * (1.0 + rho)
     if slope < 2.0 - BOUNDARY_TOL:
         return "inside"
@@ -314,8 +315,7 @@ def _wing_terms(u):
 def _u_grid():
     """The wing grid, u = 1/l from u = 0 (l = +inf) to l = 1e-6, and its
     terms, built once, on first use, read-only: the oracle's wing scan and
-    fukasawa's root l- use it.  The module attributes _U_GRID and _U_TERMS
-    name the two parts."""
+    fukasawa's root l- use it."""
     import numpy as np
 
     grid = np.append(0.0, np.geomspace(1e-16, 1e6, 551))
@@ -323,15 +323,6 @@ def _u_grid():
     for term in (grid, *terms):
         term.flags.writeable = False
     return grid, terms
-
-
-_U_NAMES = ("_U_GRID", "_U_TERMS")
-
-
-def __getattr__(name: str):
-    if name in _U_NAMES:
-        return _u_grid()[_U_NAMES.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _u_root(f, end: float) -> float:
@@ -354,8 +345,11 @@ def _u_root(f, end: float) -> float:
 
 
 def _wing_slack(b: float, rho: float) -> float:
-    """The right wing's slack 1 - b*(1 + rho)/2, or 0 where it is "on"."""
-    return 0.0 if wing_slope(b, rho) == "on" else 1.0 - b * (1.0 + rho) / 2.0
+    """The right wing's slack 1 - b*(1 + rho)/2, 0 where it is not above
+    2^-52, the two roundings of b*(1 + rho): the one test of where a value
+    takes the wing limit (wing_slope decides the verdicts)."""
+    w = 1.0 - b * (1.0 + rho) / 2.0
+    return w if w > 2.0**-52 else 0.0
 
 
 def _wing_n_at(t, gamma: float, rho: float):

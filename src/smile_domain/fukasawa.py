@@ -9,10 +9,11 @@ at the unique root l- of the level curve g-(l; b, rho) = gamma located
 below the smile minimum; the mirrored root (rho -> -rho) gives the upper
 endpoint.  On the wing-slope boundaries b*(1 -+ rho) = 2 the corresponding
 root escapes to -infinity and the endpoint degenerates to the limit value
--+ b*gamma/2.  At |rho| = 1 one wing has no condition and the interval is
-one-sided: (-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  It is
-non-empty iff gamma exceeds a threshold in (b, rho) alone, the root of its
-width, which increases in gamma.  Roots l- are found in u = -1/l on the
+-+ b*gamma/2, taken where the slack ``core._wing_slack`` is 0.  At
+|rho| = 1 one wing has no condition and the interval is one-sided:
+(-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  It is non-empty iff
+gamma exceeds a threshold in (b, rho) alone, the root of its width, which
+increases in gamma.  Roots l- are found in u = -1/l on the
 oracle's wing grid, where l = -inf is the grid point u = 0.
 """
 
@@ -31,6 +32,7 @@ from .core import (
     _pow,
     _u_root,
     _wing_n_at,
+    _wing_slack,
     _wing_terms,
     n_funcs,
     wing_slope,
@@ -113,12 +115,13 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
 
     Raises InvalidParamsError where mu_interval does, EvaluationDomainError
     at rho = 1 and NoRootError in the degenerate case b*(1 - rho) = 2, where
-    the curve no longer diverges on the left and the root escapes to -inf.
+    the curve no longer diverges on the left and the root escapes to -inf,
+    where the slack is 0, tagged by the wing_slope verdict.
     """
     _validate(gamma, b, rho)
     if rho >= 1.0:
         raise EvaluationDomainError("no domain below the minimum for rho = 1")
-    if wing_slope(b, -rho) != "inside":
+    if _wing_slack(b, -rho) == 0.0:
         tag = "b2_rho0" if wing_slope(b, rho) == "on" else "b_one_minus_rho_eq_2"
         raise NoRootError(
             f"left root removed at b*(1-rho)={b * (1.0 - rho)}", degenerate_case=tag
@@ -141,10 +144,11 @@ def mu_lower_curve(l, gamma, b: float, rho: float):
 def _lower_end(gamma: float, b: float, rho: float) -> float:
     """Lower end of the mu-interval: -inf for rho = 1, which has no wing
     below the minimum; the limit -b*gamma/2 on the wing boundary
-    b*(1 - rho) = 2; the bound curve at the root l- otherwise."""
+    b*(1 - rho) = 2, where the left wing's slack is 0; the bound curve at
+    the root l- otherwise."""
     if rho >= 1.0:
         return -math.inf
-    if wing_slope(b, -rho) != "inside":
+    if _wing_slack(b, -rho) == 0.0:
         return -b * gamma / 2.0
     return mu_lower_curve(solve_l_minus(gamma, b, rho), gamma, b, rho)
 
@@ -155,7 +159,8 @@ def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
     Covers every |rho| <= 1: the interval is (-inf, upper) at rho = 1 and
     (lower, +inf) at rho = -1.  The upper end is the lower end of the
     strike-inverted shape, negated.  Emptiness is reported through the
-    interval itself, never by an exception.
+    interval itself, never by an exception.  The tag is the wing_slope
+    verdict on each wing.
     """
     _validate(gamma, b, rho)
     if wing_slope(b, abs(rho)) == "beyond":
@@ -165,20 +170,19 @@ def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
 
     deg_minus = wing_slope(b, -rho) != "inside"
     deg_plus = wing_slope(b, rho) != "inside"
-
     if deg_minus and deg_plus:
-        return FukasawaInterval(-gamma, gamma, "b2_rho0")
-
-    lower = _lower_end(gamma, b, rho)
-    if rho == 0.0:  # the mirrored solve is this one: the interval is symmetric
-        return FukasawaInterval(lower, -lower)
-    if deg_minus:
+        tag = "b2_rho0"
+    elif deg_minus:
         tag = "b_one_minus_rho_eq_2"
     elif deg_plus:
         tag = "b_one_plus_rho_eq_2"
     else:
         tag = "generic"
-    return FukasawaInterval(lower, -_lower_end(gamma, b, -rho), tag)
+
+    lower = _lower_end(gamma, b, rho)
+    # at rho = 0 the mirrored solve is this one: the interval is symmetric
+    upper = -lower if rho == 0.0 else -_lower_end(gamma, b, -rho)
+    return FukasawaInterval(lower, upper, tag)
 
 
 def fukasawa_threshold(b: float, rho: float) -> float:
@@ -188,13 +192,13 @@ def fukasawa_threshold(b: float, rho: float) -> float:
     gamma, and its zero is the threshold, found by Brent's method to
     within ``_THRESHOLD_XTOL``; where the interval is already open at
     floor + 1e-12, the threshold is the floor -sqrt(1 - rho^2) of gamma.
-    At rho = 0 inside the wing-slope bound it is one root in u = -1/l
-    instead (see ``_threshold_decorrelated``), and the floor where that
-    root lies below floor + 1e-12, with no interval computed.
+    At rho = 0 with a slack above 0 it is one root in u = -1/l instead
+    (see ``_threshold_decorrelated``), and the floor where that root lies
+    below floor + 1e-12, with no interval computed.
     """
     floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
     lo = floor + 1e-12
-    if rho == 0.0 and wing_slope(b, 0.0) == "inside":
+    if rho == 0.0 and _wing_slack(b, 0.0) > 0.0:
         root = _threshold_decorrelated(b)
         return floor if root < lo else root
 
@@ -208,7 +212,7 @@ def fukasawa_threshold(b: float, rho: float) -> float:
 
 
 def _threshold_decorrelated(b: float) -> float:
-    """fukasawa_threshold(b, 0) for b inside the wing-slope bound.
+    """fukasawa_threshold(b, 0) for b < 2, a slope slack above 0.
 
     At rho = 0 the interval is (lower, -lower) and opens where its lower end
     crosses 0.  On the wing terms of u = -1/l, with N' = -n1 and r = s/c,

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    BOUNDARY_TOL,
     EvaluationDomainError,
     FukasawaViolation,
     InvalidParamsError,
@@ -176,7 +175,7 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
         abs(gamma - root) <= 1e-12 and abs(mu + rho / root) <= 1e-9
     ):
         signs = (1.0,) if rho >= 0.0 else (-1.0,)
-    elif abs(rho) <= BOUNDARY_TOL:
+    elif rho == 0.0:
         signs = (1.0,) if mu >= 0.0 else (-1.0,)
     else:
         signs = (1.0, -1.0)
@@ -198,15 +197,15 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
 @functools.cache
 def _density_grid():
     """The density check's grid and its shape-free columns, built once, on
-    first use, read-only: (_DENSITY_GRID, _HALF_TERMS, _D_COLS, _M_COLS,
-    _CC2S3), each also a module attribute.  The right half-line is 2001
-    uniform l on [0, 50], then 500 log-spaced u = 1/l from 1/50 down to
-    1e-10 and u = 0; the left one is its mirror, and _HALF_TERMS are its
-    wing terms.  The columns are those of the density functional's two
-    linear parts: 2*N*c = (2*gamma, 2*P, 2) @ _D_COLS and 2*N*c*(h - b*g)
-    = (P*w, gamma*(1 + w) - P*mu, 1 + w, 2 - w, mu + b*gamma/2, b/2) @ _M_COLS
-    on the half-line, with P = 1 + rho and w = _wing_slack(b, rho); and
-    _CC2S3 = c*c^2/s^3, the term of c*g2 that does not depend on the shape."""
+    first use, read-only: (grid, half_terms, d_cols, m_cols, cc2s3).  The
+    right half-line is 2001 uniform l on [0, 50], then 500 log-spaced
+    u = 1/l from 1/50 down to 1e-10 and u = 0; the left one is its mirror,
+    and half_terms are its wing terms.  The columns are those of the
+    density functional's two linear parts: 2*N*c = (2*gamma, 2*P, 2) @
+    d_cols and 2*N*c*(h - b*g) = (P*w, gamma*(1 + w) - P*mu, 1 + w, 2 - w,
+    mu + b*gamma/2, b/2) @ m_cols on the half-line, with P = 1 + rho and
+    w = _wing_slack(b, rho); and cc2s3 = c*c^2/s^3, the term of c*g2 that
+    does not depend on the shape."""
     import numpy as np
 
     half_l = np.linspace(0.0, 50.0, 2001)
@@ -220,15 +219,6 @@ def _density_grid():
     for term in (grid, *terms, *cols):
         term.flags.writeable = False
     return (grid, terms, *cols)
-
-
-_DENSITY_NAMES = ("_DENSITY_GRID", "_HALF_TERMS", "_D_COLS", "_M_COLS", "_CC2S3")
-
-
-def __getattr__(name: str):
-    if name in _DENSITY_NAMES:
-        return _density_grid()[_DENSITY_NAMES.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def durrleman_check(p: RawSviParams) -> DensityReport:

@@ -7,7 +7,8 @@ the smile minimum.  The wing conditions are automatic; the only constraint
 beyond the slope bound b*(1+|rho|) <= 2 is sigma >= sigma*(b, rho).
 
 On the boundary b = 2/(1+|rho|) the requirement is attained in the limit
-and equals sqrt(1-rho^2).  Below it, trading b for the critical point l of
+and equals sqrt(1-rho^2), which certify takes where the slack
+``core._wing_slack`` is 0.  Below it, trading b for the critical point l of
 the sigma requirement gives b*(l, rho) on [l_bar(0, rho), infinity) with
 the closed-form threshold sigma*(l, rho) at the critical point; l_bar is
 the root of a one-dimensional function computed numerically, the single
@@ -41,6 +42,7 @@ from .core import (
     _critical_residual as _core_residual,
     _select,
     _sqrt,
+    _wing_slack,
     _wing_terms,
     wing_slope,
 )
@@ -291,13 +293,12 @@ def l_from_b(b: float, rho: float) -> float:
     h*p = b^2*g*q on [0, 1/l_bar(0, rho)], by one brentq, as l = 1/u.
 
     The residual is (1+rho)/8*(1 - (b*(1+rho)/2)^2) > 0 at u = 0 and
-    -b^2*g*q < 0 at the sweep end.  +inf at rho = 1 and on the slope bound
-    b = 2/(1+rho), where the critical point is at infinity.
+    -b^2*g*q < 0 at the sweep end.  +inf at rho = 1 and where the slope
+    bound's slack (core._wing_slack) is 0: the critical point is at infinity.
     """
-    slope = wing_slope(b, rho)
-    if not b > 0.0 or slope == "beyond":
+    if not b > 0.0 or wing_slope(b, rho) == "beyond":
         raise EvaluationDomainError(f"b={b} outside (0, 2/(1+rho)) for rho={rho}")
-    if rho == 1.0 or slope == "on":
+    if rho == 1.0 or _wing_slack(b, rho) == 0.0:
         return math.inf
     lbar = l_bar_zero(rho)
     try:
@@ -319,17 +320,17 @@ def certify(p: SsviParams) -> DomainCertificate:
 
     if slope == "beyond":
         sstar = math.inf
-    elif slope == "on":
-        sstar = sigma_star_closed(math.inf, ar)
-        diagnostics["argsup"] = math.inf
     else:
         # the requirement is stationary at the critical point, so its value
         # at the given b takes the root's error to second order
         l = l_from_b(p.b, ar)
         sstar = sigma_star_closed(l, ar, p.b)
-        diagnostics["l"] = l
-        # the chart's residual times c^2 = u^2 is the residual in l
-        diagnostics["critical_residual"] = _critical_residual(1.0 / l, p.b, ar) / (l * l)
+        if math.isinf(l):  # no slack: the limit at the point at infinity
+            diagnostics["argsup"] = l
+        else:
+            diagnostics["l"] = l
+            # the chart's residual times c^2 = u^2 is the residual in l
+            diagnostics["critical_residual"] = _critical_residual(1.0 / l, p.b, ar) / (l * l)
 
     return make_certificate(
         family="ssvi",

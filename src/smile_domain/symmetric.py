@@ -26,6 +26,7 @@ from .core import (
     InvalidParamsError,
     NormalizedSvi,
     RawSviParams,
+    _wing_slack,
     sigma_floor,
     wing_slope,
 )
@@ -96,11 +97,10 @@ class SymmetricParams:
 # ---------------------------------------------------------------------------
 def fukasawa_threshold_closed(b: float) -> float:
     """Closed-form wing threshold -(b^2+32)*sqrt(4-b^2)/(16-b^2)^(3/2)
-    on b in [0, 2]; equals -1 at b = 0 and 0 at b = 2."""
+    on b in [0, 2]; -1 at b = 0 and 0 where the slack 1 - b/2 is."""
     if not b >= 0.0 or wing_slope(b, 0.0) == "beyond":
         raise InvalidParamsError(f"b must lie in [0, 2], got {b}")
-    b = min(b, 2.0)
-    b2 = b * b
+    b2 = 4.0 if _wing_slack(b, 0.0) == 0.0 else b * b
     return -(b2 + 32.0) * math.sqrt(4.0 - b2) / (16.0 - b2) ** 1.5
 
 
@@ -245,10 +245,11 @@ def z_star_zero(gamma: float) -> float:
     only root of the sextic _p_num in (0, z2(gamma)), by one brentq on
     [1e-12, z2 - 1e-12].  p_num(0) = -1 < 0 and p_num > 0 at z2, but next to
     gamma = -1 the rounding of z2 can leave p_num <= 0 at the right end: a
-    zero there is the root, and otherwise EvaluationDomainError is raised."""
+    zero there is the root, and otherwise EvaluationDomainError is raised,
+    as it is where gamma^3 overflows (gamma above about 5.6e102)."""
     try:
         return brentq(lambda z: _p_num(z, gamma), _EDGE, z2(gamma) - _EDGE, xtol=1e-15)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise EvaluationDomainError(f"no critical-point root for gamma={gamma}") from exc
 
 
@@ -345,29 +346,26 @@ def z_from_b(b: float, gamma: float) -> float:
 def certify(p: SymmetricParams) -> DomainCertificate:
     """Certify a symmetric smile against its quasi-explicit domain."""
     threshold = fukasawa_threshold_closed(p.b)
-    on_boundary: list[str] = []
+    fukasawa_ok = p.gamma > threshold
+    on_boundary = ["fukasawa"] if abs(p.gamma - threshold) <= BOUNDARY_TOL else []
     diagnostics: dict[str, float | str] = {}
 
-    if wing_slope(p.b, 0.0) == "on":
-        fukasawa_ok = p.gamma > 0.0
-        if abs(p.gamma) <= BOUNDARY_TOL:
-            on_boundary.append("fukasawa")
-        sstar = 1.0 / p.gamma if fukasawa_ok else math.inf
+    if not fukasawa_ok:
+        sstar = math.inf
+    elif _wing_slack(p.b, 0.0) == 0.0:
+        # b = 2: the requirement is attained only in the k -> +inf limit
+        sstar = 1.0 / p.gamma
         diagnostics["argsup"] = math.inf
     else:
-        fukasawa_ok = p.gamma > threshold
-        if abs(p.gamma - threshold) <= BOUNDARY_TOL:
-            on_boundary.append("fukasawa")
-        if not fukasawa_ok:
-            sstar = math.inf
-        else:
-            # the requirement is stationary at the critical point, so its
-            # value at the given b takes the root's error to second order
-            z = z_from_b(p.b, p.gamma)
-            shape = NormalizedSvi(gamma=p.gamma, b=p.b, rho=0.0, mu=0.0, sigma=1.0)
-            sstar = sigma_floor(math.sqrt((1.0 - z) * (1.0 + z)) / z, shape)
-            diagnostics["z"] = z
-            diagnostics["critical_residual"] = _critical_residual(z, p.b, p.gamma)
+        # the requirement is stationary at the critical point, so its
+        # value at the given b takes the root's error to second order
+        z = z_from_b(p.b, p.gamma)
+        if z == 0.0:  # z* is about c/gamma: not the b = 2 limit
+            raise EvaluationDomainError(f"critical point z* underflows at gamma={p.gamma}")
+        shape = NormalizedSvi(gamma=p.gamma, b=p.b, rho=0.0, mu=0.0, sigma=1.0)
+        sstar = sigma_floor(math.sqrt((1.0 - z) * (1.0 + z)) / z, shape)
+        diagnostics["z"] = z
+        diagnostics["critical_residual"] = _critical_residual(z, p.b, p.gamma)
 
     return make_certificate(
         family="symmetric",

@@ -13,9 +13,10 @@ and evaluates the same closed form at that critical point for the given
 mu, not mu*(x).  The requirement is stationary there, so the root's error
 enters sigma* only at second order; at mu*(x) it would enter at first.
 
-For b = 1, a wing slope 2b on the bound 2 (``core.wing_slope``: b within
-5e-11 of 1), the wing factor degenerates and the requirement is attained
-only in the k -> +infinity limit, where it equals -1/mu.
+For b = 1, a wing slope 2b on the bound 2, the wing factor degenerates
+and the requirement is attained only in the k -> +infinity limit, -1/mu,
+which certify takes where the slack 1 - b (``core._wing_slack``) is 0;
+before it, x runs out to 1 and sigma* into the limit.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     EvaluationDomainError,
     InvalidParamsError,
     RawSviParams,
+    _wing_slack,
     wing_slope,
 )
 from .roots import brentq
@@ -94,10 +96,10 @@ def x_plus_star(b: float) -> float:
 
 def fukasawa_bound(b: float) -> float:
     """Upper mu bound sqrt(3*(1-b)) for the upward family (the downward
-    family requires mu above the negated value)."""
+    family requires mu above the negated value), of the slack 1 - b."""
     if not b >= 0.0 or wing_slope(b, 1.0) == "beyond":
         raise InvalidParamsError(f"b must lie in [0, 1], got {b}")
-    return math.sqrt(3.0 * max(0.0, 1.0 - b))
+    return math.sqrt(3.0 * _wing_slack(b, 1.0))
 
 
 def mu_star(x: float, b: float) -> float:
@@ -152,11 +154,15 @@ def x_from_mu(mu: float, b: float) -> float:
     """Invert mu*: the critical point x of the sigma requirement at mu.
 
     Brent's method on mu*(x) - mu, which is strictly decreasing, over
-    [x_plus_star(b), 1] shrunk by 1e-12 at both ends; a mu beyond the
-    image of an end clamps to that end.
+    [x_plus_star(b), 1] shrunk at both ends by 1e-12, or by 1/32 of its
+    width where less, as the root sits 1/(1 + 2*mu^2/3) of the width from 1
+    when b -> 1, but by one ulp at least; a mu beyond the image of an end
+    clamps to that end.
     """
-    lo = x_plus_star(b) + _EDGE
-    hi = 1.0 - _EDGE
+    x0 = x_plus_star(b)
+    edge = max(min(_EDGE, (1.0 - x0) / 32.0), 2.0**-53)
+    lo = x0 + edge
+    hi = 1.0 - edge
     if mu >= mu_star(lo, b):
         return lo
     if mu <= mu_star(hi, b):
@@ -187,8 +193,7 @@ def subdomain_check(
 def certify(p: VanishingParams) -> DomainCertificate:
     """Certify a wing-degenerate smile against its explicit domain."""
     mu_up = p.mu if p.direction == "upward" else -p.mu
-    at_bound = wing_slope(p.b, 1.0) == "on"
-    mu_cap = 0.0 if at_bound else fukasawa_bound(p.b)
+    mu_cap = fukasawa_bound(p.b)
     fukasawa_ok = mu_up < mu_cap
     on_boundary: list[str] = []
     if abs(mu_up - mu_cap) <= BOUNDARY_TOL:
@@ -197,7 +202,7 @@ def certify(p: VanishingParams) -> DomainCertificate:
     diagnostics: dict[str, float | str] = {}
     if not fukasawa_ok:
         sstar = math.inf
-    elif at_bound:
+    elif _wing_slack(p.b, 1.0) == 0.0:
         # b = 1: requirement attained only in the k -> +inf limit
         sstar = -1.0 / mu_up
         diagnostics["argsup"] = math.inf

@@ -18,7 +18,7 @@ from smile_domain import (
     solve_l_minus,
 )
 from smile_domain import fukasawa
-from smile_domain.core import _U_GRID, _u_root, _wing_n_at, _wing_terms
+from smile_domain.core import _u_grid, _u_root, _wing_n_at, _wing_terms
 from smile_domain.roots import RTOL
 from smile_domain.symmetric import fukasawa_threshold_closed
 
@@ -156,7 +156,7 @@ def test_scan_grid_starts_below_the_level(rho):
     # the grid's inner end, l = -1e-6, or for rho > 0 at the minimum u*; so
     # the grid's first sign change, or else [last point, u*], brackets l-
     floor = -math.sqrt(max(0.0, (1.0 - rho) * (1.0 + rho)))
-    end = -floor / rho if rho > 0.0 else float(_U_GRID[-1])
+    end = -floor / rho if rho > 0.0 else float(_u_grid()[0][-1])
     first, last = _wing_terms(0.0), _wing_terms(end)
     for frac in (0.0, 0.5, 0.999):
         b = frac * 2.0 / (1.0 + abs(rho))
@@ -376,8 +376,8 @@ def _two_step_threshold(b):
 
 
 def test_threshold_decorrelated_equals_the_two_step_result():
-    # inside the wing-slope bound only: on it (2 - b <= 2e-10) the threshold
-    # takes the width's root as for any rho
+    # inside the wing-slope bound only; where the slack is 0 (2 - b within
+    # 4.4e-16) the threshold takes the width's root as for any rho
     bs = np.random.default_rng(20).uniform(0.0, 2.0, 60).tolist() + [1e-14, 1e-7, 2.0 - 2e-10]
     for b in bs:
         assert fukasawa.wing_slope(b, 0.0) == "inside"

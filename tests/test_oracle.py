@@ -180,7 +180,9 @@ SLOPE_CASES = {
 @pytest.mark.parametrize("k", [-2.0, -0.5, 0.5, 2.0])
 def test_certifier_and_oracle_share_the_slope_rule(family, k):
     # at the steeper wing's slope 2 + k*BOUNDARY_TOL both routes find the
-    # Roger Lee bound kept for k < 1, and take the wing limit for |k| < 1
+    # Roger Lee bound kept for k < 1, flagged on it for |k| < 1, and take
+    # the wing limit where the slack is 0 (0 <= k < 1); at k = -0.5 the
+    # slack is 2.5e-11 and both solve the critical point
     certify, params, shape = SLOPE_CASES[family]
     slope = 2.0 + k * BOUNDARY_TOL
     try:
@@ -195,7 +197,7 @@ def test_certifier_and_oracle_share_the_slope_rule(family, k):
     assert kept == (res is not None) == (k < 1.0)
     if kept:
         limit = math.isinf(cert.diagnostics.get("argsup", 0.0))
-        assert limit == (res.side == "limit_at_infinity") == (abs(k) < 1.0)
+        assert limit == (res.side == "limit_at_infinity") == (0.0 <= k < 1.0)
         assert ("roger_lee" in cert.on_boundary) == (abs(k) < 1.0)
         assert cert.bounds["sigma_star"] == pytest.approx(res.sigma_star, rel=1e-6)
 
@@ -367,7 +369,7 @@ def test_wing_scan_ends_at_the_g2_zero(monkeypatch, rho):
         for b in (0.5, 2.0 / (1.0 + rho)):
             oracle._wing_sup(gamma, b, rho, 0.0)
             u2 = 1.0 / oracle._right_zero(gamma, rho)
-            assert runs.pop() == np.searchsorted(core._U_GRID, u2)
+            assert runs.pop() == np.searchsorted(core._u_grid()[0], u2)
             assert not runs
 
 
@@ -381,7 +383,7 @@ def test_wing_sup_returns_the_scan_point_across_a_pole(shape):
     with pytest.raises(FukasawaViolation):
         sigma_star(*shape)
     arg, sup = oracle._wing_sup(*shape)
-    assert arg in 1.0 / core._U_GRID[1:]
+    assert arg in 1.0 / core._u_grid()[0][1:]
     assert sup == pytest.approx(sigma_floor(arg, NormalizedSvi(*shape, sigma=1.0)), rel=1e-9)
 
 
@@ -448,13 +450,13 @@ def test_sigma_floor_scalar_infinite_where_g1_rounds_to_zero():
 def test_wing_grid_ends_at_the_point_at_infinity():
     # the zero of g2 and the wing scan share one grid in u = 1/l: from u = 0,
     # l = +inf, to l = 1e-6, with the terms of its points built once
-    us = core._U_GRID
+    us = core._u_grid()[0]
     assert us[0] == 0.0 and us[-1] == 1e6 and np.all(np.diff(us) > 0.0)
-    a, c = core._U_TERMS[:2]
+    a, c = core._u_grid()[1][:2]
     assert (a[0], c[0]) == (1.0, 0.0)
     assert np.allclose(c[1:] / a[1:], us[1:], rtol=1e-15, atol=0.0)
     assert np.all(np.maximum(a, c) == 1.0)
-    for term in (us, *core._U_TERMS):
+    for term in (us, *core._u_grid()[1]):
         assert term.shape == us.shape
         assert not term.flags.writeable
 
@@ -574,12 +576,13 @@ def _density_on_wing_at(raw):
     a flat wing of |rho| = 1 is +inf at u = 0, where its N*c is 0."""
     nsvi = raw.normalized()
     gamma, b, rho, mu = nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu
+    half_terms = oracle._density_grid()[1]
     halves = []
     for side in (1.0, -1.0):
-        t = oracle._HALF_TERMS if side * rho > -1.0 else tuple(x[:-1] for x in oracle._HALF_TERMS)
+        t = half_terms if side * rho > -1.0 else tuple(x[:-1] for x in half_terms)
         g2c, hm, hp, _ = _wing_at(t, gamma, b, side * rho, side * mu, _wing_slack(b, side * rho))
         vals = hm * hp + b / (2.0 * nsvi.sigma) * t[1] * g2c
-        halves.append(vals if t is oracle._HALF_TERMS else np.append(vals, math.inf))
+        halves.append(vals if t is half_terms else np.append(vals, math.inf))
     return np.concatenate([halves[1][:0:-1], halves[0]])
 
 
@@ -618,7 +621,7 @@ def test_durrleman_check_equals_the_wing_at_evaluation():
         i = int(np.argmin(vals))
         report = durrleman_check(raw)
         assert abs(report.min_value - vals[i]) <= 1e-15, raw
-        assert report.argmin_l == oracle._DENSITY_GRID[i]
+        assert report.argmin_l == oracle._density_grid()[0][i]
         assert report.n_points == len(vals)
 
 

@@ -12,7 +12,7 @@ import pytest
 import scipy.optimize
 
 from smile_domain import NoRootError, fukasawa, oracle, ssvi, symmetric
-from smile_domain.core import _U_GRID, _u_root, _wing_terms
+from smile_domain.core import _u_grid, _u_root, _wing_terms
 from smile_domain.roots import RTOL, brentq
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -95,10 +95,11 @@ def test_matches_scipy_on_fukasawa_level_curve(gamma, b, rho):
 
 def _fukasawa_grid(rho):
     # the wing grid, cut at the minimum u* for rho > 0, which ends the last bracket
+    grid = _u_grid()[0]
     if rho <= 0.0:
-        return _U_GRID
+        return grid
     end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho
-    return np.append(_U_GRID[_U_GRID < end], end)
+    return np.append(grid[grid < end], end)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -190,13 +191,13 @@ def test_first_sign_change(vals, expected):
     # _u_root solves on the first pair of neighbours whose signs differ; f is
     # piecewise linear in u = c/a through vals at the first grid points
     def f(t):
-        return np.interp(t[1] / t[0], _U_GRID[: len(vals)], vals)
+        return np.interp(t[1] / t[0], _u_grid()[0][: len(vals)], vals)
 
     if expected is None:
         with pytest.raises(NoRootError):
             _u_root(f, math.inf)
     else:
-        lo, hi = float(_U_GRID[expected]), float(_U_GRID[expected + 1])
+        lo, hi = float(_u_grid()[0][expected]), float(_u_grid()[0][expected + 1])
         root = brentq(lambda u: f(_wing_terms(u)), lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
         assert _u_root(f, math.inf) == root
 
@@ -204,8 +205,8 @@ def test_first_sign_change(vals, expected):
 def test_u_root_brackets_the_last_point_and_a_finite_end():
     # no sign change below the end: the bracket runs from the last grid
     # point below it to the end itself
-    lo = float(_U_GRID[300])
-    end = 0.5 * (lo + _U_GRID[301])
+    lo = float(_u_grid()[0][300])
+    end = 0.5 * (lo + _u_grid()[0][301])
     root = 0.5 * (lo + end)
 
     def f(t):
@@ -224,9 +225,9 @@ def test_u_root_evaluates_the_grid_once():
         return np.cos(t[1] / t[0])
 
     assert _u_root(f, math.inf) == pytest.approx(math.pi / 2, rel=1e-15)
-    assert arrays == [len(_U_GRID)]
+    assert arrays == [len(_u_grid()[0])]
     arrays.clear()
-    end = float(_U_GRID[200])
+    end = float(_u_grid()[0][200])
     with pytest.raises(ValueError, match="different signs"):  # cos > 0 up to the end
         _u_root(f, end)
     assert arrays == [200]
@@ -243,7 +244,7 @@ def test_u_root_brackets_the_first_sign_change_of_any_values():
 
     for _ in range(2000):
         vals = rng.choice(pool, rng.integers(0, 10))
-        grid_vals = np.append(vals, np.full(len(_U_GRID) - len(vals), vals[-1] if len(vals) else 1.0))
+        grid_vals = np.append(vals, np.full(len(_u_grid()[0]) - len(vals), vals[-1] if len(vals) else 1.0))
 
         def f(t):
             if np.ndim(t[0]):
@@ -257,7 +258,7 @@ def test_u_root_brackets_the_first_sign_change_of_any_values():
             continue
         with pytest.raises(Bracket) as lo:
             _u_root(f, math.inf)
-        assert lo.value.args[0] == _U_GRID[idx[0]]
+        assert lo.value.args[0] == _u_grid()[0][idx[0]]
 
 
 # ---------------------------------------------------------------------------

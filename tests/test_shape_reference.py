@@ -115,7 +115,7 @@ def ref_density(p):
     l = +-inf, w being its slack 1 - b*(1 +- rho)/2; a flat wing of
     |rho| = 1 has no value there, which the check counts as +inf."""
     nsvi = p.normalized()
-    ls = oracle._DENSITY_GRID
+    ls = oracle._density_grid()[0]
     h, g, g2v = ref_hgg2(ls[1:-1], nsvi)
     b = nsvi.b
     ends = [(1.0 - b * (1.0 + r) / 2.0) * (1.0 + b * (1.0 + r) / 2.0) / 4.0
@@ -195,33 +195,33 @@ def test_durrleman_check_equals_the_reference(rho):
         vals = ref_density(raw)
         i = int(np.argmin(vals))
         assert report.min_value == pytest.approx(vals[i], rel=1e-12, abs=1e-15)
-        assert report.argmin_l == oracle._DENSITY_GRID[i]
-        assert report.n_points == len(oracle._DENSITY_GRID)
+        assert report.argmin_l == oracle._density_grid()[0][i]
+        assert report.n_points == len(oracle._density_grid()[0])
 
 
 def test_density_terms_are_read_only_constants():
     # the grid: 4001 uniform l on [-50, 50], and beyond, 500 log-spaced
     # u = 1/l on each side down to u = 0, l = +-inf; the terms of its right
     # half-line are built once, for the pair (a, c) with l = a/c
-    ls = oracle._DENSITY_GRID
+    ls = oracle._density_grid()[0]
     assert len(ls) == 4001 + 2 * 501
     assert ls[0] == -math.inf and ls[-1] == math.inf
     assert np.array_equal(ls, -ls[::-1]) and np.all(np.diff(ls) > 0.0)
     assert np.allclose(np.diff(ls[501:-501]), 0.025, rtol=0.0, atol=1e-12)
     assert ls[-2] == 1e10
     half = ls[len(ls) // 2:]
-    a, c = oracle._HALF_TERMS[:2]
+    a, c = oracle._density_grid()[1][:2]
     assert np.allclose(a[:-1] / c[:-1], half[:-1], rtol=1e-15, atol=0.0)
     assert (a[-1], c[-1]) == (1.0, 0.0)
     assert not ls.flags.writeable
-    for term in oracle._HALF_TERMS:
+    for term in oracle._density_grid()[1]:
         assert term.shape == half.shape
         assert not term.flags.writeable
     # the density check's columns, rows here, against (2*gamma, 2*P, 2) and
     # the six coefficients of 2*N*c*(h - b*g), and the shape-free c*c^2/s^3
-    a, c, e, es, q, qr, eqr, c2s3 = oracle._HALF_TERMS
+    a, c, e, es, q, qr, eqr, c2s3 = oracle._density_grid()[1]
     expected = (np.stack([c, a, e]), np.stack([a, c, c * q, c * qr, c * es, c * eqr]), c * c2s3)
-    for cols, want in zip((oracle._D_COLS, oracle._M_COLS, oracle._CC2S3), expected):
+    for cols, want in zip(oracle._density_grid()[2:], expected):
         assert np.array_equal(cols, want)
         assert not cols.flags.writeable
 
@@ -241,5 +241,5 @@ def test_durrleman_check_recomputes_no_grid_terms(monkeypatch):
     monkeypatch.setattr(np, "hypot", refuse)
     monkeypatch.setattr(np, "stack", refuse)  # nor the columns built of them
     with pytest.raises(AssertionError):
-        hgg2(oracle._DENSITY_GRID, raws[0].normalized())
+        hgg2(oracle._density_grid()[0], raws[0].normalized())
     assert [oracle.durrleman_check(raw) for raw in raws] == expected

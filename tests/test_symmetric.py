@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from smile_domain import (
     EvaluationDomainError,
     InvalidParamsError,
+    SmileDomainError,
     durrleman_check,
     sigma_star,
 )
@@ -383,6 +384,19 @@ def test_certify_never_reports_a_nonpositive_sigma_star():
     p = SymmetricParams(gamma=-0.9999999997168405, b=1.6580550654572107e-4, sigma=3.9)
     with pytest.raises(EvaluationDomainError, match="not positive"):
         certify(p)
+
+
+@pytest.mark.parametrize("b", [0.9, 1.9])
+@pytest.mark.parametrize("gamma", [1e16, 1e17, 1e100, 1e200, 1e300])
+def test_certify_at_large_gamma_fails_typed(gamma, b):
+    # z* is about c/gamma: where the root rounds to 0, or gamma^3 overflows
+    # in the sextic, the certifier raises a SmileDomainError, not a
+    # ZeroDivisionError or an OverflowError
+    try:
+        cert = certify(SymmetricParams(gamma=gamma, b=b, sigma=1.0))
+    except SmileDomainError:
+        return
+    assert cert.bounds["sigma_star"] > 0.0
 
 
 # ---------------------------------------------------------------------------
