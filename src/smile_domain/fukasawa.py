@@ -13,8 +13,8 @@ root escapes to -infinity and the endpoint degenerates to the limit value
 |rho| = 1 one wing has no condition and the interval is one-sided:
 (-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  It is non-empty iff
 gamma exceeds a threshold in (b, rho) alone, the root of its width, which
-increases in gamma.  Roots l- are found in u = -1/l on the
-oracle's wing grid, where l = -inf is the grid point u = 0.
+increases in gamma.  Roots l- are found in u = -1/l on the oracle's wing
+grid, where l = -inf is the grid point u = 0.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
 
     Raises InvalidParamsError where mu_interval does, EvaluationDomainError
     at rho = 1 and NoRootError in the degenerate case b*(1 - rho) = 2, where
-    the curve no longer diverges on the left and the root escapes to -inf,
-    where the slack is 0, tagged by the wing_slope verdict.
+    the curve no longer diverges on the left and the root escapes to -inf:
+    raised where the left wing's slack is 0, tagged by the wing_slope
+    verdict.
     """
     _validate(gamma, b, rho)
     if rho >= 1.0:

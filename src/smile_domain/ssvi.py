@@ -326,7 +326,7 @@ def certify(p: SsviParams) -> DomainCertificate:
         l = l_from_b(p.b, ar)
         sstar = sigma_star_closed(l, ar, p.b)
         if math.isinf(l):  # no slack: the limit at the point at infinity
-            diagnostics["argsup"] = l
+            diagnostics["argsup"] = math.inf
         else:
             diagnostics["l"] = l
             # the chart's residual times c^2 = u^2 is the residual in l

@@ -97,7 +97,7 @@ class SymmetricParams:
 # ---------------------------------------------------------------------------
 def fukasawa_threshold_closed(b: float) -> float:
     """Closed-form wing threshold -(b^2+32)*sqrt(4-b^2)/(16-b^2)^(3/2)
-    on b in [0, 2]; -1 at b = 0 and 0 where the slack 1 - b/2 is."""
+    on b in [0, 2]; -1 at b = 0, and 0 where the slack 1 - b/2 is 0."""
     if not b >= 0.0 or wing_slope(b, 0.0) == "beyond":
         raise InvalidParamsError(f"b must lie in [0, 2], got {b}")
     b2 = 4.0 if _wing_slack(b, 0.0) == 0.0 else b * b

@@ -16,7 +16,7 @@ enters sigma* only at second order; at mu*(x) it would enter at first.
 For b = 1, a wing slope 2b on the bound 2, the wing factor degenerates
 and the requirement is attained only in the k -> +infinity limit, -1/mu,
 which certify takes where the slack 1 - b (``core._wing_slack``) is 0;
-before it, x runs out to 1 and sigma* into the limit.
+short of that, x runs out to 1 and sigma* runs into the limit.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ def x_plus_star(b: float) -> float:
 
 
 def fukasawa_bound(b: float) -> float:
-    """Upper mu bound sqrt(3*(1-b)) for the upward family (the downward
-    family requires mu above the negated value), of the slack 1 - b."""
+    """Upper mu bound sqrt(3*(1-b)) for the upward family, 1 - b being the
+    slack (the downward family requires mu above the negated value)."""
     if not b >= 0.0 or wing_slope(b, 1.0) == "beyond":
         raise InvalidParamsError(f"b must lie in [0, 1], got {b}")
     return math.sqrt(3.0 * _wing_slack(b, 1.0))

@@ -65,6 +65,10 @@ _CLAMP, _ULP = 2.0**-52, 2.0**-53  # _wing_slack's clamp; the slack's spacing be
 _SLACKS = [sign * k * 5e-11 for sign in (1.0, -1.0) for k in (0.99, 1.01, 2.0)] + [
     _CLAMP + k * _ULP for k in (-8, -4, -2, -1, 1, 2, 4, 8)
 ]
+# pairs of slacks either side of a switch: the old band's edge and the clamp
+_PAIRS = [(0.99 * 5e-11, 1.01 * 5e-11)] + [
+    (_CLAMP - k * _ULP, _CLAMP + k * _ULP) for k in (1, 2, 4, 8)
+]
 # a quarter-decade sweep from 1e-6 of slack down to the bound
 _SWEEP = [10.0 ** (-6.0 - k / 4.0) for k in range(41)] + [0.0]
 
@@ -123,6 +127,16 @@ def test_certifier_is_continuous_at_the_slope_bound(switch, slack):
     assert (ours is None) == (ref is None) == (slack < -5e-11)
     if ours is not None:
         assert ours == pytest.approx(ref, rel=_GAP_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("pair", _PAIRS)
+@pytest.mark.parametrize("switch", sorted(_SWITCHES))
+def test_certifier_does_not_jump_across_a_switch(switch, pair):
+    # sigma* moves by order sqrt(slack) next to the bound: measured 1.4e-7 to
+    # 3.6e-7 across the old band's edge, where it jumped by 1e-5, and 3.3e-8
+    # to 1.8e-7 between the clamp's limit and the critical point above it
+    lo, hi = (_both_routes(switch, slack)[0] for slack in pair)
+    assert lo == pytest.approx(hi, rel=_GAP_TOL, abs=0.0)
 
 
 @pytest.mark.parametrize("switch", sorted(_SWITCHES))
