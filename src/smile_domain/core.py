@@ -347,9 +347,11 @@ def _u_root(f, end: float) -> float:
 def _wing_slack(b: float, rho: float) -> float:
     """The right wing's slack 1 - b*(1 + rho)/2, 0 where it is not above
     2^-52, the two roundings of b*(1 + rho): the one test of where a value
-    takes the wing limit (wing_slope decides the verdicts)."""
+    takes the wing limit (wing_slope decides the verdicts).  A slope past
+    the bound's band is no limit: its slack stays as it is, so that the
+    density check's 2*N*c*(h - b*g) = P*w*a + c*Y holds there too."""
     w = 1.0 - b * (1.0 + rho) / 2.0
-    return w if w > 2.0**-52 else 0.0
+    return w if w > 2.0**-52 or wing_slope(b, rho) == "beyond" else 0.0
 
 
 def _wing_n_at(t, gamma: float, rho: float):

@@ -168,6 +168,30 @@ def test_ssvi_is_continuous_across_the_slope_bound():
     assert sstar(1.01e-10) == pytest.approx(sstar(0.99e-10), rel=_GAP_TOL, abs=0.0)
 
 
+# shapes that pass the Fukasawa condition next to the bound, where the slack
+# is below the old band, and whose sigma* loses digits (ROADMAP item 4)
+_EDGE_LOSS = "sigma* next to the slope bound loses digits (ROADMAP item 4)"
+
+
+@pytest.mark.xfail(strict=True, reason=_EDGE_LOSS)
+def test_vanishing_at_small_mu_next_to_b_1_matches_the_oracle():
+    # 1 - b = 1e-14 keeps mu below the cap sqrt(3*(1 - b)); measured 2.0e-2 off
+    b = 1.0 - 1e-14
+    cert = vanishing.certify(vanishing.VanishingParams(b, vanishing.fukasawa_bound(b) / 2.0, 1.0))
+    n = cert.params_raw.normalized()
+    ref = oracle.sigma_star(n.gamma, n.b, n.rho, n.mu).sigma_star
+    assert cert.bounds["sigma_star"] == pytest.approx(ref, rel=_GAP_TOL, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason=_EDGE_LOSS)
+def test_symmetric_below_gamma_0_next_to_b_2_matches_the_oracle():
+    # 2 - b = 1.1e-11 puts the threshold at -5.7e-6, below gamma; measured 9.2e-5 off
+    b, gamma = 2.0 - 1.1e-11, -5e-6
+    cert = symmetric.certify(symmetric.SymmetricParams(gamma, b, 1.0))
+    ref = oracle.sigma_star(gamma, b, 0.0, 0.0).sigma_star
+    assert cert.bounds["sigma_star"] == pytest.approx(ref, rel=_GAP_TOL, abs=0.0)
+
+
 def _mp_lower_end(gamma, b, rho):
     """mu_interval's lower end in 80-digit mpmath: the bound curve
     2*N*(1/N' + b/4) - l at the root l- of l_minus_curve = gamma, by

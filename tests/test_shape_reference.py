@@ -199,6 +199,20 @@ def test_durrleman_check_equals_the_reference(rho):
         assert report.n_points == len(oracle._density_grid()[0])
 
 
+@pytest.mark.parametrize("sigma", [0.05, 1.0, 20.0])
+def test_durrleman_check_keeps_the_slack_beyond_the_slope_bound(sigma):
+    # the SSVI slice b = 1.5, rho = 0.6 has the right wing's slope 2.4: its
+    # slack -0.2 enters h - b*g as it is, and the check finds the arbitrage
+    # at l = +inf that the direct expressions give
+    raw = NormalizedSvi(gamma=0.8, b=1.5, rho=0.6, mu=-0.75, sigma=sigma).to_raw()
+    report = oracle.durrleman_check(raw)
+    vals = ref_density(raw)
+    i = int(np.argmin(vals))
+    assert report.min_value == pytest.approx(vals[i], rel=1e-12, abs=1e-15)
+    assert report.argmin_l == oracle._density_grid()[0][i]
+    assert report.min_value < 0.0
+
+
 def test_density_terms_are_read_only_constants():
     # the grid: 4001 uniform l on [-50, 50], and beyond, 500 log-spaced
     # u = 1/l on each side down to u = 0, l = +-inf; the terms of its right
