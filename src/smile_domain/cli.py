@@ -378,7 +378,7 @@ def _rows_ssvi_n_curves():
     rhos = (0.0, 0.25, 0.5, 0.75, 0.999)
     yield ["x"] + [f"n_rho_{r}" for r in rhos]
     xs = np.linspace(ssvi.X_M2_RHO1, 0.999, 200)
-    cols = [ssvi.uniqueness_target(xs, np.full_like(xs, r)) for r in rhos]
+    cols = [ssvi.uniqueness_target(xs, r) for r in rhos]
     for i, x in enumerate(xs):
         yield [float(x)] + [float(c[i]) for c in cols]
 

@@ -328,7 +328,9 @@ def _u_grid():
 def _u_root(f, end: float) -> float:
     """Root in u of f(wing terms) on the first sign change of the grid below
     end, else between its last point and a finite end.  xtol = 1e-14*lo^2
-    in u is 1e-14 in |l| = 1/u at the bracket's lower end lo > 0."""
+    in u is 1e-14 in |l| = 1/u at the bracket's lower end lo > 0.  Raises
+    NoRootError without a bracket, and EvaluationDomainError where brentq
+    does not converge (as at gamma = 1e100)."""
     import numpy as np
 
     grid, terms = _u_grid()
@@ -341,7 +343,10 @@ def _u_root(f, end: float) -> float:
         lo, hi = float(grid[n - 1]), end
     else:
         raise NoRootError("no sign change on the wing grid")
-    return brentq(lambda u: f(_wing_terms(u)), lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
+    try:
+        return brentq(lambda u: f(_wing_terms(u)), lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
+    except RuntimeError as exc:
+        raise EvaluationDomainError(f"the wing root did not converge: {exc}") from exc
 
 
 def _wing_slack(b: float, rho: float) -> float:

@@ -141,6 +141,8 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
         # the residual keeps its sign across a pole of f, where G1 = 0 on
         # the wing: a shape outside mu_interval, which sigma_star rejects
         return 1.0 / grid[i], float(vals[i])
+    except RuntimeError as exc:
+        raise EvaluationDomainError(f"the supremum search failed: {exc}") from exc
     return 1.0 / u, float(f(_wing_terms(u))[1])
 
 
@@ -151,9 +153,12 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
     (InvalidParamsError, RogerLeeViolation or FukasawaViolation otherwise).
     Side-selection shortcuts: a decorrelated smile only needs the side
     matching the sign of mu; |rho| = 1, which has g2 < 0 on one wing only,
-    and a smile with gamma = sqrt(1-rho^2) and mu at the minimum only need
-    the side matching the sign of rho.  Everything else searches both sides
-    and keeps the larger supremum.
+    and an SSVI shape, with gamma = sqrt(1-rho^2) and mu = -rho/gamma
+    exactly as SsviParams builds them, only need the side matching the sign
+    of rho.  Everything else searches both sides and keeps the larger
+    supremum.  Raises EvaluationDomainError where the search does not
+    converge or the supremum is not positive, as at a gamma so large that f
+    underflows on the grid.
     """
     if not all(map(math.isfinite, (gamma, b, rho, mu))):
         raise InvalidParamsError(f"non-finite shape {(gamma, b, rho, mu)}")
@@ -171,9 +176,7 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
         )
 
     root = math.sqrt((1.0 - rho) * (1.0 + rho))
-    if abs(rho) >= 1.0 or (
-        abs(gamma - root) <= 1e-12 and abs(mu + rho / root) <= 1e-9
-    ):
+    if abs(rho) >= 1.0 or (gamma == root and mu == -rho / root):
         signs = (1.0,) if rho >= 0.0 else (-1.0,)
     elif rho == 0.0:
         signs = (1.0,) if mu >= 0.0 else (-1.0,)
@@ -185,6 +188,8 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
         arg, sup = _wing_sup(gamma, b, s * rho, s * mu)
         if sup > best_sup:
             best_sup, best_arg = sup, s * arg
+    if not best_sup > 0.0:  # the requirement is positive wherever it binds
+        raise EvaluationDomainError(f"sigma* = {best_sup} is not positive")
     side = "right" if best_arg > 0.0 else "left"
     if math.isinf(best_arg):
         side = "limit_at_infinity"

@@ -427,30 +427,9 @@ def lt_heston_threshold(h: HestonLtParams) -> float:
 # ---------------------------------------------------------------------------
 # Uniqueness scan of the critical point
 # ---------------------------------------------------------------------------
-def _h_x(x, rho: float):
-    import numpy as np
-
-    return 0.5 * (1.0 + np.sqrt((1.0 - x * x) / (1.0 - rho * rho)))
-
-
-def _h_x_d1(x, rho: float):
-    import numpy as np
-
-    return -x / (2.0 * np.sqrt(1.0 - rho * rho) * np.sqrt(1.0 - x * x))
-
-
-def _h_x_d2(x, rho: float):
-    import numpy as np
-
-    return -1.0 / (2.0 * np.sqrt(1.0 - rho * rho) * (1.0 - x * x) ** 1.5)
-
-
-def _d2_j2_dx2(x, rho):
-    """Second x-derivative of the curvature function (symbolic form)."""
-    import numpy as np
-
-    sx = np.sqrt(1.0 - x * x)
-    rb = np.sqrt(1.0 - rho * rho)
+def _d2_j2_dx2(x, rho, sx, rb):
+    """Second x-derivative of the curvature function (symbolic form), given
+    sx = sqrt(1 - x^2) and rb = sqrt(1 - rho^2)."""
     u = rho * x + rb * sx + 1.0
     pterm = rho + 3.0 * x * u + x
     w = (rho + x) ** 3 + 2.0 * (x * x - 1.0) * pterm * u
@@ -470,33 +449,37 @@ def _d2_j2_dx2(x, rho):
     return num / (2.0 * sx**3 * u**3)
 
 
+def _uniqueness_terms(x, rho, b):
+    """(J1, j2, d2 j2/dx2, d2 J1/dx2) at (x, rho) for wing level b, where
+    J1 = h^2 - b^2 g^2 with h = (1 + sqrt((1 - x^2)/(1 - rho^2)))/2 and
+    g = (x + rho)/4 linear in x.  x, rho and b are floats, or arrays that
+    broadcast; each term is computed once."""
+    cx, cr = 1.0 - x * x, 1.0 - rho * rho
+    sx, rb = _sqrt(cx), _sqrt(cr)
+    d2j2 = _d2_j2_dx2(x, rho, sx, rb)
+    h = 0.5 * (1.0 + _sqrt(cx / cr))
+    h1 = -x / (2.0 * rb * sx)
+    h2 = -1.0 / (2.0 * rb * cx**1.5)
+    d2j1 = 2.0 * (h1**2 + h * h2 - b * b / 16.0)
+    xr = x + rho
+    g = xr / 4.0
+    j1 = h**2 - b * b * g * g
+    j2 = sx**3 - xr**2 * sx / (2.0 * (1.0 + rho * x + rb * sx))
+    return j1, j2, d2j2, d2j1
+
+
 def second_derivatives_x(x, rho, b):
     """(d2 j2/dx2, d2 J1/dx2) at (x, rho) for wing level b; J1 = h^2 - b^2 g^2
     with g = (x + rho)/4 linear in x."""
-    import numpy as np
-
-    d2j2 = _d2_j2_dx2(np.asarray(x, dtype=np.float64), np.asarray(rho, dtype=np.float64))
-    d2j1 = 2.0 * (
-        _h_x_d1(x, rho) ** 2 + _h_x(x, rho) * _h_x_d2(x, rho) - np.asarray(b) ** 2 / 16.0
-    )
-    return d2j2, d2j1
+    return _uniqueness_terms(x, rho, b)[2:]
 
 
 def uniqueness_target(x, rho, b=None):
     """J1*d2(j2) - d2(J1)*j2; positivity on x > x_m2(1) at the extremal
-    wing level b = 2/(1+rho) rules out interior maxima of the requirement."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=np.float64)
-    rho = np.asarray(rho, dtype=np.float64)
-    bv = 2.0 / (1.0 + rho) if b is None else np.asarray(b, dtype=np.float64)
-    g = (x + rho) / 4.0
-    j1 = _h_x(x, rho) ** 2 - bv * bv * g * g
-    sx = np.sqrt(1.0 - x * x)
-    rb = np.sqrt(1.0 - rho * rho)
-    j2v = sx**3 - (x + rho) ** 2 * sx / (2.0 * (1.0 + rho * x + rb * sx))
-    d2j2, d2j1 = second_derivatives_x(x, rho, bv)
-    return j1 * d2j2 - d2j1 * j2v
+    wing level b = 2/(1+rho) rules out interior maxima of the requirement.
+    A float in gives a float out, without numpy."""
+    j1, j2, d2j2, d2j1 = _uniqueness_terms(x, rho, 2.0 / (1.0 + rho) if b is None else b)
+    return j1 * d2j2 - d2j1 * j2
 
 
 @dataclass(frozen=True, slots=True)

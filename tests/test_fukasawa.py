@@ -247,6 +247,16 @@ def test_interval_empty_below_threshold():
     assert not mu_interval(thr + 1e-4, 1.0, 0.3).is_empty
 
 
+@pytest.mark.parametrize(
+    "b, rho", [(0.5, 0.3), (1.0, -0.5), (0.8, 0.6), (1.2, 0.2), (0.3, -0.9)]
+)
+def test_threshold_is_sharp_to_1e_9(b, rho):
+    # the interval opens within 1e-9 of the threshold on either side
+    thr = fukasawa_threshold(b, rho)
+    assert mu_interval(thr - 1e-9, b, rho).is_empty
+    assert not mu_interval(thr + 1e-9, b, rho).is_empty
+
+
 def test_interval_antisymmetric_under_inversion():
     for gamma, b, rho in [(0.5, 0.8, 0.4), (-0.2, 1.1, -0.6), (2.0, 0.3, 0.9)]:
         iv = mu_interval(gamma, b, rho)

@@ -12,6 +12,7 @@ from smile_domain import (
     NormalizedSvi,
     RawSviParams,
     RogerLeeViolation,
+    SmileDomainError,
     durrleman_check,
     fukasawa_threshold,
     g2_zeros,
@@ -521,6 +522,33 @@ def test_sigma_star_near_unit_rho_matches_an_mpmath_supremum(shape):
     # past the smile minimum; u = 0 ends its bracket, so sigma* returns,
     # within a tenth of the benchmark's GAP_TOL = 1e-6 of the reference
     assert sigma_star(*shape).sigma_star == pytest.approx(_mp_sup(*shape), rel=1e-7)
+
+
+@pytest.mark.parametrize("gamma", [1e30, 1e40, 1e50, 1e80, 1e100, 1e200])
+@pytest.mark.parametrize("b, rho", [(0.9, 0.0), (1.0, 0.5), (1.0, -0.5), (1.0, 0.9)])
+def test_sigma_star_at_large_gamma_is_positive_or_fails_typed(gamma, b, rho):
+    # the requirement is positive wherever it binds: a supremum of 0 (f
+    # underflows on the grid from 1e50) or a solve that does not converge
+    # (from 1e40 at rho = 0.9) is a failed evaluation
+    try:
+        res = sigma_star(gamma, b, rho, 0.0)
+    except SmileDomainError:
+        return
+    assert res.sigma_star > 0.0
+
+
+def test_sigma_star_keeps_its_value_at_gamma_1e30():
+    assert 1e30 * sigma_star(1e30, 1.0, 0.5, 0.0).sigma_star == 0.6771243444677048
+
+
+@pytest.mark.parametrize("rho", [0.3, -0.6, 0.9])
+@pytest.mark.parametrize("factor", [1.0 - 1e-13, 1.0 + 1e-13])
+def test_sigma_star_next_to_an_ssvi_shape_matches_it(rho, factor):
+    # an exact SSVI shape searches one side, a shape 1e-13 off it both
+    p = SsviParams(theta=1.0, phi=1.0, rho=rho)
+    exact = sigma_star(p.gamma, p.b, rho, p.mu).sigma_star
+    near = sigma_star(p.gamma * factor, p.b, rho, p.mu).sigma_star
+    assert near == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_durrleman_check_sees_an_argsup_past_l_1e6():

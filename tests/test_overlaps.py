@@ -42,7 +42,10 @@ _GAP_TOL = 1e-6  # the benchmark's relative gap between two routes
 _THRESHOLD_TOL = 1e-8  # the benchmark's bisected vs closed-form wing threshold
 
 
-@pytest.mark.parametrize("offset", [-2e-9, -1.01e-9, -0.99e-9, 0.99e-9, 1.01e-9, 2e-9])
+@pytest.mark.parametrize(
+    "offset",
+    [-9e-7, -1e-7, -1e-8, -2e-9, -1.01e-9, -0.99e-9, 0.99e-9, 1.01e-9, 2e-9, 1e-8, 1e-7, 9e-7],
+)
 def test_symmetric_is_continuous_across_gamma_hat(offset):
     # within 1e-9 of GAMMA_HAT the certifier takes the frozen critical point
     # Z_HAT, outside it solves for z; both sides match the oracle (worst

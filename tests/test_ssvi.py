@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,8 @@ from smile_domain.ssvi import (
     x_of_rho,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def _shape(rho: float, b: float = 1.0) -> NormalizedSvi:
     root = math.sqrt(1 - rho * rho)
@@ -72,6 +78,16 @@ def test_from_raw_rejects_non_ssvi():
 
     with pytest.raises(InvalidParamsError):
         SsviParams.from_raw(RawSviParams(a=0.2, b=0.5, rho=0.3, m=0.0, sigma=1.0))
+
+
+def test_from_raw_rejects_a_relative_1e_8_off_the_shape():
+    from smile_domain import RawSviParams
+
+    rho, b, sigma = 0.3, 0.8, 1.2
+    root = math.sqrt((1.0 - rho) * (1.0 + rho))
+    a = b * sigma * root * (1.0 + 1e-8)
+    with pytest.raises(InvalidParamsError):
+        SsviParams.from_raw(RawSviParams(a=a, b=b, rho=rho, m=-rho * sigma / root, sigma=sigma))
 
 
 def test_params_validation():
@@ -567,6 +583,26 @@ def test_uniqueness_single_point():
     assert uniqueness_target(0.9, 0.0) > 0
 
 
+def test_uniqueness_target_on_a_float_is_a_float_without_numpy():
+    script = (
+        "import sys\n"
+        "from smile_domain import ssvi\n"
+        "v = ssvi.uniqueness_target(0.9, 0.0)\n"
+        "print(type(v).__name__, any(m.split('.')[0] == 'numpy' for m in sys.modules))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["float", "False"]
+
+
+def test_default_scan_is_pinned():
+    rep = scan_uniqueness()
+    assert rep.min_value == pytest.approx(2.191882357866213, rel=1e-12)
+    assert (rep.arg_rho, rep.arg_x) == (0.0, 0.8603796100280633)
+    assert rep.negative_count == 0
+
+
 def test_uniqueness_scan_small_grid():
     rep = scan_uniqueness(80, 80)
     assert rep.passed
@@ -664,10 +700,9 @@ def test_second_derivatives_match_finite_differences():
         f2 = lambda xx: j2_x(xx, rho)  # noqa: E731
 
         def j1(xx):
-            from smile_domain.ssvi import _h_x
+            from smile_domain.ssvi import _uniqueness_terms
 
-            g = (xx + rho) / 4.0
-            return float(_h_x(xx, rho)) ** 2 - b * b * g * g
+            return _uniqueness_terms(xx, rho, b)[0]
 
         fd_j2 = (f2(x + h) - 2 * f2(x) + f2(x - h)) / (h * h)
         fd_j1 = (j1(x + h) - 2 * j1(x) + j1(x - h)) / (h * h)
