@@ -1,10 +1,10 @@
 """Verdict objects emitted by the family certifiers.
 
 A certificate records one boolean per no-arbitrage condition together with
-the computed bounds and diagnostics; the overall verdict is always the AND
-of the individual conditions.  Values sitting within tolerance of a bound
-are additionally flagged as on-boundary so callers can tell a comfortable
-pass from a marginal one.
+the computed bounds and diagnostics; the verdict ``passed`` is derived as
+the AND of the conditions, so it cannot disagree with them.  Values sitting
+within tolerance of a bound are additionally flagged as on-boundary so
+callers can tell a comfortable pass from a marginal one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ def json_value(v):
 @dataclass(frozen=True)
 class DomainCertificate:
     family: str
-    passed: bool
     conditions: dict[str, bool]
     bounds: dict[str, float]
     on_boundary: tuple[str, ...]
@@ -35,13 +34,19 @@ class DomainCertificate:
     params_native: dict[str, float | str]
     diagnostics: dict[str, float | str] = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        """The verdict: every condition holds."""
+        return all(self.conditions.values())
+
     def to_dict(self) -> dict:
         """JSON-ready representation (infinities become strings)."""
         raw = self.params_raw
+        passed = self.passed
         return {
             "family": self.family,
-            "passed": self.passed,
-            "verdict": "arbitrage_free" if self.passed else "arbitrage",
+            "passed": passed,
+            "verdict": "arbitrage_free" if passed else "arbitrage",
             "conditions": dict(self.conditions),
             "bounds": {k: json_value(v) for k, v in self.bounds.items()},
             "on_boundary": list(self.on_boundary),
@@ -61,49 +66,49 @@ class DomainCertificate:
 
 def make_certificate(
     family: str,
-    conditions: dict[str, bool],
-    bounds: dict[str, float],
-    on_boundary: list[str],
-    params_raw: RawSviParams,
-    params_native: dict,
+    params,
     sigma_star: float,
-    diagnostics: dict | None = None,
+    bounds: dict[str, float],
+    diagnostics: dict[str, float | str],
+    fukasawa_margin: float = math.inf,
 ) -> DomainCertificate:
-    """Assemble a certificate from the family's own conditions and bounds.
-
-    The rules every family shares live here, read from ``params_raw``.
-    First the ``roger_lee`` condition: the steeper wing's slope
-    b*(1 + |rho|) is not beyond 2, and ``"roger_lee"`` is flagged
-    on-boundary within ``BOUNDARY_TOL`` of it (``core.wing_slope``).  Last
-    the ``sigma_bound`` condition, ``sigma >= sigma_star - BOUNDARY_TOL``
-    (non-strict, so the boundary passes; an infinite ``sigma_star`` marks
-    arbitrage no sigma can repair),
-    flagged on-boundary within ``BOUNDARY_TOL`` of a finite ``sigma_star``,
-    which ``bounds["sigma_star"]`` records.
+    """Assemble the certificate of ``params``, a family's slotted parameter
+    dataclass: ``params_raw`` is ``params.to_raw()``, ``params_native`` its
+    fields in order (``__slots__``), and the verdict the AND of three
+    conditions, in order.  ``roger_lee``: the steeper wing's slope
+    b*(1 + |rho|) is not beyond 2 (``core.wing_slope``).  ``fukasawa``: the
+    wing conditions, ``fukasawa_margin > 0``, the family's distance to its
+    strict bound (infinite where its shapes meet them by construction).
+    ``sigma_bound``: ``sigma >= sigma_star - BOUNDARY_TOL``, so the boundary
+    passes and an infinite ``sigma_star`` marks arbitrage no sigma repairs.
+    Each is flagged on-boundary within ``BOUNDARY_TOL`` of its bound: the
+    slope 2, a margin of 0, a finite ``sigma_star``.
 
     Raises EvaluationDomainError for a ``sigma_star`` that is not positive
     (NaN included): the requirement -b*g2/(2*G1) is positive wherever it
     binds, so such a value is a failed evaluation, not a verdict.
     """
+    raw = params.to_raw()
     if not sigma_star > 0.0:
         raise EvaluationDomainError(f"{family} sigma* = {sigma_star} is not positive")
-    slope = wing_slope(params_raw.b, abs(params_raw.rho))
-    sigma = params_raw.sigma
+    slope = wing_slope(raw.b, abs(raw.rho))
+    sigma = raw.sigma
     conditions = {
         "roger_lee": slope != "beyond",
-        **conditions,
+        "fukasawa": fukasawa_margin > 0.0,
         "sigma_bound": sigma >= sigma_star - BOUNDARY_TOL,
     }
-    on_boundary = (["roger_lee"] if slope == "on" else []) + on_boundary
+    on_boundary = ["roger_lee"] if slope == "on" else []
+    if abs(fukasawa_margin) <= BOUNDARY_TOL:
+        on_boundary.append("fukasawa")
     if math.isfinite(sigma_star) and abs(sigma - sigma_star) <= BOUNDARY_TOL:
         on_boundary.append("sigma_bound")
     return DomainCertificate(
         family=family,
-        passed=all(conditions.values()),
         conditions=conditions,
         bounds={"sigma_star": sigma_star, **bounds},
         on_boundary=tuple(on_boundary),
-        params_raw=params_raw,
-        params_native=params_native,
-        diagnostics=diagnostics or {},
+        params_raw=raw,
+        params_native={name: getattr(params, name) for name in params.__slots__},
+        diagnostics=diagnostics,
     )

@@ -59,13 +59,10 @@ def sigma_bound(gamma: float, q: float) -> float:
 def certify(p: ExtremalParams) -> DomainCertificate:
     """Certify an extremal decorrelated smile; the sigma inequality is
     non-strict, so the boundary passes."""
-    return make_certificate(
+    return make_certificate(  # |q| < 1, the admissible interval, is the fukasawa condition
         family="extremal",
-        conditions={"fukasawa": True},  # |q| < 1 is the admissible interval
-        bounds={"mu_lower": -p.gamma, "mu_upper": p.gamma},
-        on_boundary=[],
-        params_raw=p.to_raw(),
-        params_native={"gamma": p.gamma, "q": p.q, "sigma": p.sigma},
+        params=p,
         sigma_star=sigma_bound(p.gamma, p.q),
+        bounds={"mu_lower": -p.gamma, "mu_upper": p.gamma},
         diagnostics={"argsup": math.inf if p.q >= 0.0 else -math.inf},
     )

@@ -332,18 +332,15 @@ def certify(p: SsviParams) -> DomainCertificate:
             # the chart's residual times c^2 = u^2 is the residual in l
             diagnostics["critical_residual"] = _critical_residual(1.0 / l, p.b, ar) / (l * l)
 
-    return make_certificate(
+    return make_certificate(  # the fukasawa condition is automatic for SSVI shapes
         family="ssvi",
-        conditions={"fukasawa": True},  # automatic for SSVI shapes
+        params=p,
+        sigma_star=sstar,
         bounds={
             "b_max": 2.0 / (1.0 + ar),
             "gj_sigma": gj_sigma_bound(p.b, p.rho),
             "subdomain_sigma": subdomain_bound(p.b, p.rho) if slope == "inside" else math.inf,
         },
-        on_boundary=[],
-        params_raw=p.to_raw(),
-        params_native={"theta": p.theta, "phi": p.phi, "rho": p.rho},
-        sigma_star=sstar,
         diagnostics=diagnostics,
     )
 

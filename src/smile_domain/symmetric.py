@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .certificates import DomainCertificate, make_certificate
 from .core import (
-    BOUNDARY_TOL,
     EvaluationDomainError,
     InvalidParamsError,
     NormalizedSvi,
@@ -346,11 +345,10 @@ def z_from_b(b: float, gamma: float) -> float:
 def certify(p: SymmetricParams) -> DomainCertificate:
     """Certify a symmetric smile against its quasi-explicit domain."""
     threshold = fukasawa_threshold_closed(p.b)
-    fukasawa_ok = p.gamma > threshold
-    on_boundary = ["fukasawa"] if abs(p.gamma - threshold) <= BOUNDARY_TOL else []
+    margin = p.gamma - threshold  # the wing conditions: gamma > threshold
     diagnostics: dict[str, float | str] = {}
 
-    if not fukasawa_ok:
+    if not margin > 0.0:
         sstar = math.inf
     elif _wing_slack(p.b, 0.0) == 0.0:
         # b = 2: the requirement is attained only in the k -> +inf limit
@@ -369,16 +367,11 @@ def certify(p: SymmetricParams) -> DomainCertificate:
 
     return make_certificate(
         family="symmetric",
-        conditions={"fukasawa": fukasawa_ok},
-        bounds={
-            "gamma_threshold": threshold,
-            "b_max": g_tilde(p.gamma),
-        },
-        on_boundary=on_boundary,
-        params_raw=p.to_raw(),
-        params_native={"gamma": p.gamma, "b": p.b, "sigma": p.sigma},
+        params=p,
         sigma_star=sstar,
+        bounds={"gamma_threshold": threshold, "b_max": g_tilde(p.gamma)},
         diagnostics=diagnostics,
+        fukasawa_margin=margin,
     )
 
 

@@ -194,13 +194,10 @@ def certify(p: VanishingParams) -> DomainCertificate:
     """Certify a wing-degenerate smile against its explicit domain."""
     mu_up = p.mu if p.direction == "upward" else -p.mu
     mu_cap = fukasawa_bound(p.b)
-    fukasawa_ok = mu_up < mu_cap
-    on_boundary: list[str] = []
-    if abs(mu_up - mu_cap) <= BOUNDARY_TOL:
-        on_boundary.append("fukasawa")
-
+    margin = mu_cap - mu_up  # the wing conditions: mu_up < mu_cap
     diagnostics: dict[str, float | str] = {}
-    if not fukasawa_ok:
+
+    if not margin > 0.0:
         sstar = math.inf
     elif _wing_slack(p.b, 1.0) == 0.0:
         # b = 1: requirement attained only in the k -> +inf limit
@@ -217,14 +214,12 @@ def certify(p: VanishingParams) -> DomainCertificate:
     mu_bound = mu_cap if p.direction == "upward" else -mu_cap
     return make_certificate(
         family=f"vanishing-{'up' if p.direction == 'upward' else 'down'}",
-        conditions={"fukasawa": fukasawa_ok},
+        params=p,
+        sigma_star=sstar,
         bounds={
             "mu_bound": mu_bound,
             "subdomain_sigma": subdomain_bound(p.b) if 0.0 < p.b < 1.0 else math.inf,
         },
-        on_boundary=on_boundary,
-        params_raw=p.to_raw(),
-        params_native={"b": p.b, "mu": p.mu, "sigma": p.sigma, "direction": p.direction},
-        sigma_star=sstar,
         diagnostics=diagnostics,
+        fukasawa_margin=margin,
     )
