@@ -260,22 +260,17 @@ def total_variance(p: RawSviParams, k):
     return float(w) if w.ndim == 0 else w
 
 
-def _l_terms(l):
-    """The terms in l alone: (l, s, l/s, s^2, s^-3, l^2), s = sqrt(l^2+1)."""
+def _n_funcs_s(l, gamma: float, rho: float):
+    """n_funcs at l, and s = sqrt(l^2+1): (N, N', N'', s)."""
     s = _hypot1(l)
     s2 = s * s
-    return l, s, l / s, s2, 1.0 / (s2 * s), l * l
-
-
-def _n_funcs_at(t, gamma: float, rho: float):
-    """n_funcs on the terms of _l_terms."""
-    l, s, x, s2, n2, ll = t
+    x = l / s
     lin = rho * l
     n = gamma + lin + s
     n1 = rho + x
     if rho != 0.0:  # at rho = 0, rho*l and rho*x are +-0 and never < 0
         # both branches are evaluated, and |rho| + |x| > 0 here
-        l2c = ll * ((1.0 - rho) * (1.0 + rho))
+        l2c = l * l * ((1.0 - rho) * (1.0 + rho))
         # rho*l + s == (l^2*(1-rho^2) + 1)/(s + |rho*l|) when signs oppose
         n_alt = gamma + (l2c + 1.0) / (s + abs(lin))
         n = _select(lin < 0.0, n_alt, n)
@@ -284,7 +279,7 @@ def _n_funcs_at(t, gamma: float, rho: float):
         den = abs(rho) + abs(x)
         n1_alt = (rho * rho - l2c) / s2 / (den if rho > 0.0 else -den)
         n1 = _select(rho * x < 0.0, n1_alt, n1)
-    return n, n1, n2
+    return n, n1, 1.0 / (s2 * s), s
 
 
 def n_funcs(l, gamma: float, rho: float):
@@ -295,7 +290,7 @@ def n_funcs(l, gamma: float, rho: float):
     rationalized when rho*l < 0 so the wings keep full relative precision
     instead of cancelling two nearly equal magnitudes.
     """
-    return _n_funcs_at(_l_terms(l), gamma, rho)
+    return _n_funcs_s(l, gamma, rho)[:3]
 
 
 def _wing_terms(u):
@@ -424,8 +419,7 @@ def hgg2(l, nsvi: NormalizedSvi):
     h = 1 - N'*(l + mu)/(2N), g = N'/4 and g2 = N'' - N'^2/(2N).  Raises
     EvaluationDomainError if N <= 0 anywhere on the input.
     """
-    t = _l_terms(l)
-    n, n1, n2 = _n_funcs_at(t, nsvi.gamma, nsvi.rho)
+    n, n1, n2, _ = _n_funcs_s(l, nsvi.gamma, nsvi.rho)
     if _any(n <= 0.0):
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
     two_n = 2.0 * n
@@ -452,11 +446,10 @@ def hgg2_prime(l, nsvi: NormalizedSvi):
     mpmath by 1.7e-11 to 8.9e-11 relative at l = 1e5 and 3.2e-8 to 4.0e-7
     at l = 1e9 on four shapes, against 4.4e-16 in the chart.
     """
-    t = _l_terms(l)
-    n, n1, n2 = _n_funcs_at(t, nsvi.gamma, nsvi.rho)
+    n, n1, n2, s = _n_funcs_s(l, nsvi.gamma, nsvi.rho)
     if _any(n <= 0.0):
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    n3 = -3.0 * l / _pow(t[1], 5)
+    n3 = -3.0 * l / _pow(s, 5)
 
     lm = l + nsvi.mu
     two_n, n1sq = 2.0 * n, n1 * n1

@@ -27,8 +27,7 @@ from .core import (
     InvalidParamsError,
     NoRootError,
     _any,
-    _l_terms,
-    _n_funcs_at,
+    _n_funcs_s,
     _pow,
     _u_root,
     _wing_n_at,
@@ -75,9 +74,8 @@ def l_minus_curve(l, b: float, rho: float):
     with s = sqrt(l^2+1); evaluated here as s^3*N'^2*(2 + b*N')/4 - N so the
     deep left wing keeps full precision.
     """
-    t = _l_terms(l)
-    n0, n1, _ = _n_funcs_at(t, 0.0, rho)
-    return _pow(t[1], 3) * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
+    n0, n1, _, s = _n_funcs_s(l, 0.0, rho)
+    return _pow(s, 3) * n1 * n1 * (2.0 + b * n1) / 4.0 - n0
 
 
 def _validate(gamma: float, b: float, rho: float) -> None:
