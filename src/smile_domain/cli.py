@@ -8,8 +8,9 @@ solver or closed form failed on a valid input, and a parameter option the
 family does not read is an invalid input; ``bound`` exits 0, with an
 infinite sigma* on arbitrage, or 2 and 3 as ``certify`` does; ``sample``
 exits 0, 1 when a sample fails its certificate, or 2 and 3 as ``certify``
-does, and a reversed range or one outside its sampler's domain is an
-invalid input, and so is a negative ``--count``; ``scan-uniqueness`` exits 0
+does, and a reversed range, one outside its sampler's domain or one the
+family's sampler does not read is an invalid input, and so is a negative
+``--count``; ``scan-uniqueness`` exits 0
 when the scan finds uniqueness, 1 when it does not, and 2 for a step count
 below 1.
 Identical invocations (including --seed) produce byte-identical output.
@@ -112,19 +113,24 @@ _SSVI_ROUTES = (
 
 # ---------------------------------------------------------------------------
 # The family table, with each family's sampler (a constructive
-# parametrization that scales its sigma* by the drawn scale >= 1)
+# parametrization that scales its sigma* by the drawn scale >= 1) and the
+# range options it reads, with their defaults
 # ---------------------------------------------------------------------------
+RANGE_OPTIONS = ("b-range", "u-range", "t-range", "gamma-range", "q-range", "rho-range",
+                 "scale-range")
+
 def _ssvi_bounds(b: float, rho: float) -> dict[str, float]:
     """Bounds of the SSVI slice with slope b and correlation rho; phi = 1
     keeps its b equal to the given one bit for bit."""
     return ssvi.certify(SsviParams(theta=2.0 * b, phi=1.0, rho=rho)).bounds
 
 
-def _draw(rng, pair, name: str, lo: float, hi: float = math.inf, ends: str = "()") -> float:
-    """A uniform draw from the range option --name; InvalidParamsError
-    unless its ends are in order and lie in the sampler's domain from lo to
-    hi, open or closed at each end as ``ends`` reads ("(]": closed at hi)."""
-    low, high = pair
+def _draw(rng, ranges, name: str, lo: float, hi: float = math.inf, ends: str = "()") -> float:
+    """A uniform draw from the range option --name, ``ranges[name]``;
+    InvalidParamsError unless its ends are in order and lie in the sampler's
+    domain from lo to hi, open or closed at each end as ``ends`` reads
+    ("(]": closed at hi)."""
+    low, high = ranges[name]
     if low > high:
         raise InvalidParamsError(f"--{name} {low!r} {high!r} is reversed")
     low_in = lo < low or (ends[0] == "[" and low == lo)
@@ -135,34 +141,34 @@ def _draw(rng, pair, name: str, lo: float, hi: float = math.inf, ends: str = "()
     return rng.uniform(low, high)
 
 
-def _sample_vanishing(args, rng, scale: float, direction: str) -> VanishingParams:
-    b = _draw(rng, args.b_range, "b-range", 0.0, 1.0)
+def _sample_vanishing(ranges, rng, scale: float, direction: str) -> VanishingParams:
+    b = _draw(rng, ranges, "b-range", 0.0, 1.0)
     x0 = vanishing.x_plus_star(b)
-    x = x0 + _draw(rng, args.u_range or (0.05, 0.95), "u-range", 0.0, 1.0) * (1.0 - x0)
+    x = x0 + _draw(rng, ranges, "u-range", 0.0, 1.0) * (1.0 - x0)
     mu_up = vanishing.mu_star(x, b)
     mu = mu_up if direction == "upward" else -mu_up
     sig = scale * vanishing.sigma_star_closed(x, b)
     return VanishingParams(b=b, mu=mu, sigma=sig, direction=direction)
 
 
-def _sample_extremal(args, rng, scale: float) -> ExtremalParams:
-    gamma = _draw(rng, args.gamma_range, "gamma-range", 0.0)
-    q = _draw(rng, args.q_range, "q-range", -1.0, 1.0)
+def _sample_extremal(ranges, rng, scale: float) -> ExtremalParams:
+    gamma = _draw(rng, ranges, "gamma-range", 0.0)
+    q = _draw(rng, ranges, "q-range", -1.0, 1.0)
     return ExtremalParams(gamma=gamma, q=q, sigma=scale * extremal.sigma_bound(gamma, q))
 
 
-def _sample_symmetric(args, rng, scale: float) -> SymmetricParams:
-    gamma = symmetric.gamma_star(_draw(rng, args.u_range or (-0.9, 3.0), "u-range", -1.0))
+def _sample_symmetric(ranges, rng, scale: float) -> SymmetricParams:
+    gamma = symmetric.gamma_star(_draw(rng, ranges, "u-range", -1.0))
     za, zb = symmetric.z_interval(gamma)
-    z = za + _draw(rng, args.t_range, "t-range", 0.0, 1.0) * (zb - za)
+    z = za + _draw(rng, ranges, "t-range", 0.0, 1.0) * (zb - za)
     b = symmetric.b_star(z, gamma)
     sig = scale * symmetric.sigma_star_closed(z, gamma)
     return SymmetricParams(gamma=gamma, b=b, sigma=sig)
 
 
-def _sample_ssvi(args, rng, scale: float) -> SsviParams:
-    rho = _draw(rng, args.rho_range, "rho-range", -1.0, 1.0)
-    b = _draw(rng, args.t_range, "t-range", 0.0, 1.0, ends="(]") * 2.0 / (1.0 + abs(rho))
+def _sample_ssvi(ranges, rng, scale: float) -> SsviParams:
+    rho = _draw(rng, ranges, "rho-range", -1.0, 1.0)
+    b = _draw(rng, ranges, "t-range", 0.0, 1.0, ends="(]") * 2.0 / (1.0 + abs(rho))
     sig = scale * _ssvi_bounds(b, rho)["sigma_star"]
     phi = math.sqrt((1.0 - rho) * (1.0 + rho)) / sig
     return SsviParams(theta=2.0 * b / phi, phi=phi, rho=rho)
@@ -172,12 +178,14 @@ def _sample_ssvi(args, rng, scale: float) -> SsviParams:
 class Family:
     """What the commands need of one family: its option routes, its
     certifier, the normalized shape (gamma, b, rho, mu) that
-    ``oracle.sigma_star`` takes, and its sampler."""
+    ``oracle.sigma_star`` takes, its sampler, and the range options the
+    sampler reads besides --scale-range, with their defaults."""
 
     routes: tuple[tuple[tuple[str, ...], Callable[..., object]], ...]
     certify: Callable[[object], DomainCertificate]
     shape: Callable[[object], tuple[float, float, float, float]]
-    sample: Callable[[argparse.Namespace, np.random.Generator, float], object]
+    sample: Callable[[dict, np.random.Generator, float], object]
+    ranges: dict[str, tuple[float, float]]
 
 
 def _vanishing(direction: str) -> Family:
@@ -185,7 +193,8 @@ def _vanishing(direction: str) -> Family:
         _vanishing_routes(direction),
         vanishing.certify,
         lambda p: (0.0, p.b, p.rho, p.mu),
-        lambda args, rng, scale: _sample_vanishing(args, rng, scale, direction),
+        lambda ranges, rng, scale: _sample_vanishing(ranges, rng, scale, direction),
+        {"b-range": (0.1, 0.9), "u-range": (0.05, 0.95)},
     )
 
 
@@ -197,18 +206,21 @@ FAMILIES = {
         extremal.certify,
         lambda p: (p.gamma, 2.0, 0.0, p.mu),
         _sample_extremal,
+        {"gamma-range": (0.5, 4.0), "q-range": (-0.8, 0.8)},
     ),
     "symmetric": Family(
         _SYMMETRIC_ROUTES,
         symmetric.certify,
         lambda p: (p.gamma, p.b, 0.0, 0.0),
         _sample_symmetric,
+        {"u-range": (-0.9, 3.0), "t-range": (0.05, 0.95)},
     ),
     "ssvi": Family(
         _SSVI_ROUTES,
         ssvi.certify,
         lambda p: (p.gamma, p.b, p.rho, p.mu),
         _sample_ssvi,
+        {"rho-range": (-0.9, 0.9), "t-range": (0.05, 0.95)},
     ),
 }
 
@@ -298,14 +310,19 @@ def cmd_bound(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 0:
         return _failure(InvalidParamsError(f"--count must be >= 0, got {args.count}"))
+    fam = FAMILIES[args.family]
+    ranges = {"scale-range": (1.0, 3.0), **fam.ranges}
+    given = {n: v for n in RANGE_OPTIONS if (v := getattr(args, n.replace("-", "_"))) is not None}
+    if unread := [n for n in given if n not in ranges]:
+        return _failure(InvalidParamsError(f"{args.family} does not read {_flags(unread)}"))
+    ranges.update(given)
     import numpy as np
 
-    fam = FAMILIES[args.family]
     rng = np.random.default_rng(args.seed)
     samples = []
     try:
         for _ in range(args.count):
-            p = fam.sample(args, rng, _draw(rng, args.scale_range, "scale-range", 1.0, ends="[)"))
+            p = fam.sample(ranges, rng, _draw(rng, ranges, "scale-range", 1.0, ends="[)"))
             cert = fam.certify(p)
             if not cert.passed:
                 print(f"sample failed certification: {p}", file=sys.stderr)
@@ -470,13 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--b-range", nargs=2, type=float, default=(0.1, 0.9), metavar=("LO", "HI"))
-    p.add_argument("--u-range", nargs=2, type=float, default=None, metavar=("LO", "HI"))
-    p.add_argument("--t-range", nargs=2, type=float, default=(0.05, 0.95), metavar=("LO", "HI"))
-    p.add_argument("--gamma-range", nargs=2, type=float, default=(0.5, 4.0), metavar=("LO", "HI"))
-    p.add_argument("--q-range", nargs=2, type=float, default=(-0.8, 0.8), metavar=("LO", "HI"))
-    p.add_argument("--rho-range", nargs=2, type=float, default=(-0.9, 0.9), metavar=("LO", "HI"))
-    p.add_argument("--scale-range", nargs=2, type=float, default=(1.0, 3.0), metavar=("LO", "HI"))
+    for name in RANGE_OPTIONS:  # defaults: the family's ranges, in FAMILIES
+        p.add_argument(f"--{name}", nargs=2, type=float, default=None, metavar=("LO", "HI"))
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("table", help="emit the data behind a figure as CSV")

@@ -445,6 +445,58 @@ def test_sample_zero_count_is_empty(capsys):
     assert _strict(out)["samples"] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("vanishing-up", "--gamma-range", "5", "6"),
+        ("vanishing-down", "--t-range", "0.1", "0.2"),
+        ("extremal", "--b-range", "0.2", "0.3"),
+        ("symmetric", "--rho-range", "-0.5", "0.5"),
+        ("ssvi", "--b-range", "0.2", "0.3"),
+    ],
+)
+def test_sample_refuses_a_range_its_family_does_not_read(capsys, argv):
+    code, out = _run(capsys, "sample", *argv, "--count", "1", "--seed", "1")
+    doc = _strict(out)
+    assert code == 2
+    assert doc["error"]["type"] == "invalid_params"
+    assert f"{argv[0]} does not read {argv[1]}" in doc["error"]["message"]
+
+
+# the first draw of `sample FAMILY --count 1 --seed 1` before each sampler's
+# ranges moved into the family table, and the family's default ranges
+_DEFAULT_SAMPLES = {
+    "vanishing-up": ({"b": 0.8603709570607483, "mu": 0.4624106547819935,
+                      "sigma": 8.805972927255644},
+                     ("--b-range", "0.1", "0.9", "--u-range", "0.05", "0.95")),
+    "vanishing-down": ({"b": 0.8603709570607483, "mu": -0.4624106547819935,
+                        "sigma": 8.805972927255644},
+                       ("--b-range", "0.1", "0.9", "--u-range", "0.05", "0.95")),
+    "extremal": ({"gamma": 3.8266229371407734, "q": -0.5693446196485861,
+                  "sigma": 1.2279718320549369},
+                 ("--gamma-range", "0.5", "4", "--q-range", "-0.8", "0.8")),
+    "symmetric": ({"gamma": 68.31033965077076, "b": 1.1227749535825662,
+                   "sigma": 0.008956266896209465},
+                  ("--u-range", "-0.9", "3", "--t-range", "0.05", "0.95")),
+    "ssvi": ({"theta": 0.05164318505075578, "phi": 7.688148004117546,
+              "rho": 0.8108346533866836},
+             ("--rho-range", "-0.9", "0.9", "--t-range", "0.05", "0.95")),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_DEFAULT_SAMPLES))
+def test_sample_default_ranges_are_unchanged(capsys, family):
+    expected, ranges = _DEFAULT_SAMPLES[family]
+    argv = ("sample", family, "--count", "1", "--seed", "1")
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    native = _strict(out)["samples"][0]["native"]
+    for key, value in expected.items():
+        assert native[key] == pytest.approx(value, rel=1e-12), key
+    # the defaults, passed explicitly, draw the same samples
+    assert _run(capsys, *argv, *ranges, "--scale-range", "1", "3") == (0, out)
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
