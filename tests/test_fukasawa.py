@@ -21,6 +21,7 @@ from smile_domain import fukasawa
 from smile_domain.core import _u_grid, _u_root, _wing_n_at, _wing_terms
 from smile_domain.roots import RTOL
 from smile_domain.symmetric import fukasawa_threshold_closed
+from smile_domain.vanishing import fukasawa_bound
 
 
 def test_curve_exact_point():
@@ -416,3 +417,16 @@ def test_threshold_in_range_for_correlated():
         # the threshold separates empty from non-empty intervals
         assert mu_interval(t + 1e-6, b, rho).is_empty is False
         assert mu_interval(t - 1e-6, b, rho).is_empty is True
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the end is read off mu_lower_curve in the l chart at |l-| ~ 1e5-1e7, "
+    "where its O(|l|) terms cancel (ROADMAP item 9)",
+)
+@pytest.mark.parametrize("slack", [1e-10, 1e-12])
+def test_vanishing_interval_end_next_to_the_slope_bound_is_the_closed_form(slack):
+    # 1 - b = slack is exact; measured 2.5e-7 off at 1e-10 and 2.6e-6 at 1e-12
+    b = 1.0 - slack
+    upper = mu_interval(0.0, b, 1.0).upper
+    assert upper == pytest.approx(fukasawa_bound(b), rel=1e-9, abs=0.0)

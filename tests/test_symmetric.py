@@ -267,6 +267,15 @@ def test_certify_threshold_ordering():
     assert not cert.conditions["fukasawa"] and not cert.passed
 
 
+@pytest.mark.parametrize("b", [0.5, 1.5])
+@pytest.mark.parametrize("k", [0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0])
+def test_certify_fukasawa_flag_is_the_band_around_the_threshold(b, k):
+    # strict gamma > F(b); flagged within BOUNDARY_TOL = 1e-10 on either side
+    cert = certify(SymmetricParams(gamma=fukasawa_threshold_closed(b) + k * 1e-10, b=b, sigma=1.0))
+    assert cert.conditions["fukasawa"] == (k > 0)
+    assert ("fukasawa" in cert.on_boundary) == (abs(k) < 1)
+
+
 def test_certify_invalid_gamma():
     with pytest.raises(InvalidParamsError):
         SymmetricParams(gamma=-1.5, b=1.0, sigma=9.0)

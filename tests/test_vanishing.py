@@ -208,6 +208,18 @@ def test_certify_fukasawa_violation():
     assert cert.bounds["sigma_star"] == math.inf
 
 
+@pytest.mark.parametrize("b", [0.3, 0.8])
+@pytest.mark.parametrize("direction", ["upward", "downward"])
+@pytest.mark.parametrize("k", [0.5, -0.5, 2.0, -2.0])
+def test_certify_fukasawa_flag_is_the_band_around_the_cap(b, direction, k):
+    # strict mu_up < sqrt(3(1-b)); flagged within BOUNDARY_TOL = 1e-10 on either side
+    mu_up = fukasawa_bound(b) + k * 1e-10
+    mu = mu_up if direction == "upward" else -mu_up
+    cert = certify(VanishingParams(b=b, mu=mu, sigma=1.0, direction=direction))
+    assert cert.conditions["fukasawa"] == (k < 0)
+    assert ("fukasawa" in cert.on_boundary) == (abs(k) < 1)
+
+
 def test_certify_downward_figure_instance():
     # b=1/2, m=1, sigma=1
     p = VanishingParams(b=0.5, mu=1.0, sigma=1.0, direction="downward")
