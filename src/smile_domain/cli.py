@@ -10,9 +10,8 @@ infinite sigma* on arbitrage, or 2 and 3 as ``certify`` does; ``sample``
 exits 0, 1 when a sample fails its certificate, or 2 and 3 as ``certify``
 does, and a reversed range, one outside its sampler's domain or one the
 family's sampler does not read is an invalid input, and so is a negative
-``--count``; ``scan-uniqueness`` exits 0
-when the scan finds uniqueness, 1 when it does not, and 2 for a step count
-below 1.
+``--count``; ``scan-uniqueness`` exits 0 when the scan finds uniqueness, 1
+when it does not, and 2 for a step count below 1.
 Identical invocations (including --seed) produce byte-identical output.
 numpy is imported only where an array is built: by ``sample``,
 ``scan-uniqueness``, ``--oracle``, the symmetric family's ``certify`` and
@@ -118,6 +117,7 @@ _SSVI_ROUTES = (
 # ---------------------------------------------------------------------------
 RANGE_OPTIONS = ("b-range", "u-range", "t-range", "gamma-range", "q-range", "rho-range",
                  "scale-range")
+
 
 def _ssvi_bounds(b: float, rho: float) -> dict[str, float]:
     """Bounds of the SSVI slice with slope b and correlation rho; phi = 1
