@@ -256,17 +256,14 @@ def _params(args, defaults: dict[str, float] | None = None):
 # certify
 # ---------------------------------------------------------------------------
 def cmd_certify(args) -> int:
-    try:
-        cert = FAMILIES[args.family].certify(_params(args))
-        doc = cert.to_dict()
-        doc["schema"] = SCHEMA
-        if args.oracle:
-            report = durrleman_check(cert.params_raw)
-            doc["diagnostics"]["oracle_min"] = report.min_value
-            doc["diagnostics"]["oracle_argmin_l"] = json_value(report.argmin_l)
-            doc["diagnostics"]["oracle_grid_points"] = report.n_points
-    except _SOLVER_ERRORS as exc:
-        return _failure(exc)
+    cert = FAMILIES[args.family].certify(_params(args))
+    doc = cert.to_dict()
+    doc["schema"] = SCHEMA
+    if args.oracle:
+        report = durrleman_check(cert.params_raw)
+        doc["diagnostics"]["oracle_min"] = report.min_value
+        doc["diagnostics"]["oracle_argmin_l"] = json_value(report.argmin_l)
+        doc["diagnostics"]["oracle_grid_points"] = report.n_points
     _emit(doc)
     return 0 if cert.passed else 1
 
@@ -276,24 +273,21 @@ def cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 def cmd_bound(args) -> int:
     fam = FAMILIES[args.family]
-    try:
-        # sigma* depends on the shape only, so a scale left out is 1
-        p = _params(args, {"sigma": 1.0, "phi": 1.0})
-        closed = fam.certify(p).bounds["sigma_star"]
-        doc = {"sigma_star": closed}
-        if args.oracle:
-            try:
-                res = sigma_star(*fam.shape(p))
-                other, doc["oracle_side"] = res.sigma_star, res.side
-            except (FukasawaViolation, RogerLeeViolation):  # arbitrage: no sigma*
-                other, doc["oracle_side"] = math.inf, None
-            doc["sigma_star_oracle"] = other
-            if math.isinf(closed) or math.isinf(other):  # agree on arbitrage or not
-                doc["relative_gap"] = 0.0 if closed == other else math.inf
-            else:
-                doc["relative_gap"] = abs(other - closed) / max(abs(closed), 1e-300)
-    except _SOLVER_ERRORS as exc:
-        return _failure(exc)
+    # sigma* depends on the shape only, so a scale left out is 1
+    p = _params(args, {"sigma": 1.0, "phi": 1.0})
+    closed = fam.certify(p).bounds["sigma_star"]
+    doc = {"sigma_star": closed}
+    if args.oracle:
+        try:
+            res = sigma_star(*fam.shape(p))
+            other, doc["oracle_side"] = res.sigma_star, res.side
+        except (FukasawaViolation, RogerLeeViolation):  # arbitrage: no sigma*
+            other, doc["oracle_side"] = math.inf, None
+        doc["sigma_star_oracle"] = other
+        if math.isinf(closed) or math.isinf(other):  # agree on arbitrage or not
+            doc["relative_gap"] = 0.0 if closed == other else math.inf
+        else:
+            doc["relative_gap"] = abs(other - closed) / max(abs(closed), 1e-300)
     if args.json:
         doc = {k: json_value(v) for k, v in doc.items()}
         _emit({"schema": SCHEMA, "family": args.family, **doc})
@@ -309,28 +303,25 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 def cmd_sample(args) -> int:
     if args.count < 0:
-        return _failure(InvalidParamsError(f"--count must be >= 0, got {args.count}"))
+        raise InvalidParamsError(f"--count must be >= 0, got {args.count}")
     fam = FAMILIES[args.family]
     ranges = {"scale-range": (1.0, 3.0), **fam.ranges}
     given = {n: v for n in RANGE_OPTIONS if (v := getattr(args, n.replace("-", "_"))) is not None}
     if unread := [n for n in given if n not in ranges]:
-        return _failure(InvalidParamsError(f"{args.family} does not read {_flags(unread)}"))
+        raise InvalidParamsError(f"{args.family} does not read {_flags(unread)}")
     ranges.update(given)
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
     samples = []
-    try:
-        for _ in range(args.count):
-            p = fam.sample(ranges, rng, _draw(rng, ranges, "scale-range", 1.0, ends="[)"))
-            cert = fam.certify(p)
-            if not cert.passed:
-                print(f"sample failed certification: {p}", file=sys.stderr)
-                return 1
-            d = cert.to_dict()
-            samples.append({"raw": d["params"]["raw"], "native": d["params"]["native"]})
-    except _SOLVER_ERRORS as exc:
-        return _failure(exc)
+    for _ in range(args.count):
+        p = fam.sample(ranges, rng, _draw(rng, ranges, "scale-range", 1.0, ends="[)"))
+        cert = fam.certify(p)
+        if not cert.passed:
+            print(f"sample failed certification: {p}", file=sys.stderr)
+            return 1
+        d = cert.to_dict()
+        samples.append({"raw": d["params"]["raw"], "native": d["params"]["native"]})
     _emit(
         {
             "schema": SCHEMA,
@@ -445,10 +436,7 @@ def cmd_table(args) -> int:
 # scan-uniqueness
 # ---------------------------------------------------------------------------
 def cmd_scan_uniqueness(args) -> int:
-    try:
-        report = ssvi.scan_uniqueness(args.rho_steps, args.x_steps)
-    except InvalidParamsError as exc:
-        return _failure(exc)
+    report = ssvi.scan_uniqueness(args.rho_steps, args.x_steps)
     print(f"min_n = {report.min_value!r} at rho = {report.arg_rho!r}, x = {report.arg_x!r}")
     print(f"negative_count = {report.negative_count}")
     print(report.message)
@@ -506,7 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _SOLVER_ERRORS as exc:
+        return _failure(exc)
 
 
 if __name__ == "__main__":

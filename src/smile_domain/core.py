@@ -242,12 +242,13 @@ def _pow(s, n: int):
 
 
 def _ratio(num, den):
-    """num/den, infinite where den is 0, for a scalar as for an array."""
-    if not _any(den == 0.0):
+    """num/den, infinite where den is 0 or the quotient overflows, for a
+    scalar as for an array."""
+    if type(den) is float and den != 0.0:
         return num / den
     import numpy as np
 
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.divide(num, den)
 
 

@@ -50,10 +50,12 @@ class ExtremalParams:
 
 
 def sigma_bound(gamma: float, q: float) -> float:
-    """Minimal arbitrage-free sigma, 1/(gamma*(1 - |q|))."""
+    """Minimal arbitrage-free sigma, 1/(gamma*(1 - |q|)); inf where the
+    product rounds to 0, as where the quotient overflows."""
     if gamma <= 0.0 or not abs(q) < 1.0:
         raise InvalidParamsError(f"need gamma > 0 and |q| < 1, got {gamma}, {q}")
-    return 1.0 / (gamma * (1.0 - abs(q)))
+    den = gamma * (1.0 - abs(q))
+    return 1.0 / den if den > 0.0 else math.inf
 
 
 def certify(p: ExtremalParams) -> DomainCertificate:

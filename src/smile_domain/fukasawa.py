@@ -13,8 +13,8 @@ root escapes to -infinity and the endpoint degenerates to the limit value
 |rho| = 1 one wing has no condition and the interval is one-sided:
 (-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  It is non-empty iff
 gamma exceeds a threshold in (b, rho) alone, the root of its width, which
-increases in gamma.  Roots l- are found in u = -1/l on the oracle's wing
-grid, where l = -inf is the grid point u = 0.
+increases in gamma.  Each end is read off the wing terms of its root l-,
+found in u = -1/l on the oracle's wing grid, where l = -inf is u = 0.
 """
 
 from __future__ import annotations
@@ -98,9 +98,10 @@ def _validate(gamma: float, b: float, rho: float) -> None:
 def _level_at(t, gamma: float, b: float, rho: float):
     """(c/s)^3*(l_minus_curve(-1/u, b, rho) - gamma) on the wing terms t of
     u: the level curve on the mirrored right wing, N' = -n1, with the same
-    sign and root.  At u = 0, l = -inf, it is (1-rho)^2*(2 - b*(1-rho))/4."""
+    sign and root, with 2 - b*n1 = 2*w + b*e/s for the left wing's slack w.
+    At u = 0, l = -inf, it is (1-rho)^2*(2 - b*(1-rho))/4."""
     two_d, n1, _ = _wing_n_at(t, gamma, -rho)
-    return n1 * n1 * (2.0 - b * n1) / 4.0 - t[7] * two_d / 2.0
+    return n1 * n1 * (2.0 * _wing_slack(b, -rho) + b * t[3]) / 4.0 - t[7] * two_d / 2.0
 
 
 def solve_l_minus(gamma: float, b: float, rho: float) -> float:
@@ -121,10 +122,8 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
     if rho >= 1.0:
         raise EvaluationDomainError("no domain below the minimum for rho = 1")
     if _wing_slack(b, -rho) == 0.0:
-        tag = "b2_rho0" if wing_slope(b, rho) == "on" else "b_one_minus_rho_eq_2"
-        raise NoRootError(
-            f"left root removed at b*(1-rho)={b * (1.0 - rho)}", degenerate_case=tag
-        )
+        msg = f"left root removed at b*(1-rho)={b * (1.0 - rho)}"
+        raise NoRootError(msg, degenerate_case=_tag(b, rho))
     end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho if rho > 0.0 else math.inf
     return -1.0 / _u_root(lambda t: _level_at(t, gamma, b, rho), end)
 
@@ -143,13 +142,26 @@ def mu_lower_curve(l, gamma, b: float, rho: float):
 def _lower_end(gamma: float, b: float, rho: float) -> float:
     """Lower end of the mu-interval: -inf for rho = 1, which has no wing
     below the minimum; the limit -b*gamma/2 on the wing boundary
-    b*(1 - rho) = 2, where the left wing's slack is 0; the bound curve at
-    the root l- otherwise."""
+    b*(1 - rho) = 2, where the left wing's slack w is 0; else the bound
+    curve at l-, read off the wing terms of u = -1/l-, N' = -n1, P = 1 - rho:
+    [2*N*c*(b*n1 - 4) + 4*a*n1]/(4*n1*c), whose O(a) part is
+    -4*P*w*a - 2*a*(e/s)*(P*b + 2), with w split out as in core._wing_at."""
     if rho >= 1.0:
         return -math.inf
-    if _wing_slack(b, -rho) == 0.0:
+    w = _wing_slack(b, -rho)
+    if w == 0.0:
         return -b * gamma / 2.0
-    return mu_lower_curve(solve_l_minus(gamma, b, rho), gamma, b, rho)
+    t = _wing_terms(-1.0 / solve_l_minus(gamma, b, rho))
+    a, c, _, _, q, qr = t[:6]
+    p, n1 = 1.0 - rho, _wing_n_at(t, gamma, -rho)[1]
+    return (-p * w * (a / c) - qr * (p * b + 2.0) / 2.0
+            + (gamma + q) * (b * n1 - 4.0) / 2.0) / n1
+
+
+def _tag(b: float, rho: float) -> str:
+    """Degeneracy tag: which wings the wing_slope verdict puts "on" the bound."""
+    on = 2 * (wing_slope(b, -rho) == "on") + (wing_slope(b, rho) == "on")
+    return ("generic", "b_one_plus_rho_eq_2", "b_one_minus_rho_eq_2", "b2_rho0")[on]
 
 
 def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
@@ -166,22 +178,10 @@ def mu_interval(gamma: float, b: float, rho: float) -> FukasawaInterval:
         raise InvalidParamsError(
             f"wing slope b*(1+|rho|)={b * (1.0 + abs(rho))} exceeds 2"
         )
-
-    deg_minus = wing_slope(b, -rho) != "inside"
-    deg_plus = wing_slope(b, rho) != "inside"
-    if deg_minus and deg_plus:
-        tag = "b2_rho0"
-    elif deg_minus:
-        tag = "b_one_minus_rho_eq_2"
-    elif deg_plus:
-        tag = "b_one_plus_rho_eq_2"
-    else:
-        tag = "generic"
-
     lower = _lower_end(gamma, b, rho)
     # at rho = 0 the mirrored solve is this one: the interval is symmetric
     upper = -lower if rho == 0.0 else -_lower_end(gamma, b, -rho)
-    return FukasawaInterval(lower, upper, tag)
+    return FukasawaInterval(lower, upper, _tag(b, rho))
 
 
 def fukasawa_threshold(b: float, rho: float) -> float:

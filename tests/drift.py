@@ -5,7 +5,9 @@
 census draws (360 for certify, 180 for audit) of each seed, one JSON file
 per tree; an operation that raises is recorded as its error type.  Each
 audit item also records where ``oracle.sigma_star`` puts the supremum, its
-``argsup_l`` and ``side`` (or the error type), as ``argsup.*`` keys.
+``argsup_l`` and ``side`` (or the error type), as ``argsup.*`` keys, and
+the shape's ``fukasawa.mu_interval`` ends and tag (or the error type), as
+``interval.*`` keys.
 ``compare`` reads two such files and prints, for each output key, how many
 values changed and the largest absolute and relative drift, in one table for
 the interior pools and one for the census draws (an edge draw's drift would
@@ -55,6 +57,15 @@ def _argsup(W, d) -> dict:
     return {"argsup.l": res.argsup_l, "argsup.side": res.side}
 
 
+def _interval(W, d) -> dict:
+    """The Fukasawa mu-interval of the draw's shape, and its tag."""
+    try:
+        iv = W.fukasawa.mu_interval(*W.shape(d)[:3])
+    except Exception as exc:  # noqa: BLE001 - the outcome is the record
+        return {"interval.error": type(exc).__name__}
+    return {"interval.lower": iv.lower, "interval.upper": iv.upper, "interval.tag": iv.degenerate_case}
+
+
 def record(seeds) -> dict:
     """{item id: flat output or {"error": type name}} for every operation."""
     sys.path.insert(0, str(BENCH))
@@ -70,7 +81,7 @@ def record(seeds) -> dict:
                     try:
                         out[item] = _flat(op(d))
                         if name == "audit":
-                            out[item].update(_argsup(W, d))
+                            out[item].update(_argsup(W, d), **_interval(W, d))
                     except Exception as exc:  # noqa: BLE001 - the outcome is the record
                         out[item] = {"error": type(exc).__name__}
     return out

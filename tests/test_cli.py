@@ -145,6 +145,22 @@ def test_bound_extremal_oracle_near_unit_q(capsys):
     assert doc["relative_gap"] <= 1e-6
 
 
+@pytest.mark.parametrize("gamma", ["5e-324", "1e-310"])
+def test_certify_extremal_subnormal_gamma_is_arbitrage(capsys, gamma):
+    code, out = _run(
+        capsys, "certify", "extremal", "--gamma", gamma, "--q", "0.5", "--sigma", "1"
+    )
+    assert code == 1
+    assert json.loads(out)["bounds"]["sigma_star"] == "inf"
+    code, out = _run(
+        capsys, "bound", "extremal", "--gamma", gamma, "--q", "0.5", "--oracle", "--json"
+    )
+    doc = _strict(out)
+    assert code == 0
+    assert doc["sigma_star"] == doc["sigma_star_oracle"] == "inf"
+    assert doc["relative_gap"] == 0.0
+
+
 def test_bound_vanishing(capsys):
     code, out = _run(capsys, "bound", "vanishing-up", "--b", "1", "--mu", "-2")
     assert code == 0

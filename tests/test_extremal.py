@@ -91,3 +91,13 @@ def test_certificate_flags_the_wing_slope_bound():
     assert cert.on_boundary == ("roger_lee",)
     assert math.isinf(cert.diagnostics["argsup"])
     assert sigma_star(1.0, 2.0, 0.0, 0.3).side == "limit_at_infinity"
+
+
+@pytest.mark.parametrize("gamma", [5e-324, 1e-310])
+def test_certify_a_subnormal_gamma_is_arbitrage_at_every_sigma(gamma):
+    # gamma*(1 - |q|) rounds to 0 at 5e-324, and its reciprocal overflows at
+    # 1e-310: no float sigma reaches sigma*, which is inf either way
+    assert sigma_bound(gamma, 0.5) == math.inf
+    cert = certify(ExtremalParams(gamma=gamma, q=0.5, sigma=1.0))
+    assert cert.bounds["sigma_star"] == math.inf
+    assert not cert.passed

@@ -22,6 +22,7 @@ from smile_domain.core import _u_grid, _u_root, _wing_n_at, _wing_terms
 from smile_domain.roots import RTOL
 from smile_domain.symmetric import fukasawa_threshold_closed
 from smile_domain.vanishing import fukasawa_bound
+from test_overlaps import _mp_lower_end
 
 
 def test_curve_exact_point():
@@ -182,8 +183,8 @@ def test_interval_with_a_root_beyond_the_scan_grid(gamma, b, rho):
     tol = 1e-14 + RTOL * abs(l)
     assert l_minus_curve(l - tol, b, r) - gamma >= 0.0 >= l_minus_curve(l + tol, b, r) - gamma
     assert abs(l_minus_curve(l, b, r) - gamma) <= 1e-12 * max(1.0, gamma)
-    end = mu_lower_curve(l, gamma, b, r)
-    assert (iv.lower if rho > 0.0 else -iv.upper) == end
+    end = _mp_lower_end(gamma, b, r)
+    assert (iv.lower if rho > 0.0 else -iv.upper) == pytest.approx(end, rel=1e-14, abs=0.0)
 
 
 def _mp_level_root(gamma, b, rho, l):
@@ -281,8 +282,8 @@ def test_interval_decorrelated_matches_two_sided_formula():
     for _ in range(60):
         b = float(rng.uniform(0.0, 2.0 - 1e-6))
         gamma = float(rng.uniform(-0.999, 3.0))
-        lower = mu_lower_curve(solve_l_minus(gamma, b, 0.0), gamma, b, 0.0)
-        upper = -mu_lower_curve(solve_l_minus(gamma, b, -0.0), gamma, b, -0.0)
+        lower = fukasawa._lower_end(gamma, b, 0.0)
+        upper = -fukasawa._lower_end(gamma, b, -0.0)
         assert mu_interval(gamma, b, 0.0) == FukasawaInterval(lower, upper)
 
 
@@ -419,14 +420,26 @@ def test_threshold_in_range_for_correlated():
         assert mu_interval(t - 1e-6, b, rho).is_empty is True
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the end is read off mu_lower_curve in the l chart at |l-| ~ 1e5-1e7, "
-    "where its O(|l|) terms cancel (ROADMAP item 9)",
-)
-@pytest.mark.parametrize("slack", [1e-10, 1e-12])
+@pytest.mark.parametrize("slack", [1e-4, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15])
 def test_vanishing_interval_end_next_to_the_slope_bound_is_the_closed_form(slack):
-    # 1 - b = slack is exact; measured 2.5e-7 off at 1e-10 and 2.6e-6 at 1e-12
+    # 1 - b = slack is exact; read off mu_lower_curve in the l chart, where its
+    # O(|l|) terms cancel, the end was 2.5e-7 off at 1e-10 and 1.0e-2 at 1e-14
     b = 1.0 - slack
     upper = mu_interval(0.0, b, 1.0).upper
     assert upper == pytest.approx(fukasawa_bound(b), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("slack", [1e-4, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15])
+def test_vanishing_interval_end_is_the_closed_form_to_the_last_bits(slack):
+    # the end is read off the root's wing terms with the slack split out
+    b = 1.0 - slack
+    upper = mu_interval(0.0, b, 1.0).upper
+    assert upper == pytest.approx(fukasawa_bound(b), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("slack", [1e-6, 1e-10, 1e-12, 1e-14])
+def test_symmetric_interval_end_next_to_the_slope_bound_is_the_80_digit_end(slack):
+    # the l-chart bound curve was 1.7e-10 off at slack 1e-12 and 2.0e-9 at 1e-14
+    b = 2.0 * (1.0 - slack)
+    lower = mu_interval(0.5, b, 0.0).lower
+    assert lower == pytest.approx(_mp_lower_end(0.5, b, 0.0), rel=1e-15, abs=0.0)

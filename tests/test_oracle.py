@@ -101,6 +101,13 @@ def test_sigma_star_extremal_example():
     assert res.argsup_l == math.inf
 
 
+def test_sigma_star_subnormal_extremal_is_inf_without_a_warning():
+    # the requirement's quotient overflows on the wing grid; warnings are errors
+    res = sigma_star(1e-310, 2.0, 0.0, 5e-311)
+    assert res.sigma_star == math.inf
+    assert res.side == "limit_at_infinity"
+
+
 def test_sigma_star_vanishing_b1():
     # on the wing boundary the requirement is the k -> inf limit -1/mu
     res = sigma_star(0.0, 1.0, 1.0, -1.0)
