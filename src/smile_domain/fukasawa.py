@@ -98,10 +98,10 @@ def _validate(gamma: float, b: float, rho: float) -> None:
 def _level_at(t, gamma: float, b: float, rho: float):
     """(c/s)^3*(l_minus_curve(-1/u, b, rho) - gamma) on the wing terms t of
     u: the level curve on the mirrored right wing, N' = -n1, with the same
-    sign and root, with 2 - b*n1 = 2*w + b*e/s for the left wing's slack w.
-    At u = 0, l = -inf, it is (1-rho)^2*(2 - b*(1-rho))/4."""
+    sign and root, with 2 - b*n1 = 2*w + b*e/s for the left wing's slack w,
+    2*w = 2 - b*(1-rho) exactly.  At u = 0, l = -inf, it is (1-rho)^2*w/2."""
     two_d, n1, _ = _wing_n_at(t, gamma, -rho)
-    return n1 * n1 * (2.0 * _wing_slack(b, -rho) + b * t[3]) / 4.0 - t[7] * two_d / 2.0
+    return n1 * n1 * ((2.0 - b * (1.0 - rho)) + b * t[3]) / 4.0 - t[7] * two_d / 2.0
 
 
 def solve_l_minus(gamma: float, b: float, rho: float) -> float:
