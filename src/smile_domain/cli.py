@@ -446,13 +446,37 @@ def cmd_scan_uniqueness(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument wiring
 # ---------------------------------------------------------------------------
+class _FloatSpelling:
+    """argparse's test of whether an argument that starts with "-" is a
+    negative number rather than an option: any spelling float() reads.
+    argparse's own pattern has no exponent, so it took the -2e-5 of
+    "--mu -2e-5" for an option and stopped with its usage."""
+
+    @staticmethod
+    def match(arg: str) -> bool:
+        try:
+            float(arg)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subparsers, that read a spaced negative
+    value in any float spelling as the value it is."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatSpelling
+
+
 def _add_param_options(p: argparse.ArgumentParser) -> None:
     for name in PARAM_OPTIONS:
         p.add_argument(f"--{name}", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="smile-domain",
         description="Certify and construct butterfly-arbitrage-free SVI smiles.",
     )

@@ -339,6 +339,44 @@ def test_invalid_input_still_exits_two(capsys, command, argv):
     assert _strict(out)["error"]["type"] == "invalid_params"
 
 
+@pytest.mark.parametrize("command", ["certify", "bound"])
+@pytest.mark.parametrize(
+    "family, argv, option, value",
+    [
+        ("vanishing-up", ("--b", "0.5", "--sigma", "1"), "--mu", "-2e-5"),
+        ("vanishing-down", ("--b", "0.5", "--sigma", "1"), "--mu", "-2E+0"),
+        ("ssvi", ("--theta", "0.5", "--phi", "1"), "--rho", "-2.5e-1"),
+        ("ssvi", ("--theta", "0.5", "--phi", "1"), "--rho", "-.25"),
+        ("symmetric", ("--b", "1", "--sigma", "1"), "--gamma", "-5."),
+        ("symmetric", ("--b", "1", "--sigma", "1"), "--gamma", "-1_0.5"),
+        ("extremal", ("--gamma", "1", "--sigma", "1"), "--q", "-inf"),
+        ("extremal", ("--gamma", "1", "--sigma", "1"), "--q", "-nan"),
+    ],
+)
+def test_a_spaced_negative_value_reads_as_its_equals_form(capsys, command, family, argv,
+                                                            option, value):
+    # argparse's own negative-number pattern has no exponent: "--mu -2e-5"
+    # stopped with its usage, where "--mu=-2e-5" worked
+    spaced = _run(capsys, command, family, *argv, option, value)
+    assert spaced == _run(capsys, command, family, *argv, f"{option}={value}")
+    assert spaced[0] in (0, 1, 2) and spaced[1]
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (("ssvi", "--rho-range", "-5e-1", "5e-1"), ("ssvi", "--rho-range", "-0.5", "0.5")),
+        (("extremal", "--q-range", "-9E-1", "-1e-1"), ("extremal", "--q-range", "-0.9", "-0.1")),
+        (("symmetric", "--u-range", "-5e-1", "1e0"), ("symmetric", "--u-range", "-0.5", "1.0")),
+        (("vanishing-up", "--b-range", "-1e-1", "0.5"), ("vanishing-up", "--b-range", "-0.1", "0.5")),
+    ],
+)
+def test_sample_range_reads_a_spaced_negative_exponent(capsys, argv, plain):
+    spaced = _run(capsys, "sample", *argv, "--count", "3")
+    assert spaced == _run(capsys, "sample", *plain, "--count", "3")
+    assert spaced[1]
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
