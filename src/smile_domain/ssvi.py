@@ -426,10 +426,12 @@ def lt_heston_threshold(h: HestonLtParams) -> float:
 # ---------------------------------------------------------------------------
 def _d2_j2_dx2(x, rho, sx, rb):
     """Second x-derivative of the curvature function (symbolic form), given
-    sx = sqrt(1 - x^2) and rb = sqrt(1 - rho^2)."""
+    sx = sqrt(1 - x^2) and rb = sqrt(1 - rho^2).  Powers are products, so
+    that a float and an array give the same bits."""
     u = rho * x + rb * sx + 1.0
     pterm = rho + 3.0 * x * u + x
-    w = (rho + x) ** 3 + 2.0 * (x * x - 1.0) * pterm * u
+    xr = rho + x
+    w = xr * xr * xr + 2.0 * (x * x - 1.0) * pterm * u
     v = rho * sx - x * rb
     qterm = 3.0 * x * v + sx * (3.0 * rho * x + 3.0 * rb * sx + 4.0)
     num = (
@@ -438,30 +440,31 @@ def _d2_j2_dx2(x, rho, sx, rb):
         + sx
         * u
         * (
-            sx * (4.0 * x * pterm * u + 3.0 * (rho + x) ** 2)
+            sx * (4.0 * x * pterm * u + 3.0 * (xr * xr))
             + 2.0 * (x * x - 1.0) * v * pterm
             + 2.0 * (x * x - 1.0) * qterm * u
         )
     )
-    return num / (2.0 * sx**3 * u**3)
+    return num / (2.0 * (sx * sx * sx) * (u * u * u))
 
 
 def _uniqueness_terms(x, rho, b):
     """(J1, j2, d2 j2/dx2, d2 J1/dx2) at (x, rho) for wing level b, where
     J1 = h^2 - b^2 g^2 with h = (1 + sqrt((1 - x^2)/(1 - rho^2)))/2 and
     g = (x + rho)/4 linear in x.  x, rho and b are floats, or arrays that
-    broadcast; each term is computed once."""
+    broadcast; each term is computed once, and powers are products and
+    sqrt, so that a float and an array give the same bits."""
     cx, cr = 1.0 - x * x, 1.0 - rho * rho
     sx, rb = _sqrt(cx), _sqrt(cr)
     d2j2 = _d2_j2_dx2(x, rho, sx, rb)
     h = 0.5 * (1.0 + _sqrt(cx / cr))
     h1 = -x / (2.0 * rb * sx)
-    h2 = -1.0 / (2.0 * rb * cx**1.5)
-    d2j1 = 2.0 * (h1**2 + h * h2 - b * b / 16.0)
+    h2 = -1.0 / (2.0 * rb * (cx * sx))
+    d2j1 = 2.0 * (h1 * h1 + h * h2 - b * b / 16.0)
     xr = x + rho
     g = xr / 4.0
-    j1 = h**2 - b * b * g * g
-    j2 = sx**3 - xr**2 * sx / (2.0 * (1.0 + rho * x + rb * sx))
+    j1 = h * h - b * b * g * g
+    j2 = sx * sx * sx - xr * xr * sx / (2.0 * (1.0 + rho * x + rb * sx))
     return j1, j2, d2j2, d2j1
 
 

@@ -596,6 +596,20 @@ def test_uniqueness_target_on_a_float_is_a_float_without_numpy():
     assert out.stdout.split() == ["float", "False"]
 
 
+def test_uniqueness_target_on_a_float_has_the_bits_of_the_array_path():
+    # 10k seeded points of the scan's box and CI's (0.9, 0.0), each term
+    # and both second derivatives included: the powers are products and sqrt
+    rng = np.random.default_rng(31)
+    x = np.append(rng.uniform(X_M2_RHO1, 0.999, 10_000), 0.9)
+    rho = np.append(rng.uniform(0.0, 0.999, 10_000), 0.0)
+    b = 2.0 / (1.0 + rho)
+    arrays = np.stack(ssvi._uniqueness_terms(x, rho, b) + (uniqueness_target(x, rho),))
+    floats = [ssvi._uniqueness_terms(*p) + (uniqueness_target(*p[:2]),)
+              for p in zip(x.tolist(), rho.tolist(), b.tolist())]
+    assert arrays.T.tolist() == [list(t) for t in floats]
+    assert floats[-1][-1] == 2.6293854566752954
+
+
 def test_default_scan_is_pinned():
     rep = scan_uniqueness()
     assert rep.min_value == pytest.approx(2.191882357866213, rel=1e-12)
