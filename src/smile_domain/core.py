@@ -307,34 +307,87 @@ def _wing_terms(u):
     return a, c, e, es, q, q * a / s, q * es, c * c / (s * s * s)
 
 
+def _grid_cols(terms):
+    """The shape-free columns of a grid's wing terms, built once per grid,
+    read-only: (d_cols, m_cols, y_cols, cc2s3).  With P = 1 + rho and the
+    coefficients of _wing_coefs, N*c = (gamma, P, 1) @ d_cols on
+    d_cols = (c, a, e); 2*N*c*(h - b*g) = P*w*a + c*Y = (P*w, *y) @ m_cols
+    on m_cols = (a, c, c*q, c*qr, c*es, c*eqr); Y = y @ y_cols on y_cols =
+    (1, q, qr, es, eqr), which stays regular on the slope bound (w = 0),
+    where c cancels; and cc2s3 = c*c^2/s^3, the term of c*g2 that does not
+    depend on the shape."""
+    import numpy as np
+
+    a, c, e, es, q, qr, eqr, c2s3 = terms
+    cols = (np.stack([c, a, e]), np.stack([a, c, c * q, c * qr, c * es, c * eqr]),
+            np.stack([np.ones_like(a), q, qr, es, eqr]), c * c2s3)
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
+def _wing_coefs(gamma: float, b: float, rho: float, mu: float, w: float):
+    """The coefficients of Y in _wing_at on the columns (1, q, qr, es, eqr)."""
+    p = 1.0 + rho
+    return (gamma * (1.0 + w) - p * mu, 1.0 + w, 2.0 - w, mu + b * gamma / 2.0, b / 2.0)
+
+
+def _wing_rows(cols, gamma: float, b: float, rows):
+    """(2*N*c, 2*N*c*(h - b*g)) of _wing_at on every point of a grid, one
+    row for each (rho, mu, w) in rows: each is one matrix product of the
+    rows' coefficients with the grid's _grid_cols.  N*c is doubled after
+    the product, as _wing_n_at doubles it, so that it stays finite at
+    u = 0, where c = 0, for a gamma whose double overflows."""
+    import numpy as np
+
+    d = np.array([(gamma, 1.0 + rho, 1.0) for rho, _, _ in rows]).dot(cols[0])
+    d *= 2.0
+    m = np.array([((1.0 + rho) * w, *_wing_coefs(gamma, b, rho, mu, w))
+                  for rho, mu, w in rows]).dot(cols[1])
+    return d, m
+
+
 @functools.cache
 def _u_grid():
-    """The wing grid, u = 1/l from u = 0 (l = +inf) to l = 1e-6, and its
-    terms, built once, on first use, read-only: the oracle's wing scan and
-    fukasawa's root l- use it."""
+    """The wing grid, u = 1/l from u = 0 (l = +inf) to l = 1e-6, its terms
+    and their _grid_cols, built once, on first use, read-only:
+    (grid, terms, cols).  The oracle's wing scan and fukasawa's level and
+    threshold scans evaluate a shape on every point as matrix products on
+    the columns; Brent's method then takes the scalar bodies."""
     import numpy as np
 
     grid = np.append(0.0, np.geomspace(1e-16, 1e6, 551))
     terms = _wing_terms(grid)
     for term in (grid, *terms):
         term.flags.writeable = False
-    return grid, terms
+    return grid, terms, _grid_cols(terms)
 
 
-def _u_root(f, end: float) -> float:
+def _u_len(end: float) -> int:
+    """The number of wing grid points below end."""
+    return len(_u_grid()[0]) if end == math.inf else int(_u_grid()[0].searchsorted(end))
+
+
+def _u_root(f, end: float, vals=None) -> float:
     """Root in u of f(wing terms) on the first sign change of the grid below
-    end, else between its last point and a finite end.  xtol = 1e-14*lo^2
-    in u is 1e-14 in |l| = 1/u at the bracket's lower end lo > 0.  Raises
-    NoRootError without a bracket, and EvaluationDomainError where brentq
-    does not converge (as at gamma = 1e100)."""
+    end, else between its last point and a finite end.  vals, where given,
+    are f's values on the grid's first _u_len(end) points, as a column scan
+    computes them; otherwise f is evaluated on their terms.  Brent's method
+    calls f on scalar terms.  xtol = 1e-14*lo^2 in u is 1e-14 in |l| = 1/u
+    at the bracket's lower end lo > 0.  Raises NoRootError without a
+    bracket, and EvaluationDomainError where brentq does not converge (as at
+    gamma = 1e100)."""
     import numpy as np
 
-    grid, terms = _u_grid()
-    n = int(np.searchsorted(grid, end))
-    sgn = np.sign(f(tuple(t[:n] for t in terms)))
-    i = np.flatnonzero(sgn[1:] != sgn[:-1])
-    if i.size:
-        lo, hi = float(grid[i[0]]), float(grid[i[0] + 1])
+    grid, terms = _u_grid()[:2]
+    n = _u_len(end)
+    if vals is None:
+        vals = f(tuple(t[:n] for t in terms))
+    sgn = np.sign(vals[:n])
+    change = sgn[1:] != sgn[:-1]
+    i = int(change.argmax()) if change.size else 0  # the first sign change, if any
+    if change.size and change[i]:
+        lo, hi = float(grid[i]), float(grid[i + 1])
     elif end < math.inf:
         lo, hi = float(grid[n - 1]), end
     else:
@@ -355,6 +408,13 @@ def _wing_slack(b: float, rho: float) -> float:
     return w if w > 2.0**-52 or wing_slope(b, rho) == "beyond" else 0.0
 
 
+def _check_level(nc) -> None:
+    """Raise EvaluationDomainError where an array of N*c, or of a positive
+    multiple of it, is <= 0, as _wing_n_at does."""
+    if nc.min() <= 0.0:
+        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
+
+
 def _wing_n_at(t, gamma: float, rho: float):
     """(2*N*c, N' = P - e/s, g2/c) on the terms of _wing_terms, P = 1 + rho,
     N*c = gamma*c + P*a + e.  Raises EvaluationDomainError where N*c <= 0."""
@@ -373,10 +433,9 @@ def _wing_at(t, gamma: float, b: float, rho: float, mu: float, w: float):
     P*w*a + c*Y, where Y is regular: gamma*(1 + w) - mu*P at l = +inf."""
     a, c, _, es, q, qr, eqr, _ = t
     two_d, n1, g2c = _wing_n_at(t, gamma, rho)
-    p = 1.0 + rho
-    y = ((gamma * (1.0 + w) - p * mu) + (1.0 + w) * q + (2.0 - w) * qr
-         + (mu + b * gamma / 2.0) * es + b / 2.0 * eqr)
-    hm = (p * w * a + c * y) / two_d
+    y0, y1, y2, y3, y4 = _wing_coefs(gamma, b, rho, mu, w)
+    y = y0 + y1 * q + y2 * qr + y3 * es + y4 * eqr
+    hm = ((1.0 + rho) * w * a + c * y) / two_d
     return g2c, hm, hm + b / 2.0 * n1, y / two_d
 
 

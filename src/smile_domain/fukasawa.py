@@ -27,8 +27,11 @@ from .core import (
     InvalidParamsError,
     NoRootError,
     _any,
+    _check_level,
     _n_funcs_s,
     _pow,
+    _u_grid,
+    _u_len,
     _u_root,
     _wing_n_at,
     _wing_slack,
@@ -104,6 +107,26 @@ def _level_at(t, gamma: float, b: float, rho: float):
     return n1 * n1 * ((2.0 - b * (1.0 - rho)) + b * t[3]) / 4.0 - t[7] * two_d / 2.0
 
 
+def _level_scan(gamma: float, b: float, rho: float, n: int):
+    """_level_at on the wing grid's first n points, from its columns and
+    with no array of terms computed: N*c = two_d/2 is one matrix product,
+    and the factors 1/4 and 1/2 of _level_at are taken inside its products,
+    which are exact scalings in the normal range."""
+    import numpy as np
+
+    _, terms, cols = _u_grid()
+    p = 1.0 - rho
+    nc = np.array((gamma, p, 1.0)).dot(cols[0][:, :n])
+    _check_level(nc)
+    nc *= terms[7][:n]
+    es = terms[3][:n]
+    lvl = p - es
+    lvl *= lvl
+    lvl *= b / 4.0 * es + (2.0 - b * p) / 4.0
+    lvl -= nc
+    return lvl
+
+
 def solve_l_minus(gamma: float, b: float, rho: float) -> float:
     """Unique root of l_minus_curve(., b, rho) = gamma below the minimum.
 
@@ -125,7 +148,8 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
         msg = f"left root removed at b*(1-rho)={b * (1.0 - rho)}"
         raise NoRootError(msg, degenerate_case=_tag(b, rho))
     end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho if rho > 0.0 else math.inf
-    return -1.0 / _u_root(lambda t: _level_at(t, gamma, b, rho), end)
+    scan = _level_scan(gamma, b, rho, _u_len(end))
+    return -1.0 / _u_root(lambda t: _level_at(t, gamma, b, rho), end, scan)
 
 
 def mu_lower_curve(l, gamma, b: float, rho: float):
@@ -224,10 +248,29 @@ def _threshold_decorrelated(b: float) -> float:
     1.7e-8 off the closed form at b = 2 - 6.7e-6).
     """
 
-    def lower(t):
-        n1 = 1.0 - t[3]
-        return n1 * (2.0 - b * n1) * (b * n1 - 4.0) / 8.0 + t[0] * t[7]
-
-    a, c, e, es = _wing_terms(_u_root(lower, math.inf))[:4]
+    u = _u_root(lambda t: _threshold_end_at(t, b), math.inf, _threshold_scan(b))
+    a, c, e, es = _wing_terms(u)[:4]
     r, n1 = (a + e) / c, 1.0 - es
     return r * (r * r * n1 * n1 * (2.0 - b * n1) / 4.0 - 1.0)
+
+
+def _threshold_end_at(t, b: float):
+    """The decorrelated lower end times (c/s)^3 on the wing terms t of
+    u = -1/l: n1*(2 - b*n1)*(b*n1 - 4)/8 + a*c^2/s^3, n1 = 1 - e/s."""
+    n1 = 1.0 - t[3]
+    return n1 * (2.0 - b * n1) * (b * n1 - 4.0) / 8.0 + t[0] * t[7]
+
+
+def _threshold_scan(b: float):
+    """_threshold_end_at on every point of the wing grid: its three factors
+    are one matrix product with the columns (1, q, qr, es, eqr), with
+    2 - b*n1 as 2 - b + b*e/s."""
+    import numpy as np
+
+    _, terms, cols = _u_grid()
+    n1, slack, tail = np.array([(1.0, 0.0, 0.0, -1.0, 0.0), (2.0 - b, 0.0, 0.0, b, 0.0),
+                                ((b - 4.0) / 8.0, 0.0, 0.0, -b / 8.0, 0.0)]).dot(cols[2])
+    n1 *= slack
+    n1 *= tail
+    n1 += terms[0] * terms[7]
+    return n1

@@ -12,7 +12,13 @@ oracle.
 
 durrleman_check is the independent second route: it verifies nonnegativity
 of G1 + b*g2/(2*sigma) directly on a wide grid.  Both grids are built on
-first use, numpy with them, so importing this module costs no array.
+first use, numpy with them, so importing this module costs no array.  On
+either grid a shape is evaluated from the grid's shape-free columns
+(core._grid_cols): 2*N*c and 2*N*c*(h - b*g) are matrix products of the
+shape's coefficients with them (core._wing_rows), one row for the wing
+scan and two, the half-lines, for the density check, and the rest runs in
+place.  The scan sets only the search's bracket: the supremum is the
+scalar body _wing_f at Brent's root.
 """
 
 from __future__ import annotations
@@ -28,12 +34,16 @@ from .core import (
     NoRootError,
     RawSviParams,
     RogerLeeViolation,
+    _check_level,
     _critical_at,
     _critical_residual,
+    _grid_cols,
     _u_grid,
     _u_root,
     _wing_at,
+    _wing_coefs,
     _wing_n_at,
+    _wing_rows,
     _wing_slack,
     _ratio,
     _wing_terms,
@@ -109,6 +119,40 @@ def g2_zeros(gamma: float, rho: float) -> G2Zeros:
 # ---------------------------------------------------------------------------
 # Supremum search
 # ---------------------------------------------------------------------------
+def _wing_f(t, gamma: float, b: float, rho: float, mu: float, w: float):
+    """(g2/c, f) on the terms of _wing_terms, f = -b*g2/(2*G1), for the
+    slack w = _wing_slack(b, rho); on the bound (w = 0) h - b*g is
+    c*Y/(2*N*c), and c cancels."""
+    g2c, hm, hp, yd = _wing_at(t, gamma, b, rho, mu, w)
+    return g2c, _ratio(-b / 2.0 * t[1] * g2c, hm * hp) if w else _ratio(-b / 2.0 * g2c, yd * hp)
+
+
+def _wing_scan(gamma: float, b: float, rho: float, mu: float, w: float):
+    """_wing_f on every point of the wing grid, from its columns and in
+    _wing_f's order of operations, with no array of terms computed."""
+    import numpy as np
+
+    _, terms, cols = _u_grid()
+    (d,), (m,) = _wing_rows(cols, gamma, b, ((rho, mu, w),))
+    _check_level(d)
+    n1 = (1.0 + rho) - terms[3]  # N'
+    g2c = n1 * n1
+    g2c /= d
+    np.subtract(terms[7], g2c, out=g2c)
+    m /= d  # h - b*g
+    n1 *= b / 2.0
+    n1 += m  # h + b*g
+    if w:
+        num = terms[1] * (-b / 2.0)
+        num *= g2c
+    else:
+        num = g2c * (-b / 2.0)
+        m = np.array(_wing_coefs(gamma, b, rho, mu, w)).dot(cols[2])
+        m /= d  # Y/(2*N*c)
+    m *= n1
+    return g2c, _ratio(num, m)
+
+
 def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, float]:
     """(argsup, sup) of f on the right wing (l2, infinity) of the given
     shape, from one pass over the u-grid: the wing is the run of points from
@@ -120,15 +164,10 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     """
     import numpy as np
 
-    grid, terms = _u_grid()
+    grid, terms, _ = _u_grid()
     w = _wing_slack(b, rho)
-
-    def f(t):  # (g2/c, f); on the bound (w = 0) h - b*g = c*Y/(2*N*c), and c cancels
-        g2c, hm, hp, yd = _wing_at(t, gamma, b, rho, mu, w)
-        return g2c, _ratio(-b / 2.0 * t[1] * g2c, hm * hp) if w else _ratio(-b / 2.0 * g2c, yd * hp)
-
-    g2c, vals = f(terms)
-    n = int(np.argmin(g2c < 0.0))  # the first point off the wing
+    g2c, vals = _wing_scan(gamma, b, rho, mu, w)
+    n = int((g2c < 0.0).argmin())  # the first point off the wing
     if g2c[n] < 0.0:  # g2 has one zero right of the smile minimum
         raise NoRootError("g2 has no zero on the wing grid")
     i = int(np.argmax(vals[:n]))
@@ -139,11 +178,13 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
                    grid[i - 1], grid[i + 1], xtol=5e-324)
     except ValueError:
         # the residual keeps its sign across a pole of f, where G1 = 0 on
-        # the wing: a shape outside mu_interval, which sigma_star rejects
-        return 1.0 / grid[i], float(vals[i])
+        # the wing: a shape outside mu_interval, which sigma_star rejects;
+        # the value is _wing_f's own at the point, not the scan's
+        point = tuple(t[i:i + 1] for t in terms)
+        return 1.0 / grid[i], float(_wing_f(point, gamma, b, rho, mu, w)[1][0])
     except RuntimeError as exc:
         raise EvaluationDomainError(f"the supremum search failed: {exc}") from exc
-    return 1.0 / u, float(f(_wing_terms(u))[1])
+    return 1.0 / u, float(_wing_f(_wing_terms(u), gamma, b, rho, mu, w)[1])
 
 
 def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult:
@@ -201,16 +242,11 @@ def sigma_star(gamma: float, b: float, rho: float, mu: float) -> SigmaStarResult
 # ---------------------------------------------------------------------------
 @functools.cache
 def _density_grid():
-    """The density check's grid and its shape-free columns, built once, on
-    first use, read-only: (grid, half_terms, d_cols, m_cols, cc2s3).  The
-    right half-line is 2001 uniform l on [0, 50], then 500 log-spaced
-    u = 1/l from 1/50 down to 1e-10 and u = 0; the left one is its mirror,
-    and half_terms are its wing terms.  The columns are those of the
-    density functional's two linear parts: 2*N*c = (2*gamma, 2*P, 2) @
-    d_cols and 2*N*c*(h - b*g) = (P*w, gamma*(1 + w) - P*mu, 1 + w, 2 - w,
-    mu + b*gamma/2, b/2) @ m_cols on the half-line, with P = 1 + rho and
-    w = _wing_slack(b, rho); and cc2s3 = c*c^2/s^3, the term of c*g2 that
-    does not depend on the shape."""
+    """The density check's grid, the wing terms of its right half-line and
+    their core._grid_cols, built once, on first use, read-only:
+    (grid, half_terms, d_cols, m_cols, cc2s3).  The right half-line is 2001
+    uniform l on [0, 50], then 500 log-spaced u = 1/l from 1/50 down to
+    1e-10 and u = 0; the left one is its mirror."""
     import numpy as np
 
     half_l = np.linspace(0.0, 50.0, 2001)
@@ -219,11 +255,10 @@ def _density_grid():
         half = np.concatenate([half_l, 1.0 / half_u])
         terms = _wing_terms(np.concatenate([1.0 / half_l, half_u]))
     grid = np.concatenate([-half[:0:-1], half])
-    a, c, e, es, q, qr, eqr, c2s3 = terms
-    cols = (np.stack([c, a, e]), np.stack([a, c, c * q, c * qr, c * es, c * eqr]), c * c2s3)
-    for term in (grid, *terms, *cols):
+    d_cols, m_cols, _, cc2s3 = _grid_cols(terms)
+    for term in (grid, *terms):
         term.flags.writeable = False
-    return (grid, terms, *cols)
+    return grid, terms, d_cols, m_cols, cc2s3
 
 
 def durrleman_check(p: RawSviParams) -> DensityReport:
@@ -235,9 +270,9 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
     arbitrage; this check is deliberately independent of the supremum search
     so the two can validate each other.  The right half-line (rho, mu) and
     the left one, the mirror's right half-line (-rho, -mu), are the two rows
-    of one evaluation on the wing terms: 2*N*c and 2*N*c*(h - b*g) are each
-    one matrix product of shape coefficients with the grid's columns.
-    Raises EvaluationDomainError where N <= 0 on the grid.
+    of one core._wing_rows evaluation on the grid's columns, and the rest is
+    evaluated in place.  Raises EvaluationDomainError where N <= 0 on the
+    grid.
     """
     if p.b <= 0.0:
         # flat smile: the functional is identically 1
@@ -247,25 +282,27 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
     grid, half_terms, d_cols, m_cols, cc2s3 = _density_grid()
     nsvi = p.normalized()
     gamma, b, rho, mu = nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu
-    k = b / (2.0 * nsvi.sigma)
-    d_coef, m_coef = [], []
-    for r, m in ((rho, mu), (-rho, -mu)):
-        p1, w = 1.0 + r, _wing_slack(b, r)
-        d_coef.append((2.0 * gamma, 2.0 * p1, 2.0))
-        m_coef.append((p1 * w, gamma * (1.0 + w) - p1 * m, 1.0 + w, 2.0 - w,
-                       m + b * gamma / 2.0, b / 2.0))
-    d = np.array(d_coef) @ d_cols
-    p_col = np.array([[1.0 + rho], [1.0 - rho]])
-    # a flat wing of |rho| = 1 (P = 0) has N*c = 0 at u = 0: +inf there
-    flat = p_col[:, 0] == 0.0
-    d[flat, -1] = 1.0
-    if (d <= 0.0).any():
-        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    hm = (np.array(m_coef) @ m_cols) / d  # h - b*g
-    n1 = p_col - half_terms[3]  # N'
-    vals = hm * (hm + b / 2.0 * n1) + k * (cc2s3 - half_terms[1] * (n1 * n1) / d)
-    vals[flat, -1] = math.inf
-    vals = np.concatenate([vals[1, :0:-1], vals[0]])
+    rows = ((rho, mu, _wing_slack(b, rho)), (-rho, -mu, _wing_slack(b, -rho)))
+    d, hm = _wing_rows((d_cols, m_cols), gamma, b, rows)
+    n1 = np.array([[1.0 + rho], [1.0 - rho]]) - half_terms[3]  # N'
+    # the row of a flat wing of |rho| = 1 (P = 0) has N*c = 0 at u = 0: +inf there
+    flat = 0 if rho == -1.0 else 1 if rho == 1.0 else None
+    if flat is not None:
+        d[flat, -1] = 1.0
+    _check_level(d)
+    hm /= d  # h - b*g
+    cg2 = n1 * n1
+    cg2 *= half_terms[1]
+    cg2 /= d
+    np.subtract(cc2s3, cg2, out=cg2)  # c*g2
+    cg2 *= b / (2.0 * nsvi.sigma)
+    n1 *= b / 2.0
+    n1 += hm  # h + b*g
+    n1 *= hm  # G1
+    n1 += cg2
+    if flat is not None:
+        n1[flat, -1] = math.inf
+    vals = np.concatenate([n1[1, :0:-1], n1[0]])
     i = int(np.argmin(vals))
     return DensityReport(
         min_value=float(vals[i]), argmin_l=float(grid[i]), n_points=len(vals)
