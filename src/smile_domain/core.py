@@ -326,64 +326,57 @@ def _grid_cols(terms):
     return cols
 
 
+class _Grid(tuple):
+    """The wing terms of a grid, with its _grid_cols as .cols.  The wing
+    bodies take a point's linear forms inline and a _Grid's as one product
+    with its columns each: dot(k, coefs) = coefs @ cols[k]."""
+
+    def dot(self, k: int, coefs):
+        import numpy as np
+
+        return np.array(coefs).dot(self.cols[k])
+
+    def head(self, n: int) -> "_Grid":
+        """The terms and columns of the grid's first n points."""
+        out = _Grid([t[:n] for t in self])
+        out.cols = tuple([col[..., :n] for col in self.cols])
+        return out
+
+
 def _wing_coefs(gamma: float, b: float, rho: float, mu: float, w: float):
     """The coefficients of Y in _wing_at on the columns (1, q, qr, es, eqr)."""
     p = 1.0 + rho
     return (gamma * (1.0 + w) - p * mu, 1.0 + w, 2.0 - w, mu + b * gamma / 2.0, b / 2.0)
 
 
-def _wing_rows(cols, gamma: float, b: float, rows):
-    """(2*N*c, 2*N*c*(h - b*g)) of _wing_at on every point of a grid, one
-    row for each (rho, mu, w) in rows: each is one matrix product of the
-    rows' coefficients with the grid's _grid_cols.  N*c is doubled after
-    the product, as _wing_n_at doubles it, so that it stays finite at
-    u = 0, where c = 0, for a gamma whose double overflows."""
-    import numpy as np
-
-    d = np.array([(gamma, 1.0 + rho, 1.0) for rho, _, _ in rows]).dot(cols[0])
-    d *= 2.0
-    m = np.array([((1.0 + rho) * w, *_wing_coefs(gamma, b, rho, mu, w))
-                  for rho, mu, w in rows]).dot(cols[1])
-    return d, m
-
-
 @functools.cache
 def _u_grid():
-    """The wing grid, u = 1/l from u = 0 (l = +inf) to l = 1e-6, its terms
-    and their _grid_cols, built once, on first use, read-only:
-    (grid, terms, cols).  The oracle's wing scan and fukasawa's level and
-    threshold scans evaluate a shape on every point as matrix products on
-    the columns; Brent's method then takes the scalar bodies."""
+    """The wing grid, u = 1/l from u = 0 (l = +inf) to l = 1e-6, and its
+    terms as a _Grid, built once, on first use, read-only:
+    (grid, terms, terms.cols)."""
     import numpy as np
 
     grid = np.append(0.0, np.geomspace(1e-16, 1e6, 551))
     terms = _wing_terms(grid)
     for term in (grid, *terms):
         term.flags.writeable = False
-    return grid, terms, _grid_cols(terms)
+    terms = _Grid(terms)
+    terms.cols = _grid_cols(terms)
+    return grid, terms, terms.cols
 
 
-def _u_len(end: float) -> int:
-    """The number of wing grid points below end."""
-    return len(_u_grid()[0]) if end == math.inf else int(_u_grid()[0].searchsorted(end))
-
-
-def _u_root(f, end: float, vals=None) -> float:
+def _u_root(f, end: float) -> float:
     """Root in u of f(wing terms) on the first sign change of the grid below
-    end, else between its last point and a finite end.  vals, where given,
-    are f's values on the grid's first _u_len(end) points, as a column scan
-    computes them; otherwise f is evaluated on their terms.  Brent's method
-    calls f on scalar terms.  xtol = 1e-14*lo^2 in u is 1e-14 in |l| = 1/u
-    at the bracket's lower end lo > 0.  Raises NoRootError without a
-    bracket, and EvaluationDomainError where brentq does not converge (as at
-    gamma = 1e100)."""
+    end, else between its last point and a finite end.  f is evaluated once
+    on the _Grid of those points, then by Brent's method on scalar terms.
+    xtol = 1e-14*lo^2 in u is 1e-14 in |l| = 1/u at the bracket's lower end
+    lo > 0.  Raises NoRootError without a bracket, and EvaluationDomainError
+    where brentq does not converge (as at gamma = 1e100)."""
     import numpy as np
 
     grid, terms = _u_grid()[:2]
-    n = _u_len(end)
-    if vals is None:
-        vals = f(tuple(t[:n] for t in terms))
-    sgn = np.sign(vals[:n])
+    n = len(grid) if end == math.inf else int(grid.searchsorted(end))
+    sgn = np.sign(f(terms if n == len(grid) else terms.head(n)))
     change = sgn[1:] != sgn[:-1]
     i = int(change.argmax()) if change.size else 0  # the first sign change, if any
     if change.size and change[i]:
@@ -408,35 +401,50 @@ def _wing_slack(b: float, rho: float) -> float:
     return w if w > 2.0**-52 or wing_slope(b, rho) == "beyond" else 0.0
 
 
-def _check_level(nc) -> None:
-    """Raise EvaluationDomainError where an array of N*c, or of a positive
-    multiple of it, is <= 0, as _wing_n_at does."""
-    if nc.min() <= 0.0:
-        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-
-
 def _wing_n_at(t, gamma: float, rho: float):
-    """(2*N*c, N' = P - e/s, g2/c) on the terms of _wing_terms, P = 1 + rho,
+    """(2*N*c, N' = P - e/s) on the terms of _wing_terms, P = 1 + rho,
     N*c = gamma*c + P*a + e.  Raises EvaluationDomainError where N*c <= 0."""
-    a, c, e, es, _, _, _, c2s3 = t
+    a, c, e, es, _, _, _, _ = t
     p = 1.0 + rho
-    two_d = 2.0 * (gamma * c + (p * a + e))
-    if _any(two_d <= 0.0):
+    if type(t) is tuple:
+        two_d = 2.0 * (gamma * c + (p * a + e))
+        low = _any(two_d <= 0.0)
+    else:  # doubled after the product, finite at u = 0 where 2*gamma is not
+        two_d = 2.0 * t.dot(0, (gamma, p, 1.0))
+        low = two_d.min() <= 0.0
+    if low:
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    n1 = p - es
-    return two_d, n1, c2s3 - n1 * n1 / two_d
+    return two_d, p - es
+
+
+def _wing_g2_at(t, gamma: float, rho: float):
+    """(2*N*c, N', g2/c = c^2/s^3 - N'^2/(2*N*c)) on the terms of _wing_terms."""
+    two_d, n1 = _wing_n_at(t, gamma, rho)
+    g2c = n1 * n1
+    g2c /= two_d
+    return two_d, n1, t[7] - g2c
 
 
 def _wing_at(t, gamma: float, b: float, rho: float, mu: float, w: float):
     """(g2/c, h - b*g, h + b*g, Y/(2*N*c)) on the terms of _wing_terms, with
     the slack w = _wing_slack(b, rho) split out of 2*N*c*(h - b*g) =
-    P*w*a + c*Y, where Y is regular: gamma*(1 + w) - mu*P at l = +inf."""
-    a, c, _, es, q, qr, eqr, _ = t
-    two_d, n1, g2c = _wing_n_at(t, gamma, rho)
-    y0, y1, y2, y3, y4 = _wing_coefs(gamma, b, rho, mu, w)
-    y = y0 + y1 * q + y2 * qr + y3 * es + y4 * eqr
-    hm = ((1.0 + rho) * w * a + c * y) / two_d
-    return g2c, hm, hm + b / 2.0 * n1, y / two_d
+    P*w*a + c*Y, where Y is regular: gamma*(1 + w) - mu*P at l = +inf.
+    Y/(2*N*c) is taken only on the bound (w = 0), and is None off it."""
+    two_d, n1, g2c = _wing_g2_at(t, gamma, rho)
+    coefs = _wing_coefs(gamma, b, rho, mu, w)
+    pw = (1.0 + rho) * w
+    if type(t) is tuple:
+        a, c, _, es, q, qr, eqr, _ = t
+        y0, y1, y2, y3, y4 = coefs
+        y = y0 + y1 * q + y2 * qr + y3 * es + y4 * eqr
+        hm = (pw * a + c * y) / two_d
+        yd = None if w else y / two_d
+    else:
+        hm = t.dot(1, (pw, *coefs)) / two_d
+        yd = None if w else t.dot(2, coefs) / two_d
+    hp = n1 * (b / 2.0)
+    hp += hm
+    return g2c, hm, hp, yd
 
 
 def _wing_prime_at(t, gamma: float, rho: float, mu: float):
@@ -447,7 +455,8 @@ def _wing_prime_at(t, gamma: float, rho: float, mu: float):
     cancellation of its two O(1) terms.  Raises EvaluationDomainError where
     N*c <= 0."""
     a, c, e, _, q, _, _, c2s3 = t
-    two_d, n1, g2c = _wing_n_at(t, gamma, rho)
+    two_d, n1 = _wing_n_at(t, gamma, rho)
+    g2c = c2s3 - n1 * n1 / two_d  # _wing_g2_at's, without its call on Brent's steps
     s, m = a + e, a + mu * c
     k = c * ((1.0 + rho) * mu - gamma - q * (m / s + 1.0))
     h1 = (2.0 * n1 * k / two_d - c2s3 * m) / two_d

@@ -14,7 +14,9 @@ root escapes to -infinity and the endpoint degenerates to the limit value
 (-inf, upper) at rho = 1, (lower, +inf) at rho = -1.  It is non-empty iff
 gamma exceeds a threshold in (b, rho) alone, the root of its width, which
 increases in gamma.  Each end is read off the wing terms of its root l-,
-found in u = -1/l on the oracle's wing grid, where l = -inf is u = 0.
+found in u = -1/l on the oracle's wing grid, where l = -inf is u = 0.  The
+level curve, and the decorrelated threshold's lower end, have one body
+each, which evaluates the grid (core._Grid) and Brent's scalar steps.
 """
 
 from __future__ import annotations
@@ -27,11 +29,8 @@ from .core import (
     InvalidParamsError,
     NoRootError,
     _any,
-    _check_level,
     _n_funcs_s,
     _pow,
-    _u_grid,
-    _u_len,
     _u_root,
     _wing_n_at,
     _wing_slack,
@@ -103,27 +102,13 @@ def _level_at(t, gamma: float, b: float, rho: float):
     u: the level curve on the mirrored right wing, N' = -n1, with the same
     sign and root, with 2 - b*n1 = 2*w + b*e/s for the left wing's slack w,
     2*w = 2 - b*(1-rho) exactly.  At u = 0, l = -inf, it is (1-rho)^2*w/2."""
-    two_d, n1, _ = _wing_n_at(t, gamma, -rho)
-    return n1 * n1 * ((2.0 - b * (1.0 - rho)) + b * t[3]) / 4.0 - t[7] * two_d / 2.0
-
-
-def _level_scan(gamma: float, b: float, rho: float, n: int):
-    """_level_at on the wing grid's first n points, from its columns and
-    with no array of terms computed: N*c = two_d/2 is one matrix product,
-    and the factors 1/4 and 1/2 of _level_at are taken inside its products,
-    which are exact scalings in the normal range."""
-    import numpy as np
-
-    _, terms, cols = _u_grid()
-    p = 1.0 - rho
-    nc = np.array((gamma, p, 1.0)).dot(cols[0][:, :n])
-    _check_level(nc)
-    nc *= terms[7][:n]
-    es = terms[3][:n]
-    lvl = p - es
+    two_d, lvl = _wing_n_at(t, gamma, -rho)
+    two_d *= t[7]
+    two_d *= 0.5  # /2 and /4 as exact products, cheaper on an array
     lvl *= lvl
-    lvl *= b / 4.0 * es + (2.0 - b * p) / 4.0
-    lvl -= nc
+    lvl *= (2.0 - b * (1.0 - rho)) + b * t[3]
+    lvl *= 0.25
+    lvl -= two_d
     return lvl
 
 
@@ -148,8 +133,7 @@ def solve_l_minus(gamma: float, b: float, rho: float) -> float:
         msg = f"left root removed at b*(1-rho)={b * (1.0 - rho)}"
         raise NoRootError(msg, degenerate_case=_tag(b, rho))
     end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho if rho > 0.0 else math.inf
-    scan = _level_scan(gamma, b, rho, _u_len(end))
-    return -1.0 / _u_root(lambda t: _level_at(t, gamma, b, rho), end, scan)
+    return -1.0 / _u_root(lambda t: _level_at(t, gamma, b, rho), end)
 
 
 def mu_lower_curve(l, gamma, b: float, rho: float):
@@ -248,7 +232,7 @@ def _threshold_decorrelated(b: float) -> float:
     1.7e-8 off the closed form at b = 2 - 6.7e-6).
     """
 
-    u = _u_root(lambda t: _threshold_end_at(t, b), math.inf, _threshold_scan(b))
+    u = _u_root(lambda t: _threshold_end_at(t, b), math.inf)
     a, c, e, es = _wing_terms(u)[:4]
     r, n1 = (a + e) / c, 1.0 - es
     return r * (r * r * n1 * n1 * (2.0 - b * n1) / 4.0 - 1.0)
@@ -258,19 +242,11 @@ def _threshold_end_at(t, b: float):
     """The decorrelated lower end times (c/s)^3 on the wing terms t of
     u = -1/l: n1*(2 - b*n1)*(b*n1 - 4)/8 + a*c^2/s^3, n1 = 1 - e/s."""
     n1 = 1.0 - t[3]
-    return n1 * (2.0 - b * n1) * (b * n1 - 4.0) / 8.0 + t[0] * t[7]
-
-
-def _threshold_scan(b: float):
-    """_threshold_end_at on every point of the wing grid: its three factors
-    are one matrix product with the columns (1, q, qr, es, eqr), with
-    2 - b*n1 as 2 - b + b*e/s."""
-    import numpy as np
-
-    _, terms, cols = _u_grid()
-    n1, slack, tail = np.array([(1.0, 0.0, 0.0, -1.0, 0.0), (2.0 - b, 0.0, 0.0, b, 0.0),
-                                ((b - 4.0) / 8.0, 0.0, 0.0, -b / 8.0, 0.0)]).dot(cols[2])
-    n1 *= slack
-    n1 *= tail
-    n1 += terms[0] * terms[7]
-    return n1
+    bn1 = b * n1
+    end = 2.0 - bn1
+    end *= n1
+    bn1 -= 4.0
+    end *= bn1
+    end *= 0.125  # /8 as an exact product
+    end += t[0] * t[7]
+    return end

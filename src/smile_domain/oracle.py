@@ -10,15 +10,14 @@ only there, as the limit of f.
 Every closed-form family domain in this package is validated against this
 oracle.
 
+The scan and Brent's steps run one body, _wing_f: on the grid's terms, a
+core._Grid, its linear forms are products with the grid's columns.
+
 durrleman_check is the independent second route: it verifies nonnegativity
-of G1 + b*g2/(2*sigma) directly on a wide grid.  Both grids are built on
-first use, numpy with them, so importing this module costs no array.  On
-either grid a shape is evaluated from the grid's shape-free columns
-(core._grid_cols): 2*N*c and 2*N*c*(h - b*g) are matrix products of the
-shape's coefficients with them (core._wing_rows), one row for the wing
-scan and two, the half-lines, for the density check, and the rest runs in
-place.  The scan sets only the search's bracket: the supremum is the
-scalar body _wing_f at Brent's root.
+of G1 + b*g2/(2*sigma) directly on a wide grid, with the half-lines' linear
+forms as two-row products on the same kind of columns.  Both grids are
+built on first use, numpy with them, so importing this module costs no
+array.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .core import (
     NoRootError,
     RawSviParams,
     RogerLeeViolation,
-    _check_level,
     _critical_at,
     _critical_residual,
     _grid_cols,
@@ -42,8 +40,7 @@ from .core import (
     _u_root,
     _wing_at,
     _wing_coefs,
-    _wing_n_at,
-    _wing_rows,
+    _wing_g2_at,
     _wing_slack,
     _ratio,
     _wing_terms,
@@ -94,7 +91,7 @@ class DensityReport:
 def _right_zero(gamma: float, rho: float) -> float:
     """Unique zero l2 > 0 of g2 right of the smile minimum, for g2_zeros: the
     wing grid's root, as g2 > 0 on [0, l2) and g2/c = -(1 + rho)/2 at u = 0."""
-    return 1.0 / _u_root(lambda t: _wing_n_at(t, gamma, rho)[2], math.inf)
+    return 1.0 / _u_root(lambda t: _wing_g2_at(t, gamma, rho)[2], math.inf)
 
 
 def g2_zeros(gamma: float, rho: float) -> G2Zeros:
@@ -127,32 +124,6 @@ def _wing_f(t, gamma: float, b: float, rho: float, mu: float, w: float):
     return g2c, _ratio(-b / 2.0 * t[1] * g2c, hm * hp) if w else _ratio(-b / 2.0 * g2c, yd * hp)
 
 
-def _wing_scan(gamma: float, b: float, rho: float, mu: float, w: float):
-    """_wing_f on every point of the wing grid, from its columns and in
-    _wing_f's order of operations, with no array of terms computed."""
-    import numpy as np
-
-    _, terms, cols = _u_grid()
-    (d,), (m,) = _wing_rows(cols, gamma, b, ((rho, mu, w),))
-    _check_level(d)
-    n1 = (1.0 + rho) - terms[3]  # N'
-    g2c = n1 * n1
-    g2c /= d
-    np.subtract(terms[7], g2c, out=g2c)
-    m /= d  # h - b*g
-    n1 *= b / 2.0
-    n1 += m  # h + b*g
-    if w:
-        num = terms[1] * (-b / 2.0)
-        num *= g2c
-    else:
-        num = g2c * (-b / 2.0)
-        m = np.array(_wing_coefs(gamma, b, rho, mu, w)).dot(cols[2])
-        m /= d  # Y/(2*N*c)
-    m *= n1
-    return g2c, _ratio(num, m)
-
-
 def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, float]:
     """(argsup, sup) of f on the right wing (l2, infinity) of the given
     shape, from one pass over the u-grid: the wing is the run of points from
@@ -166,7 +137,7 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
 
     grid, terms, _ = _u_grid()
     w = _wing_slack(b, rho)
-    g2c, vals = _wing_scan(gamma, b, rho, mu, w)
+    g2c, vals = _wing_f(terms, gamma, b, rho, mu, w)
     n = int((g2c < 0.0).argmin())  # the first point off the wing
     if g2c[n] < 0.0:  # g2 has one zero right of the smile minimum
         raise NoRootError("g2 has no zero on the wing grid")
@@ -179,7 +150,7 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     except ValueError:
         # the residual keeps its sign across a pole of f, where G1 = 0 on
         # the wing: a shape outside mu_interval, which sigma_star rejects;
-        # the value is _wing_f's own at the point, not the scan's
+        # the value is _wing_f's inline one at the point, not the grid's
         point = tuple(t[i:i + 1] for t in terms)
         return 1.0 / grid[i], float(_wing_f(point, gamma, b, rho, mu, w)[1][0])
     except RuntimeError as exc:
@@ -269,10 +240,10 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
     Nonnegativity of this functional is equivalent to absence of butterfly
     arbitrage; this check is deliberately independent of the supremum search
     so the two can validate each other.  The right half-line (rho, mu) and
-    the left one, the mirror's right half-line (-rho, -mu), are the two rows
-    of one core._wing_rows evaluation on the grid's columns, and the rest is
-    evaluated in place.  Raises EvaluationDomainError where N <= 0 on the
-    grid.
+    the left one, the mirror's right half-line (-rho, -mu), are two rows:
+    2*N*c and 2*N*c*(h - b*g) are each one product of the rows'
+    coefficients with the grid's columns, and the rest is evaluated in
+    place.  Raises EvaluationDomainError where N <= 0 on the grid.
     """
     if p.b <= 0.0:
         # flat smile: the functional is identically 1
@@ -283,13 +254,17 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
     nsvi = p.normalized()
     gamma, b, rho, mu = nsvi.gamma, nsvi.b, nsvi.rho, nsvi.mu
     rows = ((rho, mu, _wing_slack(b, rho)), (-rho, -mu, _wing_slack(b, -rho)))
-    d, hm = _wing_rows((d_cols, m_cols), gamma, b, rows)
+    d = np.array([(gamma, 1.0 + r, 1.0) for r, _, _ in rows]).dot(d_cols)
+    d *= 2.0  # after the product, finite at u = 0 where 2*gamma is not
+    hm = np.array([((1.0 + r) * w, *_wing_coefs(gamma, b, r, m, w))
+                   for r, m, w in rows]).dot(m_cols)
     n1 = np.array([[1.0 + rho], [1.0 - rho]]) - half_terms[3]  # N'
     # the row of a flat wing of |rho| = 1 (P = 0) has N*c = 0 at u = 0: +inf there
     flat = 0 if rho == -1.0 else 1 if rho == 1.0 else None
     if flat is not None:
         d[flat, -1] = 1.0
-    _check_level(d)
+    if d.min() <= 0.0:
+        raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
     hm /= d  # h - b*g
     cg2 = n1 * n1
     cg2 *= half_terms[1]

@@ -9,9 +9,9 @@ whose import costs more than a whole certification, off the import path.
 
 Each family's single non-closed-form root is one ``brentq`` call on the
 bracket it knows; the one grid scan for a bracket is ``core._u_root`` on the
-``u = 1/l`` wing grid, which calls ``brentq`` on the first sign change of
-the values its caller computed on the grid's columns, with the scalar
-objective, so those values set only the bracket.
+``u = 1/l`` wing grid, which evaluates its caller's body once on the grid
+and calls ``brentq`` with the same body on the first sign change, so the
+grid's values set only the bracket.
 The oracle's supremum is a root too: one ``brentq`` on the critical-point
 residual, whose sign is that of the requirement's slope, across the best
 point of its wing scan.

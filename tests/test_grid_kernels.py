@@ -1,13 +1,13 @@
-"""The column kernel of the oracle's grids.
+"""One body per wing functional, for a point and for the wing grid.
 
-Each scan that evaluates a shape on every point of the wing grid does so
-from the shape-free columns of ``core._grid_cols``, as matrix products and
-in-place steps: ``oracle._wing_scan`` (the supremum's scan), and
-``fukasawa._level_scan`` and ``_threshold_scan`` (the roots ``l-`` and the
-decorrelated threshold).  Brent's method then takes the scalar bodies,
-``oracle._wing_f``, ``fukasawa._level_at`` and ``_threshold_end_at``, so the
-brackets, and with them every iterate and output, depend on the scans only
-through their sign patterns and the argmax of ``f``.
+``oracle._wing_f`` (the supremum's scan), ``fukasawa._level_at`` (the root
+``l-``) and ``fukasawa._threshold_end_at`` (the decorrelated threshold) each
+evaluate the wing grid and Brent's scalar steps.  On the grid's terms, a
+``core._Grid``, their linear forms are products with the shape-free columns
+of ``core._grid_cols`` and the rest runs in place; on plain terms, a point
+or arrays, the linear forms are inline.  The brackets, and with them every
+iterate and output, depend on the grid's values only through their sign
+patterns and the argmax of ``f``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from smile_domain import core, fukasawa, oracle
-from smile_domain.core import EvaluationDomainError, NormalizedSvi, _u_grid, _u_len, _wing_slack
+from smile_domain.core import EvaluationDomainError, NormalizedSvi, _u_grid, _wing_slack
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 EPS = np.finfo(float).eps
@@ -30,8 +30,8 @@ EPS = np.finfo(float).eps
 
 # ---------------------------------------------------------------------------
 # a first-order bound on the rounding of an expression, in any order of
-# summation: both the column scan and the scalar body lie within it of the
-# exact value, so within twice it of each other
+# summation: a body on the grid's columns and on plain terms both lie
+# within it of the exact value, so within twice it of each other
 # ---------------------------------------------------------------------------
 class _Bound:
     """A value and a first-order bound, in units of eps, on its absolute
@@ -92,8 +92,8 @@ def _level_bound(t, gamma, b, rho):
 
 
 def _threshold_bound(t, b):
-    """The bound of _threshold_end_at, with 2 - b*n1 bounded in both of its
-    forms, 2 - b*(1 - e/s) and 2 - b + b*e/s."""
+    """The bound of _threshold_end_at, with 2 - b*n1 bounded in both of the
+    forms 2 - b*(1 - e/s) and 2 - b + b*e/s."""
     a, es, c2s3 = _c(t[0]), _c(t[3]), _c(t[7])
     n1 = _sum(_c(1.0), _mul(_c(-1.0), es))
     bn1 = _mul(_c(b), n1)
@@ -138,21 +138,26 @@ SHAPES = list(_shapes())
 
 
 # ---------------------------------------------------------------------------
-# (a) each scan is its scalar body on every grid point
+# (a) each body on the grid's columns is the body on plain terms
 # ---------------------------------------------------------------------------
+def _plain(terms):
+    """The same terms as a plain tuple: the bodies take them inline."""
+    return tuple(terms)
+
+
 @pytest.mark.parametrize("gamma, b, rho, mu", SHAPES)
 def test_wing_scan_is_the_scalar_body_on_every_point(gamma, b, rho, mu):
     terms = _u_grid()[1]
     w = _wing_slack(b, rho)
     if 1.0 + rho == 0.0:  # the flat wing: N*c = 0 at u = 0, on both routes
-        for scan in (oracle._wing_scan, lambda *s: oracle._wing_f(terms, *s)):
+        for t in (terms, _plain(terms)):
             with pytest.raises(EvaluationDomainError):
-                scan(gamma, b, rho, mu, w)
+                oracle._wing_f(t, gamma, b, rho, mu, w)
         return
     with np.errstate(divide="ignore", invalid="ignore"):
         bounds = _wing_bound(terms, gamma, b, rho, mu, w)
-    for col, ref, bound, what in zip(oracle._wing_scan(gamma, b, rho, mu, w),
-                                     oracle._wing_f(terms, gamma, b, rho, mu, w), bounds,
+    for col, ref, bound, what in zip(oracle._wing_f(terms, gamma, b, rho, mu, w),
+                                     oracle._wing_f(_plain(terms), gamma, b, rho, mu, w), bounds,
                                      ("g2/c", "f")):
         _assert_within(col, ref, bound, what)
 
@@ -162,9 +167,8 @@ def test_level_scan_is_the_scalar_body_on_every_point(gamma, b, rho, mu):
     if rho >= 1.0:  # solve_l_minus has no wing below the minimum
         return
     end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho if rho > 0.0 else math.inf
-    n = _u_len(end)
-    t = tuple(x[:n] for x in _u_grid()[1])
-    _assert_within(fukasawa._level_scan(gamma, b, rho, n), fukasawa._level_at(t, gamma, b, rho),
+    t = _u_grid()[1].head(int(np.searchsorted(_u_grid()[0], end)))
+    _assert_within(fukasawa._level_at(t, gamma, b, rho), fukasawa._level_at(_plain(t), gamma, b, rho),
                    _level_bound(t, gamma, b, rho), "level")
 
 
@@ -172,22 +176,30 @@ def test_level_scan_is_the_scalar_body_on_every_point(gamma, b, rho, mu):
                                2.0 - 1e-14])
 def test_threshold_scan_is_the_scalar_body_on_every_point(b):
     terms = _u_grid()[1]
-    _assert_within(fukasawa._threshold_scan(b), fukasawa._threshold_end_at(terms, b),
+    _assert_within(fukasawa._threshold_end_at(terms, b), fukasawa._threshold_end_at(_plain(terms), b),
                    _threshold_bound(terms, b), "threshold")
 
 
-def test_u_root_on_given_values_is_the_root_on_its_own_scan():
-    # the values a caller passes replace the evaluation of f on the grid, and
-    # only their first _u_len(end) points are read
-    for gamma, b, rho, _ in SHAPES[:20]:
-        end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho if rho > 0.0 else math.inf
+def test_u_root_hands_f_the_grid_below_its_end():
+    # f gets the grid's _Grid, or below a finite end its head: the first
+    # points' terms with the same points of every column
+    grid, terms, cols = _u_grid()
+    seen = []
 
-        def f(t):
-            return fukasawa._level_at(t, gamma, b, rho)
+    def f(t):
+        if np.ndim(t[0]):
+            seen.append(t)
+        return np.cos(t[1] / t[0])
 
-        full = fukasawa._level_scan(gamma, b, rho, _u_len(end))
-        padded = np.append(full, np.full(len(_u_grid()[0]) - len(full), np.nan))
-        assert core._u_root(f, end, full) == core._u_root(f, end, padded) == core._u_root(f, end)
+    core._u_root(f, math.inf)
+    end = float(grid[300])
+    with pytest.raises(ValueError, match="different signs"):  # cos > 0 up to the end
+        core._u_root(f, end)
+    assert seen[0] is terms
+    head = seen[1]
+    assert len(head) == len(terms) and all(len(x) == 300 for x in head)
+    for got, full in zip((*head, *head.cols), (*terms, *cols)):
+        assert np.array_equal(got, full[..., :300])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +235,7 @@ def test_importing_the_oracle_builds_no_grid():
 
 
 # ---------------------------------------------------------------------------
-# (c) once the grids exist, a scan computes no terms and no column
+# (c) once the grids exist, a body computes no terms and no column
 # ---------------------------------------------------------------------------
 def test_scans_compute_no_array_terms_once_the_grids_exist(monkeypatch):
     def calls():
@@ -239,17 +251,15 @@ def test_scans_compute_no_array_terms_once_the_grids_exist(monkeypatch):
 
     expected = calls()
 
-    def scalar_only(name, fn):
-        def wrapped(t, *args):
-            if np.ndim(t if name == "_wing_terms" else t[0]):
-                raise AssertionError(f"{name} evaluated on an array")
-            return fn(t, *args)
+    def scalar_only(fn):
+        def wrapped(u):
+            if np.ndim(u):
+                raise AssertionError("_wing_terms evaluated on an array")
+            return fn(u)
         return wrapped
 
-    for module, name in ((core, "_wing_terms"), (oracle, "_wing_terms"), (fukasawa, "_wing_terms"),
-                         (oracle, "_wing_at"), (fukasawa, "_wing_n_at"), (oracle, "_wing_f"),
-                         (fukasawa, "_level_at"), (fukasawa, "_threshold_end_at")):
-        monkeypatch.setattr(module, name, scalar_only(name, getattr(module, name)))
+    for module in (core, oracle, fukasawa):
+        monkeypatch.setattr(module, "_wing_terms", scalar_only(module._wing_terms))
 
     def refuse(*args, **kwargs):
         raise AssertionError("grid terms or columns recomputed")
