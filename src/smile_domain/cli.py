@@ -261,7 +261,7 @@ def cmd_certify(args) -> int:
     doc["schema"] = SCHEMA
     if args.oracle:
         report = durrleman_check(cert.params_raw)
-        doc["diagnostics"]["oracle_min"] = report.min_value
+        doc["diagnostics"]["oracle_min"] = json_value(report.min_value)
         doc["diagnostics"]["oracle_argmin_l"] = json_value(report.argmin_l)
         doc["diagnostics"]["oracle_grid_points"] = report.n_points
     _emit(doc)

@@ -270,7 +270,11 @@ def durrleman_check(p: RawSviParams) -> DensityReport:
     cg2 *= half_terms[1]
     cg2 /= d
     np.subtract(cc2s3, cg2, out=cg2)  # c*g2
-    cg2 *= b / (2.0 * nsvi.sigma)
+    k = b / (2.0 * nsvi.sigma)
+    if k < math.inf:
+        cg2 *= k
+    else:  # a subnormal sigma: the exact 0 of c*g2 at u = 0 keeps its limit 0
+        np.multiply(cg2, k, out=cg2, where=cg2 != 0.0)
     n1 *= b / 2.0
     n1 += hm  # h + b*g
     n1 *= hm  # G1

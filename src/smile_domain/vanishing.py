@@ -8,10 +8,14 @@ For 0 < b < 1, in the coordinate x = l/sqrt(l^2+1), the critical-point
 equation of the sigma requirement is quadratic in mu.  Solving it yields a
 closed-form mu*(x) on x in ((2+b)/(4-b), 1), strictly decreasing from the
 admissible mu bound sqrt(3(1-b)) down to -infinity, and with it the exact
-threshold sigma*(x).  Certification inverts mu -> x with Brent's method
-and evaluates the same closed form at that critical point for the given
-mu, not mu*(x).  The requirement is stationary there, so the root's error
-enters sigma* only at second order; at mu*(x) it would enter at first.
+threshold sigma*(x).  Both are written in s = sqrt(1 - x): as mu -> -inf
+the critical point goes to x = 1 as s ~ sqrt((1 - b^2)/2)/|mu|, which x
+cannot hold past |mu| of about 1e8, nor 1 - x past about 1e154, and
+sigma* ~ b/((1 + sqrt(1 - b^2))*|mu|).  Certification inverts mu -> s with
+Brent's method and evaluates the same closed form at that critical point
+for the given mu, not mu*(x).  The requirement is stationary there, so
+the root's error enters sigma* only at second order; at mu*(x) it would
+enter at first.
 
 For b = 1, a wing slope 2b on the bound 2, the wing factor degenerates
 and the requirement is attained only in the k -> +infinity limit, -1/mu,
@@ -102,6 +106,31 @@ def fukasawa_bound(b: float) -> float:
     return math.sqrt(3.0 * _wing_slack(b, 1.0))
 
 
+def _mu_star_s(s: float, b: float) -> float:
+    """mu* at x = 1 - s^2, with v = s^2 = 1 - x: the radicand is
+    4*(1 - b^2) + O(v), and every term stays representable as s -> 0."""
+    v = s * s
+    b2 = b * b
+    radicand = (
+        4.0 * b2 * v**6
+        - 32.0 * b2 * v**5
+        + v**4 * (92.0 * b2 + 64.0)
+        - v**3 * (108.0 * b2 + 128.0)
+        + v**2 * (31.0 * b2 + 96.0)
+        + v * (20.0 * b2 - 32.0)
+        + 4.0 * (1.0 - b) * (1.0 + b)
+    )
+    if radicand < 0.0:
+        if radicand < -1e-12:
+            raise EvaluationDomainError(
+                f"negative radicand {radicand} in mu* at x={1.0 - v}, b={b}"
+            )
+        radicand = 0.0
+    num = 2.0 * v * ((2.0 * v + 4.0) * v - 7.0) + math.sqrt(radicand)
+    den = 2.0 * s * math.sqrt(2.0 - v) * ((2.0 * v - 2.0) * v - 1.0)
+    return num / den
+
+
 def mu_star(x: float, b: float) -> float:
     """The unique mu making x the critical point of the sigma requirement.
 
@@ -114,25 +143,20 @@ def mu_star(x: float, b: float) -> float:
         raise EvaluationDomainError(
             f"x={x} outside ({x_plus_star(b)}, 1) for b={b}"
         )
-    b2 = b * b
-    radicand = (
-        4.0 * b2 * x**6
-        + 8.0 * b2 * x**5
-        + 8.0 * x**4 * (8.0 - b2)
-        - 4.0 * x**3 * (5.0 * b2 + 32.0)
-        + x**2 * (96.0 - b2)
-        + 2.0 * x * (5.0 * b2 - 16.0)
-        + 4.0
-        + 3.0 * b2
-    )
-    if radicand < 0.0:
-        if radicand < -1e-12:
-            raise EvaluationDomainError(
-                f"negative radicand {radicand} in mu* at x={x}, b={b}"
-            )
-        radicand = 0.0
-    num = 2.0 * (1.0 - x) * (2.0 * x**2 - 8.0 * x - 1.0) + math.sqrt(radicand)
-    den = 2.0 * math.sqrt((1.0 - x) * (1.0 + x)) * (2.0 * x**2 - 2.0 * x - 1.0)
+    return _mu_star_s(math.sqrt(1.0 - x), b)
+
+
+def _sigma_s(s: float, b: float, mu: float) -> float:
+    """sigma_star_closed at x = 1 - s^2: -b*g2/(2*G1) with
+    sqrt(1 - x^2) = s*sqrt(2 - v), v = s^2, and mu*s*sqrt(2 - v) of order 1
+    at the critical point however large |mu| is."""
+    v = s * s
+    root = s * math.sqrt(2.0 - v)
+    num = 4.0 * b * root * (2.0 - v) * (1.0 - 2.0 * v)
+    d = 1.0 + v - mu * root
+    den = 4.0 * d * d - b * b * (2.0 - v) ** 2
+    if den <= 0.0:
+        raise EvaluationDomainError(f"nonpositive wing factor in sigma* at x={1.0 - v}, b={b}")
     return num / den
 
 
@@ -142,32 +166,41 @@ def sigma_star_closed(x: float, b: float, mu: float | None = None) -> float:
     family's at -mu); mu_star's domain errors hold for a given mu too."""
     if mu is None or not (0.0 < b < 1.0 and x_plus_star(b) < x < 1.0):
         mu = mu_star(x, b)  # outside its domain mu_star raises
-    root = math.sqrt((1.0 - x) * (1.0 + x))
-    num = -4.0 * b * root * (1.0 - x - 2.0 * x**2)
-    den = 4.0 * (2.0 - x - mu * root) ** 2 - b * b * (1.0 + x) ** 2
-    if den <= 0.0:
-        raise EvaluationDomainError(f"nonpositive wing factor in sigma* at x={x}, b={b}")
-    return num / den
+    return _sigma_s(math.sqrt(1.0 - x), b, mu)
+
+
+def _s_from_mu(mu: float, b: float) -> float:
+    """The critical point at mu as s = sqrt(1 - x): Brent's method on
+    mu*(s) - mu, strictly increasing in s, taken in 1/s, in which mu* tends
+    to a line as mu -> -inf, to the relative tolerance alone.  The bracket's
+    upper end in s is x_plus_star(b) + edge, with edge 1e-12, or 1/32 of
+    the interval's width where less, as the root sits 1/(1 + 2*mu^2/3) of
+    the width from x = 1 when b -> 1, but one ulp at least; a mu beyond its
+    image clamps to it.  The lower end starts at x = 1 - edge; above the
+    root it becomes the upper end and shrinks, by mu* ~ -sqrt((1 - b^2)/2)/s,
+    until it lies below."""
+    width = 2.0 * (1.0 - b) / (4.0 - b)  # 1 - x_plus_star(b)
+    edge = max(min(_EDGE, width / 32.0), 2.0**-53)
+    hi = math.sqrt(width - edge)
+    if mu >= _mu_star_s(hi, b):
+        return hi
+    lo = math.sqrt(edge)
+    m_lo = _mu_star_s(lo, b)
+    while mu < m_lo:
+        hi, lo = lo, lo * m_lo / (2.0 * mu)
+        if not lo > 2.0**-1022:  # 1/s overflows from |mu| of about 1e306
+            raise EvaluationDomainError(f"critical point below the float range at mu={mu}, b={b}")
+        m_lo = _mu_star_s(lo, b)
+    return 1.0 / brentq(lambda t: _mu_star_s(1.0 / t, b) - mu, 1.0 / hi, 1.0 / lo, xtol=5e-324)
 
 
 def x_from_mu(mu: float, b: float) -> float:
-    """Invert mu*: the critical point x of the sigma requirement at mu.
-
-    Brent's method on mu*(x) - mu, which is strictly decreasing, over
-    [x_plus_star(b), 1] shrunk at both ends by 1e-12, or by 1/32 of its
-    width where less, as the root sits 1/(1 + 2*mu^2/3) of the width from 1
-    when b -> 1, but by one ulp at least; a mu beyond the image of an end
-    clamps to that end.
-    """
-    x0 = x_plus_star(b)
-    edge = max(min(_EDGE, (1.0 - x0) / 32.0), 2.0**-53)
-    lo = x0 + edge
-    hi = 1.0 - edge
-    if mu >= mu_star(lo, b):
-        return lo
-    if mu <= mu_star(hi, b):
-        return hi
-    return brentq(lambda x: mu_star(x, b) - mu, lo, hi, xtol=1e-15)
+    """Invert mu*: the critical point x of the sigma requirement at mu,
+    1 - s^2 for the root s = sqrt(1 - x) of certify's inversion; x rounds
+    to 1 from |mu| of about 1e8, and a mu at or beyond the cap clamps next
+    to x_plus_star(b)."""
+    s = _s_from_mu(mu, b)
+    return 1.0 - s * s
 
 
 def subdomain_bound(b: float) -> float:
@@ -206,10 +239,10 @@ def certify(p: VanishingParams) -> DomainCertificate:
     else:
         # the requirement is stationary at the critical point, so its value
         # at the given mu takes the root's error to second order
-        x = x_from_mu(mu_up, p.b)
-        sstar = sigma_star_closed(x, p.b, mu_up)
-        diagnostics["x"] = x
-        diagnostics["mu_star_residual"] = mu_star(x, p.b) - mu_up
+        s = _s_from_mu(mu_up, p.b)
+        sstar = _sigma_s(s, p.b, mu_up)
+        diagnostics["x"] = 1.0 - s * s
+        diagnostics["mu_star_residual"] = _mu_star_s(s, p.b) - mu_up
 
     mu_bound = mu_cap if p.direction == "upward" else -mu_cap
     return make_certificate(

@@ -80,6 +80,17 @@ def test_certify_with_oracle_consistent(capsys):
     assert doc["diagnostics"]["oracle_min"] >= -1e-8
 
 
+def test_certify_oracle_at_a_subnormal_sigma_is_strict_json(capsys):
+    # b/(2*sigma) overflows; the density functional's limit at l = +inf
+    # stays 0, so the minimum is a number or -inf, never NaN
+    code, out = _run(capsys, "certify", "vanishing-up", "--b", "0.5", "--mu", "0.1",
+                     "--sigma", "1e-310", "--oracle")
+    doc = _strict(out)
+    assert code == 1 and doc["verdict"] == "arbitrage"
+    low = doc["diagnostics"]["oracle_min"]
+    assert low == "-inf" or low < 0.0
+
+
 def test_certify_accepts_raw_coordinates(capsys):
     # vanishing via raw m; symmetric via raw a
     code, out = _run(

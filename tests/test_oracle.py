@@ -605,6 +605,16 @@ def test_durrleman_black_scholes_case():
     assert rep.min_value == 1.0
 
 
+@pytest.mark.parametrize("sigma", [1e-310, 1e-320])
+def test_durrleman_check_at_a_subnormal_sigma_is_never_nan(sigma):
+    # b/(2*sigma) overflows to inf; the term's exact 0 at u = 0, l = +inf,
+    # keeps its limit 0 instead of becoming inf*0 = NaN
+    for rho in (1.0, -1.0, 0.3):
+        rep = durrleman_check(RawSviParams(a=0.0, b=0.5, rho=rho, m=0.1 * sigma, sigma=sigma))
+        assert rep.min_value == -math.inf or rep.min_value < 0.0
+        assert not math.isnan(rep.min_value)
+
+
 def _density_on_wing_at(raw):
     """The density functional on the check's grid with each half-line one
     core._wing_at evaluation, the left one as the mirror's right half-line;

@@ -268,7 +268,8 @@ def _sigma_floor_mp(x: float, b: float, mu: float) -> float:
 def test_certify_sigma_star_matches_a_50_digit_floor_at_its_critical_point():
     # seed-1 certify-mix pool draw 1130, the worst vanishing-up interior draw
     # of seeds 1-3 for the l-chart core.sigma_floor at the same x (2.55e-12);
-    # the closed form at the given mu is within 2.1e-13
+    # the closed form at the given mu is within 6.9e-13 (2.1e-13 in x; the
+    # form in s = sqrt(1 - x) rounds differently, as near as often)
     p = VanishingParams(b=0.3235322317295934, mu=1.424459060415498, sigma=1.0957443515315841)
     cert = certify(p)
     ref = _sigma_floor_mp(cert.diagnostics["x"], p.b, p.mu)
@@ -308,19 +309,20 @@ def test_x_from_mu_takes_few_mu_star_evaluations(monkeypatch):
     import smile_domain.vanishing as van
 
     calls = []
+    mu_star_s = van._mu_star_s
 
-    def counted(x, b):
-        calls.append(x)
-        return mu_star(x, b)
+    def counted(s, b):
+        calls.append(s)
+        return mu_star_s(s, b)
 
-    monkeypatch.setattr(van, "mu_star", counted)
+    monkeypatch.setattr(van, "_mu_star_s", counted)
     rng = np.random.default_rng(41)
     for _ in range(200):
         b = rng.uniform(0.02, 0.98)
         mu_up = fukasawa_bound(b) - rng.uniform(1e-3, 4.0)
         calls.clear()
         x = x_from_mu(mu_up, b)
-        assert len(calls) <= 30, (b, mu_up, len(calls))
+        assert 0 < len(calls) <= 30, (b, mu_up, len(calls))
         assert abs(mu_star(x, b) - mu_up) <= 1e-9 * max(1.0, abs(mu_up))
 
 
@@ -350,3 +352,46 @@ def test_certify_just_inside_the_wing_slope_bound(direction):
     assert cert.conditions["fukasawa"]
     assert cert.bounds["mu_bound"] == sgn * math.sqrt(3.0 * (1.0 - b))
     assert math.isfinite(cert.bounds["sigma_star"])
+
+
+# ---------------------------------------------------------------------------
+# mu far below 0: the critical point next to x = 1
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("b", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("direction", ["upward", "downward"])
+def test_certify_far_below_zero_mu_is_the_oracle_and_the_limit(b, direction):
+    # the critical point sits at 1 - x ~ (1 - b^2)/(2*mu^2), below eps from
+    # |mu| of about 1e8: in s = sqrt(1 - x) certify keeps it, agrees with the
+    # oracle while that converges, and tends to b/((1 + sqrt(1 - b^2))*|mu|)
+    sgn = 1.0 if direction == "upward" else -1.0
+    limit = b / (1.0 + math.sqrt((1.0 - b) * (1.0 + b)))
+    for e in np.arange(3.0, 300.25, 0.25):
+        mu_up = -(10.0**e)
+        cert = certify(VanishingParams(b=b, mu=sgn * mu_up, sigma=1.0, direction=direction))
+        star = cert.bounds["sigma_star"]
+        assert abs(cert.diagnostics["mu_star_residual"]) <= 1e-14 * -mu_up, e
+        if e <= 30.0:
+            oracle = sigma_star(0.0, b, sgn, sgn * mu_up).sigma_star
+            assert abs(star - oracle) <= 1e-6 * oracle, e  # the benchmark's GAP_TOL
+        if e >= 8.0:
+            assert star * -mu_up == pytest.approx(limit, rel=1e-12, abs=0.0), e
+
+
+def test_certify_far_below_zero_mu_agrees_with_the_density_check():
+    # at mu = -1e8 the critical point x rounds to 1: sigma* is 4.32e-9, not
+    # the value at x = 1 - 1e-12, and the density check finds the arbitrage
+    p = VanishingParams(b=0.5, mu=-1e8, sigma=4.32e-10)
+    cert = certify(p)
+    assert cert.bounds["sigma_star"] == pytest.approx(0.5 / (1.0 + math.sqrt(0.75)) / 1e8, rel=1e-12)
+    assert not cert.passed
+    assert durrleman_check(p.to_raw()).min_value < 0.0
+
+
+@pytest.mark.parametrize("mu_up", [-1e306, -1e307, -1.7e308])
+def test_certify_past_the_float_range_of_the_critical_point_is_typed(mu_up):
+    # 1/s overflows: a domain error, not a bare arithmetic one
+    try:
+        cert = certify(VanishingParams(b=0.99, mu=mu_up, sigma=1.0))
+    except EvaluationDomainError:
+        return
+    assert cert.bounds["sigma_star"] > 0.0
