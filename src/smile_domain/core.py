@@ -336,12 +336,6 @@ class _Grid(tuple):
 
         return np.array(coefs).dot(self.cols[k])
 
-    def head(self, n: int) -> "_Grid":
-        """The terms and columns of the grid's first n points."""
-        out = _Grid([t[:n] for t in self])
-        out.cols = tuple([col[..., :n] for col in self.cols])
-        return out
-
 
 def _wing_coefs(gamma: float, b: float, rho: float, mu: float, w: float):
     """The coefficients of Y in _wing_at on the columns (1, q, qr, es, eqr)."""
@@ -368,7 +362,8 @@ def _u_grid():
 def _u_root(f, end: float) -> float:
     """Root in u of f(wing terms) on the first sign change of the grid below
     end, else between its last point and a finite end.  f is evaluated once
-    on the _Grid of those points, then by Brent's method on scalar terms.
+    on the grid's _Grid, whose values past a finite end are not read, then
+    by Brent's method on scalar terms.
     xtol = 1e-14*lo^2 in u is 1e-14 in |l| = 1/u at the bracket's lower end
     lo > 0.  Raises NoRootError without a bracket, and EvaluationDomainError
     where brentq does not converge (as at gamma = 1e100)."""
@@ -376,7 +371,7 @@ def _u_root(f, end: float) -> float:
 
     grid, terms = _u_grid()[:2]
     n = len(grid) if end == math.inf else int(grid.searchsorted(end))
-    sgn = np.sign(f(terms if n == len(grid) else terms.head(n)))
+    sgn = np.sign(f(terms)[:n])
     change = sgn[1:] != sgn[:-1]
     i = int(change.argmax()) if change.size else 0  # the first sign change, if any
     if change.size and change[i]:
@@ -402,24 +397,25 @@ def _wing_slack(b: float, rho: float) -> float:
 
 
 def _wing_n_at(t, gamma: float, rho: float):
-    """(2*N*c, N' = P - e/s) on the terms of _wing_terms, P = 1 + rho,
+    """(N*c, N' = P - e/s) on the terms of _wing_terms, P = 1 + rho,
     N*c = gamma*c + P*a + e.  Raises EvaluationDomainError where N*c <= 0."""
     a, c, e, es, _, _, _, _ = t
     p = 1.0 + rho
     if type(t) is tuple:
-        two_d = 2.0 * (gamma * c + (p * a + e))
-        low = _any(two_d <= 0.0)
-    else:  # doubled after the product, finite at u = 0 where 2*gamma is not
-        two_d = 2.0 * t.dot(0, (gamma, p, 1.0))
-        low = two_d.min() <= 0.0
+        nc = gamma * c + (p * a + e)
+        low = _any(nc <= 0.0)
+    else:
+        nc = t.dot(0, (gamma, p, 1.0))
+        low = nc.min() <= 0.0
     if low:
         raise EvaluationDomainError("N(l) <= 0: smile level vanishes")
-    return two_d, p - es
+    return nc, p - es
 
 
 def _wing_g2_at(t, gamma: float, rho: float):
     """(2*N*c, N', g2/c = c^2/s^3 - N'^2/(2*N*c)) on the terms of _wing_terms."""
-    two_d, n1 = _wing_n_at(t, gamma, rho)
+    nc, n1 = _wing_n_at(t, gamma, rho)
+    two_d = 2.0 * nc
     g2c = n1 * n1
     g2c /= two_d
     return two_d, n1, t[7] - g2c
@@ -455,7 +451,8 @@ def _wing_prime_at(t, gamma: float, rho: float, mu: float):
     cancellation of its two O(1) terms.  Raises EvaluationDomainError where
     N*c <= 0."""
     a, c, e, _, q, _, _, c2s3 = t
-    two_d, n1 = _wing_n_at(t, gamma, rho)
+    nc, n1 = _wing_n_at(t, gamma, rho)
+    two_d = 2.0 * nc
     g2c = c2s3 - n1 * n1 / two_d  # _wing_g2_at's, without its call on Brent's steps
     s, m = a + e, a + mu * c
     k = c * ((1.0 + rho) * mu - gamma - q * (m / s + 1.0))

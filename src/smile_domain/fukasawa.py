@@ -102,13 +102,12 @@ def _level_at(t, gamma: float, b: float, rho: float):
     u: the level curve on the mirrored right wing, N' = -n1, with the same
     sign and root, with 2 - b*n1 = 2*w + b*e/s for the left wing's slack w,
     2*w = 2 - b*(1-rho) exactly.  At u = 0, l = -inf, it is (1-rho)^2*w/2."""
-    two_d, lvl = _wing_n_at(t, gamma, -rho)
-    two_d *= t[7]
-    two_d *= 0.5  # /2 and /4 as exact products, cheaper on an array
+    nc, lvl = _wing_n_at(t, gamma, -rho)
+    nc *= t[7]
     lvl *= lvl
-    lvl *= (2.0 - b * (1.0 - rho)) + b * t[3]
-    lvl *= 0.25
-    lvl -= two_d
+    # /4 inside the factor: a power of 2, so the same bits as after it
+    lvl *= (2.0 - b * (1.0 - rho)) / 4.0 + b / 4.0 * t[3]
+    lvl -= nc
     return lvl
 
 

@@ -167,8 +167,10 @@ def test_level_scan_is_the_scalar_body_on_every_point(gamma, b, rho, mu):
     if rho >= 1.0:  # solve_l_minus has no wing below the minimum
         return
     end = math.sqrt((1.0 - rho) * (1.0 + rho)) / rho if rho > 0.0 else math.inf
-    t = _u_grid()[1].head(int(np.searchsorted(_u_grid()[0], end)))
-    _assert_within(fukasawa._level_at(t, gamma, b, rho), fukasawa._level_at(_plain(t), gamma, b, rho),
+    n = int(np.searchsorted(_u_grid()[0], end))  # the points solve_l_minus reads
+    terms = _u_grid()[1]
+    t = _plain(x[:n] for x in terms)
+    _assert_within(fukasawa._level_at(terms, gamma, b, rho)[:n], fukasawa._level_at(t, gamma, b, rho),
                    _level_bound(t, gamma, b, rho), "level")
 
 
@@ -180,10 +182,11 @@ def test_threshold_scan_is_the_scalar_body_on_every_point(b):
                    _threshold_bound(terms, b), "threshold")
 
 
-def test_u_root_hands_f_the_grid_below_its_end():
-    # f gets the grid's _Grid, or below a finite end its head: the first
-    # points' terms with the same points of every column
-    grid, terms, cols = _u_grid()
+def test_u_root_hands_f_the_whole_grid_and_reads_it_below_the_end():
+    # f gets the grid's own _Grid, columns and all, for any end; past a
+    # finite end its values are not read: cos(u) changes sign at u = pi/2,
+    # past grid[300], so the bracket is [grid[299], end]
+    grid, terms, _ = _u_grid()
     seen = []
 
     def f(t):
@@ -192,14 +195,9 @@ def test_u_root_hands_f_the_grid_below_its_end():
         return np.cos(t[1] / t[0])
 
     core._u_root(f, math.inf)
-    end = float(grid[300])
     with pytest.raises(ValueError, match="different signs"):  # cos > 0 up to the end
-        core._u_root(f, end)
-    assert seen[0] is terms
-    head = seen[1]
-    assert len(head) == len(terms) and all(len(x) == 300 for x in head)
-    for got, full in zip((*head, *head.cols), (*terms, *cols)):
-        assert np.array_equal(got, full[..., :300])
+        core._u_root(f, float(grid[300]))
+    assert len(seen) == 2 and seen[0] is terms and seen[1] is terms
 
 
 # ---------------------------------------------------------------------------
