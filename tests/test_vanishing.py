@@ -378,8 +378,8 @@ def test_certify_far_below_zero_mu_is_the_oracle_and_the_limit(b, direction):
 
 
 def test_certify_far_below_zero_mu_agrees_with_the_density_check():
-    # at mu = -1e8 the critical point x rounds to 1: sigma* is 4.32e-9, not
-    # the value at x = 1 - 1e-12, and the density check finds the arbitrage
+    # at mu = -1e8 the critical point x rounds to 1: sigma* is 2.68e-9, not
+    # the 6.97e-11 of x = 1 - 1e-12, and the density check finds the arbitrage
     p = VanishingParams(b=0.5, mu=-1e8, sigma=4.32e-10)
     cert = certify(p)
     assert cert.bounds["sigma_star"] == pytest.approx(0.5 / (1.0 + math.sqrt(0.75)) / 1e8, rel=1e-12)
