@@ -11,13 +11,13 @@ and equals sqrt(1-rho^2), which certify takes where the slack
 ``core._wing_slack`` is 0.  Below it, trading b for the critical point l of
 the sigma requirement gives b*(l, rho) on [l_bar(0, rho), infinity) with
 the closed-form threshold sigma*(l, rho) at the critical point; l_bar is
-the root of a one-dimensional function computed numerically, the single
-non-closed-form ingredient.  l_bar and the critical point at a given b are
-one brentq each in u = 1/l, from the point at infinity u = 0, where the
-critical-point functions scaled by the chart stay finite, so neither root
-has a cut-off for any |rho| < 1.  Certification evaluates sigma*(l) at the
-given b, so the root's error enters only at second order.  Negative rho
-routes through |rho| by the strike-inversion symmetry.
+the single non-closed-form ingredient, and certification needs it only as
+a bracket.  l_bar and the critical point at a given b are one brentq each
+in u = 1/l on one closed-form bracket, from the point at infinity u = 0,
+where the critical-point functions scaled by the chart stay finite, to
+x = max(x2, rho): neither has a cut-off for any |rho| < 1.  Certification
+evaluates sigma*(l) at the given b, so the root's error enters only at
+second order.  Negative rho routes through |rho| by strike inversion.
 
 Uniqueness of the critical point rests on a numerical scan (the target
 functional stays positive on a dense grid); scan_uniqueness ships that
@@ -247,24 +247,28 @@ def _b_star(l: float, rho: float):
     raise EvaluationDomainError(f"l={l} left of the critical-point sweep for rho={rho}")
 
 
+def _u_end(rho: float) -> float:
+    """u = 1/l at x = max(x2, rho): the far end of both SSVI brackets."""
+    x = max(x_of_rho(rho), rho)
+    return math.sqrt((1.0 - x) * (1.0 + x)) / x
+
+
 def l_bar_zero(rho: float) -> float:
     """Left end of the critical-point sweep: the b -> 0 critical point.
 
-    The root of p/c^2 in u = 1/l on [0, u(max(x2, rho))], by one brentq,
-    as l = 1/u: the only ingredient of the SSVI domain without a closed
-    form.  p/c^2 is (1+rho)/4 at u = 0 (l = +inf) and negative at the
-    other end, the curvature zero x2 or the smile minimum l = -mu, beyond
-    which the root lies; where the ends share a sign
-    EvaluationDomainError is raised.  +inf at rho = 1, where mu = -inf.
+    The root of p/c^2 in u = 1/l on [0, _u_end(rho)], by one brentq, as
+    l = 1/u: the only ingredient of the SSVI domain without a closed form.
+    p/c^2 is (1+rho)/4 at u = 0 (l = +inf) and negative at the other end,
+    the curvature zero x2 or the smile minimum l = -mu, beyond which the
+    root lies; where the ends share a sign EvaluationDomainError is raised.
+    +inf at rho = 1, where mu = -inf.
     """
     if not 0.0 <= rho <= 1.0:
         raise EvaluationDomainError(f"rho must lie in [0, 1], got {rho}")
     if rho == 1.0:
         return math.inf
-    x = max(x_of_rho(rho), rho)
     try:
-        u = brentq(lambda v: _pq(v, rho)[3], 0.0, math.sqrt((1.0 - x) * (1.0 + x)) / x,
-                   xtol=_UTOL)
+        u = brentq(lambda v: _pq(v, rho)[3], 0.0, _u_end(rho), xtol=_UTOL)
     except ValueError as exc:
         raise EvaluationDomainError(f"no sweep endpoint bracket for rho={rho}") from exc
     return 1.0 / u
@@ -284,31 +288,26 @@ def sigma_star_closed(l: float, rho: float, b: float | None = None) -> float:
 
 def _critical_residual(u: float, b: float, rho: float) -> float:
     """core._critical_residual at l = 1/u for the SSVI shape: finite from
-    u = 0 to the sweep endpoint u = 1/l_bar(0, rho)."""
+    u = 0 to the bracket end _u_end(rho)."""
     return _core_residual(_pq(u, rho), b)
 
 
 def l_from_b(b: float, rho: float) -> float:
     """Invert b_star: the root in u = 1/l of the critical-point equation
-    h*p = b^2*g*q on [0, 1/l_bar(0, rho)], by one brentq, as l = 1/u.
+    h*p = b^2*g*q on l_bar_zero's bracket [0, _u_end(rho)], by one brentq.
 
-    The residual is (1+rho)/8*(1 - (b*(1+rho)/2)^2) > 0 at u = 0 and
-    -b^2*g*q < 0 at the sweep end.  +inf at rho = 1 and where the slope
-    bound's slack (core._wing_slack) is 0: the critical point is at infinity.
+    The residual is (1+rho)/8*(1 - (b*(1+rho)/2)^2) > 0 at u = 0.  At the
+    far end it is affine in b^2 and negative at both ends of the b range:
+    h*p < 0 is l_bar_zero's end condition, and at b = 2/(1+rho) it is at
+    most -2/3*|h*p|; so no admissible b gives the ends one sign.  +inf at
+    rho = 1 and where the slope bound's slack (core._wing_slack) is 0.
     """
     if not b > 0.0 or wing_slope(b, rho) == "beyond":
         raise EvaluationDomainError(f"b={b} outside (0, 2/(1+rho)) for rho={rho}")
     if rho == 1.0 or _wing_slack(b, rho) == 0.0:
         return math.inf
-    lbar = l_bar_zero(rho)
-    try:
-        return 1.0 / brentq(lambda u: _critical_residual(u, b, rho), 0.0, 1.0 / lbar,
-                            xtol=_UTOL)
-    except ValueError:
-        # the residual is positive at u = 0, so brentq's ends share a sign
-        # only where b^2*g*q is below the rounding of h*p at the sweep end:
-        # that end is the critical point to working precision
-        return lbar
+    return 1.0 / brentq(lambda u: _critical_residual(u, b, rho), 0.0, _u_end(rho),
+                        xtol=_UTOL)
 
 
 def certify(p: SsviParams) -> DomainCertificate:

@@ -337,8 +337,9 @@ def _pq_outside_brentq(monkeypatch) -> list[float]:
 
 
 def test_l_from_b_evaluates_l_bar_only_in_brentq(monkeypatch):
-    # both roots are one brentq each from the finite end u = 0: no residual
-    # is evaluated outside them, at l_bar or anywhere else
+    # both roots are one brentq each on the closed-form bracket
+    # [0, _u_end(rho)]: no residual is evaluated outside them, at l_bar or
+    # anywhere else
     calls = _pq_outside_brentq(monkeypatch)
     for rho in (0.0, 0.5, 0.9, 1.0 - 1e-10):
         l_bar_zero(rho)
@@ -348,9 +349,11 @@ def test_l_from_b_evaluates_l_bar_only_in_brentq(monkeypatch):
 
 
 def test_b_to_0_end_resolves_what_the_residual_cannot(monkeypatch):
-    # b^2*g*q is below the rounding of h*p at l_bar, where that rounding is
-    # positive here, so the residual has one sign over the bracket: l_bar is
-    # the critical point, with no evaluation outside brentq
+    # b^2*g*q is below the rounding of h*p next to l_bar, and that rounding
+    # is positive at l_bar itself, so the residual cannot tell the two
+    # apart; its sign change on the closed-form bracket, whose far end is
+    # negative for every b, puts the critical point on l_bar's float, with
+    # no evaluation outside brentq
     calls = _pq_outside_brentq(monkeypatch)
     lbar = l_bar_zero(0.5)
     assert l_from_b(1e-13, 0.5) == lbar
