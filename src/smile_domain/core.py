@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .roots import brentq
@@ -173,8 +174,11 @@ class NormalizedSvi:
             raise InvalidParamsError("normalization requires b > 0")
         if p.sigma <= 0.0:
             raise InvalidParamsError("normalization requires sigma > 0")
+        # a/(b*sigma) in two steps where b*sigma is below the normal range:
+        # 0 at a = 0, and an overflow is refused as non-finite
+        bs = p.b * p.sigma
         return cls(
-            gamma=p.a / (p.b * p.sigma),
+            gamma=p.a / bs if bs >= sys.float_info.min else p.a / p.b / p.sigma,
             b=p.b,
             rho=p.rho,
             mu=p.m / p.sigma,
@@ -241,15 +245,18 @@ def _pow(s, n: int):
         return math.inf
 
 
-def _ratio(num, den):
-    """num/den, infinite where den is 0 or the quotient overflows, for a
+def _ratio(num, den, factor=1.0):
+    """num/(den*factor), infinite where den*factor is 0 or the quotient
+    overflows, and 0 where den*factor overflows, with no warning, for a
     scalar as for an array."""
-    if type(den) is float and den != 0.0:
-        return num / den
+    if type(den) is float and type(factor) is float:
+        den, factor = den * factor, 1.0
+        if den != 0.0:
+            return num / den
     import numpy as np
 
     with np.errstate(divide="ignore", over="ignore"):
-        return np.divide(num, den)
+        return np.divide(num, den * factor)
 
 
 def total_variance(p: RawSviParams, k):

@@ -121,7 +121,7 @@ def _wing_f(t, gamma: float, b: float, rho: float, mu: float, w: float):
     slack w = _wing_slack(b, rho); on the bound (w = 0) h - b*g is
     c*Y/(2*N*c), and c cancels."""
     g2c, hm, hp, yd = _wing_at(t, gamma, b, rho, mu, w)
-    return g2c, _ratio(-b / 2.0 * t[1] * g2c, hm * hp) if w else _ratio(-b / 2.0 * g2c, yd * hp)
+    return g2c, _ratio(-b / 2.0 * t[1] * g2c, hm, hp) if w else _ratio(-b / 2.0 * g2c, yd, hp)
 
 
 def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, float]:

@@ -68,7 +68,6 @@ __all__ = [
     "lt_heston_b",
     "heston_to_ssvi",
     "lt_heston_threshold",
-    "second_derivatives_x",
     "uniqueness_target",
     "UniquenessReport",
     "scan_uniqueness",
@@ -465,12 +464,6 @@ def _uniqueness_terms(x, rho, b):
     j1 = h * h - b * b * g * g
     j2 = sx * sx * sx - xr * xr * sx / (2.0 * (1.0 + rho * x + rb * sx))
     return j1, j2, d2j2, d2j1
-
-
-def second_derivatives_x(x, rho, b):
-    """(d2 j2/dx2, d2 J1/dx2) at (x, rho) for wing level b; J1 = h^2 - b^2 g^2
-    with g = (x + rho)/4 linear in x."""
-    return _uniqueness_terms(x, rho, b)[2:]
 
 
 def uniqueness_target(x, rho, b=None):

@@ -91,6 +91,25 @@ def test_certify_oracle_at_a_subnormal_sigma_is_strict_json(capsys):
     assert low == "-inf" or low < 0.0
 
 
+def test_certify_oracle_at_the_smallest_subnormal_sigma_is_a_certificate(capsys):
+    # b*sigma underflows to 0; gamma = a/(b*sigma) is exactly 0 at a = 0
+    code, out = _run(capsys, "certify", "vanishing-up", "--b", "0.5", "--mu", "0",
+                     "--sigma", "5e-324", "--oracle")
+    doc = _strict(out)
+    assert code == 1 and doc["verdict"] == "arbitrage"
+    assert doc["diagnostics"]["oracle_min"] == "-inf"
+
+
+def test_bound_oracle_far_below_mu_0_prints_one_document(capsys):
+    # the oracle's wing grid overflows h^2 - b^2*g^2 there, and no numpy
+    # warning (an error under this suite's filter) escapes: one strict JSON
+    # document, a bound or the typed failure of the search
+    code, out = _run(capsys, "bound", "vanishing-up", "--b", "0.5", "--mu", "-1e160",
+                     "--oracle", "--json")
+    doc = _strict(out)
+    assert code == 0 or (code == 3 and doc["error"]["type"] == "solver_failure")
+
+
 def test_certify_accepts_raw_coordinates(capsys):
     # vanishing via raw m; symmetric via raw a
     code, out = _run(

@@ -615,6 +615,39 @@ def test_durrleman_check_at_a_subnormal_sigma_is_never_nan(sigma):
         assert not math.isnan(rep.min_value)
 
 
+def test_normalization_at_a_subnormal_b_sigma_divides_in_two_steps():
+    # b*sigma underflows to 0 at sigma = 5e-324; gamma = a/(b*sigma) is then
+    # a/b/sigma, exactly 0 at a = 0, and the check's minimum is -inf
+    raw = RawSviParams(a=0.0, b=0.5, rho=1.0, m=0.0, sigma=5e-324)
+    assert raw.normalized().gamma == 0.0
+    assert durrleman_check(raw).min_value == -math.inf
+    # the bits of a/(b*sigma) wherever the product is a normal float
+    for a, b, sigma in ((0.3, 0.7, 1.1), (1e-300, 0.5, 1e-10), (2.0, 1e-150, 1e-150)):
+        raw = RawSviParams(a=a, b=b, rho=0.0, m=0.0, sigma=sigma)
+        assert raw.normalized().gamma == a / (b * sigma)
+    raw = RawSviParams(a=1e-310, b=0.5, rho=0.0, m=0.0, sigma=1e-310)
+    assert raw.normalized().gamma == 2.0
+    # where no finite gamma exists the failure is typed
+    raw = RawSviParams(a=1.0, b=0.5, rho=1.0, m=0.0, sigma=5e-324)
+    for fn in (RawSviParams.normalized, durrleman_check):
+        with pytest.raises(SmileDomainError):
+            fn(raw)
+
+
+@pytest.mark.parametrize("mu", [-1e160, -1e300, -0.3])
+def test_wing_f_on_the_grid_takes_an_overflowing_g1_without_a_warning(mu):
+    # h - b*g and h + b*g grow like |mu| on the wing grid, so their product
+    # overflows from about |mu| = 1e154; f is 0 there with numpy's warning
+    # (an error under this suite's filter) off, and the plain quotient's
+    # bits everywhere
+    _, terms, _ = core._u_grid()
+    w = _wing_slack(0.5, 1.0)
+    g2c, hm, hp, _ = _wing_at(terms, 0.0, 0.5, 1.0, mu, w)
+    f = oracle._wing_f(terms, 0.0, 0.5, 1.0, mu, w)[1]
+    with np.errstate(over="ignore"):
+        assert np.array_equal(f, -0.5 / 2.0 * terms[1] * g2c / (hm * hp))
+
+
 def _density_on_wing_at(raw):
     """The density functional on the check's grid with each half-line one
     core._wing_at evaluation, the left one as the mirror's right half-line;

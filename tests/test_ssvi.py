@@ -40,7 +40,6 @@ from smile_domain.ssvi import (
     lt_heston_threshold,
     m2,
     scan_uniqueness,
-    second_derivatives_x,
     sigma_star_closed,
     subdomain_bound,
     subdomain_check,
@@ -187,6 +186,53 @@ def test_l_bar_zero_bracket_has_one_sign_change():
         grid = np.linspace(0.0, _u_end(rho), 20_000)
         assert int(np.sum(np.diff(np.sign(ssvi._pq(grid, rho)[3])) != 0)) == 1
     assert l_bar_zero(1.0 - 1e-9) == pytest.approx(_l_bar_mp(1.0 - 1e-9), rel=1e-13)
+
+
+_BRACKET_RHOS = [0.0, 5e-324, 1e-16, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9,
+                 1.0 - 1e-12, 1.0 - 1e-15, 1.0 - 2.0**-53]
+
+
+def _b_fractions(rho):
+    """b from 1e-300 of the slope bound up to the last b whose slack is
+    above 2^-52, the largest at which the critical point is finite."""
+    b_max = 2.0 / (1.0 + rho)
+    last = b_max
+    while ssvi._wing_slack(last, rho) == 0.0:
+        last = math.nextafter(last, 0.0)
+    fracs = (1e-300, 1e-100, 1e-13, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
+    return [t * b_max for t in fracs if t * b_max < last] + [last]
+
+
+@pytest.mark.parametrize("rho", _BRACKET_RHOS)
+def test_critical_point_bracket_has_its_signs_for_every_b(rho):
+    # l_from_b's bracket is l_bar_zero's [0, _u_end(rho)].  The residual
+    # h*p - b^2*g*q is positive at u = 0 inside the slope bound; at the far
+    # end it is affine in b^2 and negative at b = 0 and at the bound, where
+    # it is at most -2/3*|h*p|, so negative for every admissible b
+    end, b_max = ssvi._u_end(rho), 2.0 / (1.0 + rho)
+    assert end == _u_end(rho)
+    at_b0 = ssvi._critical_residual(end, 0.0, rho)
+    assert at_b0 < 0.0
+    assert ssvi._critical_residual(end, b_max, rho) <= -2.0 / 3.0 * abs(at_b0)
+    for b in _b_fractions(rho):
+        assert ssvi._critical_residual(0.0, b, rho) > 0.0
+        assert ssvi._critical_residual(end, b, rho) < 0.0
+        l = l_from_b(b, rho)
+        assert 1.0 / end <= l < math.inf
+
+
+def test_certificates_do_not_solve_for_the_sweep_end(monkeypatch):
+    # l_bar(0, rho) is only a bracket end for the critical point, and the
+    # bracket is in closed form
+    def refuse(rho):
+        raise AssertionError("solved for l_bar(0, rho)")
+
+    monkeypatch.setattr(ssvi, "l_bar_zero", refuse)
+    for rho in (-0.9, -0.3, 0.0, 0.5, 0.99, 1.0 - 1e-12):
+        for t in (1e-300, 1e-6, 0.5, 1.0 - 1e-9, 1.0):
+            b = t * 2.0 / (1.0 + abs(rho))
+            assert math.isfinite(certify(SsviParams(theta=2.0 * b, phi=1.0, rho=rho)).bounds["sigma_star"])
+            assert l_from_b(b, abs(rho)) > 0.0
 
 
 def _phi_num_mp(x, rho):
@@ -712,7 +758,7 @@ def test_second_derivatives_match_finite_differences():
         rho = rng.uniform(0.0, 0.95)
         x = rng.uniform(X_M2_RHO1, 0.995)
         b = 2.0 / (1.0 + rho)
-        d2j2, d2j1 = second_derivatives_x(x, rho, b)
+        d2j2, d2j1 = ssvi._uniqueness_terms(x, rho, b)[2:]
         h = 1e-5
         f2 = lambda xx: j2_x(xx, rho)  # noqa: E731
 
