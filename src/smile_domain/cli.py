@@ -100,7 +100,9 @@ _EXTREMAL_ROUTES = (
 )
 _SYMMETRIC_ROUTES = (
     (("gamma", "b", "sigma"), SymmetricParams),
-    (("a", "b", "sigma"), lambda a, b, sigma: SymmetricParams(a / (b * sigma), b, sigma)),
+    # gamma = a/(b*sigma) as the raw smile's normalization forms it
+    (("a", "b", "sigma"), lambda a, b, sigma: SymmetricParams(
+        RawSviParams(a, b, 0.0, 0.0, sigma).normalized().gamma, b, sigma)),
 )
 _SSVI_ROUTES = (
     (("theta", "phi", "rho"), SsviParams),

@@ -91,10 +91,10 @@ def test_certify_oracle_at_a_subnormal_sigma_is_strict_json(capsys):
     assert low == "-inf" or low < 0.0
 
 
-def test_certify_oracle_at_the_smallest_subnormal_sigma_is_a_certificate(capsys):
+@pytest.mark.parametrize("family, level", [("vanishing-up", ("--mu", "0")), ("symmetric", ("--a", "0"))])
+def test_certify_oracle_at_the_smallest_subnormal_sigma_is_a_certificate(capsys, family, level):
     # b*sigma underflows to 0; gamma = a/(b*sigma) is exactly 0 at a = 0
-    code, out = _run(capsys, "certify", "vanishing-up", "--b", "0.5", "--mu", "0",
-                     "--sigma", "5e-324", "--oracle")
+    code, out = _run(capsys, "certify", family, "--b", "0.5", *level, "--sigma", "5e-324", "--oracle")
     doc = _strict(out)
     assert code == 1 and doc["verdict"] == "arbitrage"
     assert doc["diagnostics"]["oracle_min"] == "-inf"
