@@ -100,7 +100,6 @@ _EXTREMAL_ROUTES = (
 )
 _SYMMETRIC_ROUTES = (
     (("gamma", "b", "sigma"), SymmetricParams),
-    # gamma = a/(b*sigma) as the raw smile's normalization forms it
     (("a", "b", "sigma"), lambda a, b, sigma: SymmetricParams(
         RawSviParams(a, b, 0.0, 0.0, sigma).normalized().gamma, b, sigma)),
 )

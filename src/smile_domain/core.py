@@ -174,9 +174,7 @@ class NormalizedSvi:
             raise InvalidParamsError("normalization requires b > 0")
         if p.sigma <= 0.0:
             raise InvalidParamsError("normalization requires sigma > 0")
-        # a/(b*sigma) in two steps where b*sigma is below the normal range:
-        # 0 at a = 0, and an overflow is refused as non-finite
-        bs = p.b * p.sigma
+        bs = p.b * p.sigma  # may underflow: then a/b/sigma, exactly 0 at a = 0
         return cls(
             gamma=p.a / bs if bs >= sys.float_info.min else p.a / p.b / p.sigma,
             b=p.b,
