@@ -11,8 +11,8 @@ and equals sqrt(1-rho^2), which certify takes where the slack
 ``core._wing_slack`` is 0.  Below it, trading b for the critical point l of
 the sigma requirement gives b*(l, rho) on [l_bar(0, rho), infinity) with
 the closed-form threshold sigma*(l, rho) at the critical point; l_bar is
-the single non-closed-form ingredient, and certification needs it only as
-a bracket.  l_bar and the critical point at a given b are one brentq each
+the single non-closed-form ingredient, and certification does not solve
+for it.  l_bar and the critical point at a given b are one brentq each
 in u = 1/l on one closed-form bracket, from the point at infinity u = 0,
 where the critical-point functions scaled by the chart stay finite, to
 x = max(x2, rho): neither has a cut-off for any |rho| < 1.  Certification
