@@ -80,18 +80,21 @@ def _failure(exc: Exception) -> int:
 PARAM_OPTIONS = ("a", "b", "rho", "m", "sigma", "mu", "gamma", "q", "theta", "phi")
 
 
+# a raw route reads its native coordinates off the smile's normalization
 def _vanishing_routes(direction: str):
+    rho = 1.0 if direction == "upward" else -1.0
     return (
         (("b", "mu", "sigma"), lambda b, mu, sigma: VanishingParams(b, mu, sigma, direction)),
-        (("b", "m", "sigma"), lambda b, m, sigma: VanishingParams(b, m / sigma, sigma, direction)),
+        (("b", "m", "sigma"), lambda b, m, sigma: VanishingParams(
+            b, RawSviParams(0.0, b, rho, m, sigma).normalized().mu, sigma, direction)),
     )
 
 
 def _extremal_from_raw(a: float, m: float, sigma: float) -> ExtremalParams:
-    gamma = a / (2.0 * sigma)
-    if gamma <= 0.0:
+    n = RawSviParams(a, 2.0, 0.0, m, sigma).normalized()
+    if n.gamma <= 0.0:
         raise InvalidParamsError(f"a={a} implies gamma <= 0")
-    return ExtremalParams(gamma=gamma, q=m / (sigma * gamma), sigma=sigma)
+    return ExtremalParams(gamma=n.gamma, q=n.mu / n.gamma, sigma=sigma)
 
 
 _EXTREMAL_ROUTES = (

@@ -100,13 +100,13 @@ def _validate(gamma: float, b: float, rho: float) -> None:
 def _level_at(t, gamma: float, b: float, rho: float):
     """(c/s)^3*(l_minus_curve(-1/u, b, rho) - gamma) on the wing terms t of
     u: the level curve on the mirrored right wing, N' = -n1, with the same
-    sign and root, with 2 - b*n1 = 2*w + b*e/s for the left wing's slack w,
-    2*w = 2 - b*(1-rho) exactly.  At u = 0, l = -inf, it is (1-rho)^2*w/2."""
+    sign and root, with 2 - b*n1 = 2*w + b*e/s for the left wing's slack
+    w = core._wing_slack(b, -rho).  At u = 0, l = -inf, it is (1-rho)^2*w/2."""
     nc, lvl = _wing_n_at(t, gamma, -rho)
     nc *= t[7]
     lvl *= lvl
-    # /4 inside the factor: a power of 2, so the same bits as after it
-    lvl *= (2.0 - b * (1.0 - rho)) / 4.0 + b / 4.0 * t[3]
+    # /4 inside the factor: powers of 2, so the same bits as after it
+    lvl *= _wing_slack(b, -rho) / 2.0 + b / 4.0 * t[3]
     lvl -= nc
     return lvl
 

@@ -12,10 +12,11 @@ and equals sqrt(1-rho^2), which certify takes where the slack
 the sigma requirement gives b*(l, rho) on [l_bar(0, rho), infinity) with
 the closed-form threshold sigma*(l, rho) at the critical point; l_bar is
 the single non-closed-form ingredient, and certification does not solve
-for it.  l_bar and the critical point at a given b are one brentq each
-in u = 1/l on one closed-form bracket, from the point at infinity u = 0,
-where the critical-point functions scaled by the chart stay finite, to
-x = max(x2, rho): neither has a cut-off for any |rho| < 1.  Certification
+for it.  It is the critical point at b = 0: l_bar and the critical point at
+a given b are one brentq on one objective in u = 1/l, on one closed-form
+bracket from the point at infinity u = 0, where the critical-point
+functions scaled by the chart stay finite, to x = max(x2, rho), with no
+cut-off for any |rho| < 1.  Certification
 evaluates sigma*(l) at the given b, so the root's error enters only at
 second order.  Negative rho routes through |rho| by strike inversion.
 
@@ -40,7 +41,6 @@ from .core import (
     RogerLeeViolation,
     _critical_at,
     _critical_residual as _core_residual,
-    _select,
     _sqrt,
     _wing_slack,
     _wing_terms,
@@ -184,16 +184,16 @@ def l2_closed(rho: float) -> float:
     return x / math.sqrt((1.0 - x) * (1.0 + x))
 
 
-def _rho_of_m2(x):
-    """Value of rho whose curvature minimizer sits at x, a float or an
-    array; strictly monotone on [X_M2_RHO1, X_M2_RHO0]."""
+def _rho_of_m2(x: float) -> float:
+    """Value of rho whose curvature minimizer sits at x; strictly monotone
+    on [X_M2_RHO1, X_M2_RHO0]."""
     x2 = x * x
     inner = 36.0 * x2 * x2 - 24.0 * x2 + 1.0
     return x * (
         -12.0 * x2 * x2
         + 16.0 * x2
         - 5.0
-        + 2.0 * (1.0 - x2) * _sqrt(_select(inner < 0.0, 0.0, inner))
+        + 2.0 * (1.0 - x2) * math.sqrt(max(inner, 0.0))
     )
 
 
@@ -209,16 +209,18 @@ def m2(rho: float) -> float:
     return brentq(lambda x: _rho_of_m2(x) - rho, X_M2_RHO1, X_M2_RHO0, xtol=1e-15)
 
 
-def _n_x(x, rho: float):
-    sx = _sqrt((1.0 - x) * (1.0 + x))
-    return (1.0 + rho * x) / sx + math.sqrt((1.0 - rho) * (1.0 + rho))
+def _j2(x, rho, sx, rb):
+    """The curvature function g2 in the x coordinate, given sx = sqrt(1 - x^2)
+    and rb = sqrt(1 - rho^2); the power is a product, so that a float and an
+    array give the same bits."""
+    xr = x + rho
+    return sx * sx * sx - xr * xr * sx / (2.0 * (1.0 + rho * x + rb * sx))
 
 
 def j2_x(x, rho: float):
     """Curvature function g2 expressed in the x coordinate, x a float or an
     array."""
-    sx = _sqrt((1.0 - x) * (1.0 + x))
-    return sx**3 - (x + rho) ** 2 / (2.0 * _n_x(x, rho))
+    return _j2(x, rho, _sqrt((1.0 - x) * (1.0 + x)), math.sqrt((1.0 - rho) * (1.0 + rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,30 +249,19 @@ def _b_star(l: float, rho: float):
 
 
 def _u_end(rho: float) -> float:
-    """u = 1/l at x = max(x2, rho): the far end of both SSVI brackets."""
+    """u = 1/l at x = max(x2, rho): the far end of l_from_b's bracket."""
     x = max(x_of_rho(rho), rho)
     return math.sqrt((1.0 - x) * (1.0 + x)) / x
 
 
 def l_bar_zero(rho: float) -> float:
-    """Left end of the critical-point sweep: the b -> 0 critical point.
-
-    The root of p/c^2 in u = 1/l on [0, _u_end(rho)], by one brentq, as
-    l = 1/u: the only ingredient of the SSVI domain without a closed form.
-    p/c^2 is (1+rho)/4 at u = 0 (l = +inf) and negative at the other end,
-    the curvature zero x2 or the smile minimum l = -mu, beyond which the
-    root lies; where the ends share a sign EvaluationDomainError is raised.
-    +inf at rho = 1, where mu = -inf.
+    """Left end of the critical-point sweep: the b -> 0 critical point,
+    l_from_b(0, rho), the only ingredient of the SSVI domain without a
+    closed form.  +inf at rho = 1, where mu = -inf.
     """
     if not 0.0 <= rho <= 1.0:
         raise EvaluationDomainError(f"rho must lie in [0, 1], got {rho}")
-    if rho == 1.0:
-        return math.inf
-    try:
-        u = brentq(lambda v: _pq(v, rho)[3], 0.0, _u_end(rho), xtol=_UTOL)
-    except ValueError as exc:
-        raise EvaluationDomainError(f"no sweep endpoint bracket for rho={rho}") from exc
-    return 1.0 / u
+    return l_from_b(0.0, rho)
 
 
 def sigma_star_closed(l: float, rho: float, b: float | None = None) -> float:
@@ -293,16 +284,18 @@ def _critical_residual(u: float, b: float, rho: float) -> float:
 
 def l_from_b(b: float, rho: float) -> float:
     """Invert b_star: the root in u = 1/l of the critical-point equation
-    h*p = b^2*g*q on l_bar_zero's bracket [0, _u_end(rho)], by one brentq.
+    h*p = b^2*g*q for b in [0, 2/(1+rho)), on the closed-form bracket
+    [0, _u_end(rho)], by one brentq.  At b = 0 the residual is h*p with
+    h > 0 on the sweep, so the root is the sweep end l_bar(0, rho).
 
     The residual is (1+rho)/8*(1 - (b*(1+rho)/2)^2) > 0 at u = 0.  At the
-    far end it is affine in b^2 and negative at both ends of the b range:
-    h*p < 0 is l_bar_zero's end condition, and at b = 2/(1+rho) it is at
+    far end, x = max(x2, rho), it is affine in b^2 and negative at both
+    ends of the b range: h*p < 0 at b = 0, and at b = 2/(1+rho) it is at
     most -2/3*|h*p|; so no admissible b gives the ends one sign.  +inf at
     rho = 1 and where the slope bound's slack (core._wing_slack) is 0.
     """
-    if not b > 0.0 or wing_slope(b, rho) == "beyond":
-        raise EvaluationDomainError(f"b={b} outside (0, 2/(1+rho)) for rho={rho}")
+    if not b >= 0.0 or wing_slope(b, rho) == "beyond":
+        raise EvaluationDomainError(f"b={b} outside [0, 2/(1+rho)) for rho={rho}")
     if rho == 1.0 or _wing_slack(b, rho) == 0.0:
         return math.inf
     return 1.0 / brentq(lambda u: _critical_residual(u, b, rho), 0.0, _u_end(rho),
@@ -459,11 +452,9 @@ def _uniqueness_terms(x, rho, b):
     h1 = -x / (2.0 * rb * sx)
     h2 = -1.0 / (2.0 * rb * (cx * sx))
     d2j1 = 2.0 * (h1 * h1 + h * h2 - b * b / 16.0)
-    xr = x + rho
-    g = xr / 4.0
+    g = (x + rho) / 4.0
     j1 = h * h - b * b * g * g
-    j2 = sx * sx * sx - xr * xr * sx / (2.0 * (1.0 + rho * x + rb * sx))
-    return j1, j2, d2j2, d2j1
+    return j1, _j2(x, rho, sx, rb), d2j2, d2j1
 
 
 def uniqueness_target(x, rho, b=None):

@@ -55,16 +55,17 @@ def test_matches_scipy_where_steps_divide_by_zero():
 
 
 def _ssvi_u_end(rho):
-    # l_bar_zero's far bracket end u = 1/l at x = max(x2, rho)
+    # l_from_b's far bracket end u = 1/l at x = max(x2, rho)
     x = max(ssvi.x_of_rho(rho), rho)
     return math.sqrt((1.0 - x) * (1.0 + x)) / x
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.8, 0.95])
 def test_matches_scipy_on_ssvi_sweep_endpoint(rho):
-    # l_bar_zero's whole bracket in u = 1/l, as l_bar_zero solves it
+    # l_bar_zero's whole bracket in u = 1/l, on l_from_b's objective at
+    # b = 0, as l_bar_zero solves it
     def f(u):
-        return ssvi._pq(u, rho)[3]
+        return ssvi._critical_residual(u, 0.0, rho)
 
     u = _same_root(f, 0.0, _ssvi_u_end(rho), xtol=ssvi._UTOL)
     assert 1.0 / u == ssvi.l_bar_zero(rho)
