@@ -371,7 +371,10 @@ def _u_root(f, end: float) -> float:
     by Brent's method on scalar terms.
     xtol = 1e-14*lo^2 in u is 1e-14 in |l| = 1/u at the bracket's lower end
     lo > 0.  Raises NoRootError without a bracket, and EvaluationDomainError
-    where brentq does not converge (as at gamma = 1e100)."""
+    where brentq does not converge (as at gamma = 1e100) or refuses the
+    bracket to a finite end, whose value has the last point's sign (as at
+    gamma one ulp above the floor, rho > 0 and a subnormal b), with
+    brentq's message."""
     import numpy as np
 
     grid, terms = _u_grid()[:2]
@@ -389,6 +392,8 @@ def _u_root(f, end: float) -> float:
         return brentq(lambda u: f(_wing_terms(u)), lo, hi, xtol=max(1e-14 * lo * lo, 1e-300))
     except RuntimeError as exc:
         raise EvaluationDomainError(f"the wing root did not converge: {exc}") from exc
+    except ValueError as exc:  # brentq refuses a bracket whose ends share a sign
+        raise EvaluationDomainError(str(exc)) from exc
 
 
 def _wing_slack(b: float, rho: float) -> float:

@@ -131,7 +131,8 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     best, its value, the limit of f (0 off the wing-slope bound), is the
     supremum and argsup = +inf; otherwise argsup is the root in u of the
     critical-point residual, which has the sign of df/du, between the best
-    grid point's neighbours, and the supremum is f there.
+    grid point's neighbours, or the wing's end, the zero of g2, where the
+    best point is the wing's last, and the supremum is f there.
     """
     import numpy as np
 
@@ -144,13 +145,17 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
     i = int(np.argmax(vals[:n]))
     if vals[0] >= vals[i] * (1.0 - 1e-15):  # u = 0 wins a tie within rounding
         return math.inf, float(vals[0])
+    # past the wing's end f < 0 has a critical point of its own
+    hi = grid[i + 1] if i + 1 < n else 1.0 / _right_zero(gamma, rho)
     try:  # xtol at the smallest subnormal: only the relative tolerance stops it
         u = brentq(lambda u: _critical_residual(_critical_at(_wing_terms(u), gamma, rho, mu), b),
-                   grid[i - 1], grid[i + 1], xtol=5e-324)
+                   grid[i - 1], hi, xtol=5e-324)
     except ValueError:
-        # the residual keeps its sign across a pole of f, where G1 = 0 on
-        # the wing: a shape outside mu_interval, which sigma_star rejects;
-        # the value is _wing_f's inline one at the point, not the grid's
+        # the residual has one sign at both ends: across a pole of f, where
+        # G1 = 0 on the wing (a shape outside mu_interval, which sigma_star
+        # rejects), or where its rounding swamps it, as for shapes that
+        # sigma_star accepts at gamma = 1e16; the value is _wing_f's inline
+        # one at the point, not the grid's
         point = tuple(t[i:i + 1] for t in terms)
         return 1.0 / grid[i], float(_wing_f(point, gamma, b, rho, mu, w)[1][0])
     except RuntimeError as exc:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smile_domain import (
     BOUNDARY_TOL,
@@ -567,6 +568,56 @@ def test_durrleman_check_sees_an_argsup_past_l_1e6():
     for factor, negative in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
         shape = NormalizedSvi(p.gamma, p.b, p.rho, p.mu, res.sigma_star * factor)
         assert (durrleman_check(shape.to_raw()).min_value < 0.0) == negative
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0.9198162387749919, 1.0000000000005e-12, -0.999999999999, -2.8905739498069085),
+     (-0.46536476068269755, 1.5351089485604304e-12, -0.30283912544157043, 1.8317191046290953)],
+)
+def test_sigma_star_where_the_best_grid_point_is_the_wings_last(shape):
+    # the best grid point's right neighbour lies past the zero of g2, where
+    # f < 0 has a critical point of its own: the bracket ends at the wing's
+    # end instead (the first shape was 3.0x low, the second 6.4 % low),
+    # within the benchmark's GAP_TOL = 1e-6 of the reference
+    assert sigma_star(*shape).sigma_star == pytest.approx(_mp_sup(*shape), rel=1e-6)
+
+
+def test_a_bracket_to_the_wing_grids_finite_end_fails_typed():
+    # gamma one ulp above the floor, rho > 0 and a subnormal b: the level
+    # curve has one sign from the grid's last point to its finite end
+    shape = (-0.9999999999999999, 1e-323, 2.220446049250313e-16)
+    with pytest.raises(SmileDomainError):
+        mu_interval(*shape)
+    with pytest.raises(SmileDomainError):
+        sigma_star(*shape, 5.194240041540733e-07)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rho=st.sampled_from([5e-324, 1e-16, 1e-8, 0.5, 1.0 - 1e-10]),
+    ulps=st.integers(1, 8),
+    t=st.floats(5e-324, 1.0),
+    frac=st.floats(0.0, 1.0),
+)
+def test_wing_conditions_next_to_the_gamma_floor_return_or_fail_typed(rho, ulps, t, frac):
+    # gamma a few ulps above -sqrt(1 - rho^2), b from 5e-324 to the slope
+    # bound: a value or a SmileDomainError, never a bare error
+    gamma = -math.sqrt((1.0 - rho) * (1.0 + rho))
+    for _ in range(ulps):
+        gamma = math.nextafter(gamma, 0.0)
+    b = max(t * 2.0 / (1.0 + rho), 5e-324)
+    mu = 0.0
+    try:
+        iv = mu_interval(gamma, b, rho)
+        if not iv.is_empty:
+            mu = iv.lower + frac * (iv.upper - iv.lower)
+    except SmileDomainError:
+        pass
+    try:
+        assert sigma_star(gamma, b, rho, mu).sigma_star > 0.0
+    except SmileDomainError:
+        pass
 
 
 # ---------------------------------------------------------------------------
