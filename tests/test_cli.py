@@ -132,6 +132,22 @@ def test_certify_accepts_raw_coordinates(capsys):
     assert doc["params"]["native"]["theta"] == pytest.approx(0.1, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "raw, native",
+    [(("extremal", "--a", "2", "--m", "0.3", "--sigma", "1"),
+      ("extremal", "--gamma", "1", "--q", "0.3", "--sigma", "1")),
+     (("vanishing-up", "--b", "0.5", "--m", "-0.3", "--sigma", "2"),
+      ("vanishing-up", "--mu", "-0.15", "--b", "0.5", "--sigma", "2"))],
+    ids=["extremal", "vanishing-up"],
+)
+def test_raw_routes_print_the_native_routes_bytes(capsys, raw, native):
+    # the raw routes read their native coordinates off the smile's
+    # normalization; a zero scale is an invalid input
+    assert _run(capsys, "certify", *raw) == _run(capsys, "certify", *native)
+    code, out = _run(capsys, "certify", *raw[:-1], "0")
+    assert code == 2 and _strict(out)["error"]["type"] == "invalid_params"
+
+
 def test_certify_missing_params(capsys):
     code, out = _run(capsys, "certify", "extremal", "--sigma", "1")
     assert code == 2

@@ -221,6 +221,12 @@ def test_critical_point_bracket_has_its_signs_for_every_b(rho):
         assert 1.0 / end <= l < math.inf
 
 
+@pytest.mark.parametrize("rho", _BRACKET_RHOS)
+def test_l_bar_zero_is_the_critical_point_at_b_0(rho):
+    # one objective for both roots: at b = 0 the residual is h*p, h > 0
+    assert l_bar_zero(rho) == l_from_b(0.0, rho)
+
+
 def test_certificates_do_not_solve_for_the_sweep_end(monkeypatch):
     # l_bar(0, rho) is only a bracket end for the critical point, and the
     # bracket is in closed form
