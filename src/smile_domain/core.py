@@ -371,10 +371,8 @@ def _u_root(f, end: float) -> float:
     by Brent's method on scalar terms.
     xtol = 1e-14*lo^2 in u is 1e-14 in |l| = 1/u at the bracket's lower end
     lo > 0.  Raises NoRootError without a bracket, and EvaluationDomainError
-    where brentq does not converge (as at gamma = 1e100) or refuses the
-    bracket to a finite end, whose value has the last point's sign (as at
-    gamma one ulp above the floor, rho > 0 and a subnormal b), with
-    brentq's message."""
+    where brentq does not converge (as at gamma = 1e100) or refuses a
+    bracket to a finite end of one sign, with brentq's message."""
     import numpy as np
 
     grid, terms = _u_grid()[:2]

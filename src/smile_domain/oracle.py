@@ -152,10 +152,8 @@ def _wing_sup(gamma: float, b: float, rho: float, mu: float) -> tuple[float, flo
                    grid[i - 1], hi, xtol=5e-324)
     except ValueError:
         # the residual has one sign at both ends: across a pole of f, where
-        # G1 = 0 on the wing (a shape outside mu_interval, which sigma_star
-        # rejects), or where its rounding swamps it, as for shapes that
-        # sigma_star accepts at gamma = 1e16; the value is _wing_f's inline
-        # one at the point, not the grid's
+        # G1 = 0 (outside mu_interval), or where rounding swamps it, as at
+        # gamma = 1e16; the value is _wing_f's inline one, not the grid's
         point = tuple(t[i:i + 1] for t in terms)
         return 1.0 / grid[i], float(_wing_f(point, gamma, b, rho, mu, w)[1][0])
     except RuntimeError as exc:

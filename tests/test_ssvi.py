@@ -167,7 +167,7 @@ def test_l_bar_zero_values():
 
 
 def _u_end(rho):
-    # l_bar_zero's far bracket end u = 1/l at x = max(x2, rho)
+    # l_from_b's far bracket end u = 1/l at x = max(x2, rho)
     x = max(x_of_rho(rho), rho)
     return math.sqrt((1.0 - x) * (1.0 + x)) / x
 
