@@ -219,10 +219,6 @@ def test_critical_point_bracket_has_its_signs_for_every_b(rho):
         assert ssvi._critical_residual(end, b, rho) < 0.0
         l = l_from_b(b, rho)
         assert 1.0 / end <= l < math.inf
-
-
-@pytest.mark.parametrize("rho", _BRACKET_RHOS)
-def test_l_bar_zero_is_the_critical_point_at_b_0(rho):
     # one objective for both roots: at b = 0 the residual is h*p, h > 0
     assert l_bar_zero(rho) == l_from_b(0.0, rho)
 
